@@ -38,13 +38,8 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
         break;
       }
       case meta::IndexKind::kRTree: {
-        storage::LsmRTreeOptions o;
-        o.dir = options.dir;
+        storage::LsmTreeOptions o = lsm;
         o.name = "ix_" + ix.name;
-        o.cache = options.cache;
-        o.mem_budget_bytes = options.mem_budget_bytes;
-        o.scheduler = options.scheduler;
-        o.max_pending_immutables = options.max_pending_immutables;
         AX_ASSIGN_OR_RETURN(auto tree, storage::LsmRTree::Open(o));
         part->rtree_indexes_[ix.name] = std::move(tree);
         break;

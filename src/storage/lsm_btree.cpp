@@ -1,52 +1,30 @@
 #include "storage/lsm_btree.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
 
 #include "adm/serde.h"
 #include "common/compress.h"
 #include "common/io.h"
 #include "common/metrics.h"
-#include "storage/maintenance.h"
 
 namespace asterix::storage {
 
 namespace {
-metrics::Counter* LsmFlushesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.flushes");
-  return c;
-}
-metrics::Counter* LsmFlushBytesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.flush_bytes");
-  return c;
-}
-metrics::Counter* LsmMergesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.merges");
-  return c;
-}
-metrics::Counter* LsmMergeBytesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.merge_bytes");
-  return c;
-}
-metrics::Counter* LsmWriteStallsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.write_stalls");
-  return c;
-}
-metrics::Counter* LsmWriteStallNsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm.write_stall_ns");
-  return c;
-}
-metrics::Counter* LsmIncompleteDroppedCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "storage.lsm.incomplete_components_dropped");
-  return c;
+// Component files: <name>_<lo>_<hi>.cmp (row B+tree) or .col (columnar),
+// each with a .bloom sidecar that is written last (the commit point).
+const LsmLayout& BTreeLayout() {
+  static const LsmLayout layout{
+      {".cmp", ".col"},
+      ".bloom",
+      {metrics::Registry::Global().GetCounter("storage.lsm.flushes"),
+       metrics::Registry::Global().GetCounter("storage.lsm.flush_bytes"),
+       metrics::Registry::Global().GetCounter("storage.lsm.merges"),
+       metrics::Registry::Global().GetCounter("storage.lsm.merge_bytes"),
+       metrics::Registry::Global().GetCounter("storage.lsm.write_stalls"),
+       metrics::Registry::Global().GetCounter("storage.lsm.write_stall_ns"),
+       metrics::Registry::Global().GetCounter(
+           "storage.lsm.incomplete_components_dropped")}};
+  return layout;
 }
 metrics::Counter* ColumnarComponentsCounter() {
   static metrics::Counter* c = metrics::Registry::Global().GetCounter(
@@ -75,14 +53,6 @@ std::string EncodeDiskValue(const std::string& value, bool antimatter,
   std::string out(1, kLive);
   out += value;
   return out;
-}
-
-std::string ComponentName(const std::string& prefix, uint64_t lo, uint64_t hi) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "_%010llu_%010llu",
-                static_cast<unsigned long long>(lo),
-                static_cast<unsigned long long>(hi));
-  return prefix + buf;
 }
 
 // True (and fills `records`, antimatter slots left Missing) iff every live
@@ -114,162 +84,71 @@ Result<std::string> DecodeDiskEntry(const std::string& raw) {
   return raw.substr(1);
 }
 
-LsmBTree::DiskComponent::~DiskComponent() {
-  tree.reset();  // unregister from cache before unlinking
-  col.reset();
-  // Best-effort unlink: leftovers are re-collected at the next open.
-  if (obsolete) {
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(data_path);
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(bloom_path);
-  }
-}
+LsmBTree::LsmBTree(const LsmOptions& options)
+    : LsmLifecycle(options, BTreeLayout()),
+      bloom_bits_per_key_(options.bloom_bits_per_key),
+      compress_values_(options.compress_values),
+      storage_format_(options.storage_format) {}
+
+LsmBTree::~LsmBTree() { Close(); }
 
 Result<std::unique_ptr<LsmBTree>> LsmBTree::Open(const LsmOptions& options) {
-  if (options.cache == nullptr) {
-    return Status::InvalidArgument("LsmOptions.cache is required");
-  }
-  AX_RETURN_NOT_OK(fs::CreateDirs(options.dir));
   auto tree = std::unique_ptr<LsmBTree>(new LsmBTree(options));
-  // Recover existing components: <prefix>_<lo>_<hi>.cmp (row B+tree) or
-  // <prefix>_<lo>_<hi>.col (columnar). Mixed stacks are expected — a
-  // dataset may be reopened under a different storage-format option.
-  AX_ASSIGN_OR_RETURN(auto names, fs::ListDir(options.dir));
-  std::vector<std::pair<std::pair<uint64_t, uint64_t>, std::string>> found;
-  for (const auto& n : names) {
-    if (n.size() < options.name.size() + 4) continue;
-    if (n.compare(0, options.name.size(), options.name) != 0) continue;
-    bool row = n.compare(n.size() - 4, 4, ".cmp") == 0;
-    bool columnar = n.compare(n.size() - 4, 4, ".col") == 0;
-    if (!row && !columnar) continue;
-    unsigned long long lo, hi;
-    std::string tail = n.substr(options.name.size());
-    if (std::sscanf(tail.c_str(), row ? "_%llu_%llu.cmp" : "_%llu_%llu.col",
-                    &lo, &hi) != 2) {
-      continue;
-    }
-    found.push_back({{hi, lo}, n});
-  }
-  // Newest first (descending seq_hi).
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::lock_guard<std::mutex> lock(tree->mu_);  // satisfies GUARDED_BY
-  for (const auto& [seq, fname] : found) {
-    auto comp = std::make_shared<DiskComponent>();
-    comp->seq_hi = seq.first;
-    comp->seq_lo = seq.second;
-    comp->data_path = options.dir + "/" + fname;
-    comp->bloom_path = comp->data_path.substr(0, comp->data_path.size() - 4) +
-                       ".bloom";
-    // The Bloom file is written last and is the flush commit point: a data
-    // file without one is a flush that was in flight at a crash. Drop it —
-    // WAL replay (the caller's recovery) re-ingests those rows.
-    if (!fs::Exists(comp->bloom_path)) {
-      LsmIncompleteDroppedCounter()->Add(1);
-      // axlint: allow(must-check): best-effort incomplete-component unlink
-      (void)fs::RemoveFile(comp->data_path);
-      continue;
-    }
-    if (fname.compare(fname.size() - 4, 4, ".col") == 0) {
-      AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(comp->data_path));
-      comp->bytes = comp->col->file_bytes();
-    } else {
-      AX_ASSIGN_OR_RETURN(comp->tree,
-                          BTree::Open(comp->data_path, options.cache));
-      comp->bytes =
-          static_cast<uint64_t>(comp->tree->meta().page_count) * kPageSize;
-    }
-    AX_ASSIGN_OR_RETURN(auto bloom_data, fs::ReadFileToString(comp->bloom_path));
-    AX_ASSIGN_OR_RETURN(comp->bloom, BloomFilter::Deserialize(bloom_data));
-    tree->components_.push_back(std::move(comp));
-    tree->next_seq_ = std::max(tree->next_seq_, seq.first + 1);
-  }
+  AX_RETURN_NOT_OK(tree->Recover());
   return tree;
 }
 
-LsmBTree::~LsmBTree() {
-  std::unique_lock<std::mutex> lock(mu_);
-  closing_ = true;
-  maint_cv_.notify_all();
-  // Wait for background tasks (including ones still queued on the
-  // scheduler — they run, observe closing_, and bail). Unflushed memory
-  // components are dropped; WAL replay recovers them (truncation only
-  // follows a drained checkpoint flush).
-  while (tasks_inflight_ > 0 || flush_active_ || merge_active_) {
-    maint_cv_.wait(lock);
+Result<LsmLifecycle::DiskPtr> LsmBTree::OpenDiskComponent(
+    const std::string& base, const std::string& ext) const {
+  auto comp = std::make_shared<DiskComponent>();
+  const std::string data_path = base + ext;
+  const std::string bloom_path = base + ".bloom";
+  comp->files = {data_path, bloom_path};
+  if (ext == ".col") {
+    AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(data_path));
+    comp->bytes = comp->col->file_bytes();
+    comp->entries = comp->col->row_count();
+  } else {
+    AX_ASSIGN_OR_RETURN(comp->tree, BTree::Open(data_path, options_.cache));
+    comp->bytes =
+        static_cast<uint64_t>(comp->tree->meta().page_count) * kPageSize;
+    comp->entries = comp->tree->entry_count();
   }
+  AX_ASSIGN_OR_RETURN(auto bloom_data, fs::ReadFileToString(bloom_path));
+  AX_ASSIGN_OR_RETURN(comp->bloom, BloomFilter::Deserialize(bloom_data));
+  return DiskPtr(std::move(comp));
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
-void LsmBTree::RotateMemLocked() {
-  if (mem_.empty()) return;
+std::shared_ptr<LsmMemComponent> LsmBTree::FreezeMemLocked() {
+  if (mem_.empty()) return nullptr;
   auto imm = std::make_shared<MemComponent>();
-  imm->seq = next_seq_++;
-  imm->bytes = mem_bytes_;
   imm->entries = mem_.size();
   imm->rows = std::move(mem_);
   mem_.clear();
-  mem_bytes_ = 0;
-  immutables_.insert(immutables_.begin(), std::move(imm));
-}
-
-Status LsmBTree::WaitForRoomLocked(std::unique_lock<std::mutex>& lock) {
-  const size_t bound = std::max<size_t>(1, options_.max_pending_immutables);
-  if (immutables_.size() < bound) return maint_error_;
-  write_stalls_++;
-  LsmWriteStallsCounter()->Add(1);
-  const uint64_t t0 = metrics::NowNs();
-  while (immutables_.size() >= bound && maint_error_.ok() && !closing_) {
-    maint_cv_.wait(lock);
-  }
-  LsmWriteStallNsCounter()->Add(metrics::NowNs() - t0);
-  return maint_error_;
-}
-
-Status LsmBTree::HandleBudgetLocked(std::unique_lock<std::mutex>& lock) {
-  if (!options_.auto_flush || mem_bytes_ <= options_.mem_budget_bytes) {
-    return Status::OK();
-  }
-  if (options_.scheduler != nullptr) {
-    AX_RETURN_NOT_OK(WaitForRoomLocked(lock));
-    // Another writer may have rotated while we waited.
-    if (mem_bytes_ <= options_.mem_budget_bytes) return Status::OK();
-    RotateMemLocked();
-    ScheduleFlushLocked();
-    return Status::OK();
-  }
-  // Inline maintenance (no scheduler): the writing thread pays for the
-  // flush and any policy merge, as before the scheduler existed.
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  AX_ASSIGN_OR_RETURN(bool merged, ApplyMergePolicyLocked(lock));
-  (void)merged;
-  return Status::OK();
+  return imm;
 }
 
 Status LsmBTree::Put(const std::string& key, const std::string& value) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
+  if (!maint_error().ok()) return maint_error();
   mem_.insert_or_assign(key, MemEntry{false, value});
-  mem_bytes_ += key.size() + value.size() + 32;
-  return HandleBudgetLocked(lock);
+  return AfterWriteLocked(lock, key.size() + value.size() + 32);
 }
 
 Status LsmBTree::Delete(const std::string& key) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
+  if (!maint_error().ok()) return maint_error();
   mem_.insert_or_assign(key, MemEntry{true, ""});
-  mem_bytes_ += key.size() + 32;
-  return HandleBudgetLocked(lock);
+  return AfterWriteLocked(lock, key.size() + 32);
 }
 
 Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
   std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
+  std::vector<DiskPtr> comps;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = mem_.find(key);
@@ -283,26 +162,28 @@ Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
   }
   // Immutable memory components are frozen; probing them off-lock is safe.
   for (const auto& imm : imms) {
-    auto it = imm->rows.find(key);
-    if (it == imm->rows.end()) continue;
+    const auto& rows = static_cast<const MemComponent&>(*imm).rows;
+    auto it = rows.find(key);
+    if (it == rows.end()) continue;
     if (it->second.antimatter) return false;
     if (value) *value = it->second.value;
     return true;
   }
-  for (const auto& comp : comps) {
-    if (!comp->bloom.MayContain(key)) continue;
-    if (comp->columnar()) {
-      uint64_t row = comp->col->LowerBound(key);
-      if (row >= comp->col->row_count() || comp->col->key(row) != key) continue;
-      if (comp->col->antimatter(row)) return false;
+  for (const auto& c : comps) {
+    const DiskComponent& comp = AsDisk(c);
+    if (!comp.bloom.MayContain(key)) continue;
+    if (comp.columnar()) {
+      uint64_t row = comp.col->LowerBound(key);
+      if (row >= comp.col->row_count() || comp.col->key(row) != key) continue;
+      if (comp.col->antimatter(row)) return false;
       if (value) {
-        AX_ASSIGN_OR_RETURN(adm::Value record, comp->col->ReadRecord(row));
+        AX_ASSIGN_OR_RETURN(adm::Value record, comp.col->ReadRecord(row));
         *value = adm::Serialize(record);
       }
       return true;
     }
     std::string raw;
-    AX_ASSIGN_OR_RETURN(bool found, comp->tree->Get(key, &raw));
+    AX_ASSIGN_OR_RETURN(bool found, comp.tree->Get(key, &raw));
     if (!found) continue;
     if (raw.empty()) return Status::Corruption("empty LSM disk entry");
     if (raw[0] == kAntimatter) return false;
@@ -314,155 +195,57 @@ Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
   return false;
 }
 
-Status LsmBTree::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  return DrainImmutablesLocked(lock);
-}
-
-Result<LsmBTree::ComponentPtr> LsmBTree::BuildDiskComponent(
-    const std::vector<SnapshotEntry>& rows, uint64_t seq_lo,
-    uint64_t seq_hi) const {
+Result<LsmLifecycle::DiskPtr> LsmBTree::BuildDiskComponent(
+    const std::vector<SnapshotEntry>& rows, const std::string& base) const {
   auto comp = std::make_shared<DiskComponent>();
-  std::string base =
-      options_.dir + "/" + ComponentName(options_.name, seq_lo, seq_hi);
-  comp->seq_lo = seq_lo;
-  comp->seq_hi = seq_hi;
-  comp->bloom_path = base + ".bloom";
-  comp->bloom = BloomFilter(std::max<uint64_t>(rows.size(), 16),
-                            options_.bloom_bits_per_key);
+  const std::string bloom_path = base + ".bloom";
+  comp->bloom =
+      BloomFilter(std::max<uint64_t>(rows.size(), 16), bloom_bits_per_key_);
   for (const auto& row : rows) comp->bloom.Add(row.key);
+  comp->entries = rows.size();
 
   std::vector<adm::Value> records;
-  if (options_.storage_format == StorageFormat::kColumnar &&
+  if (storage_format_ == StorageFormat::kColumnar &&
       DecodeColumnarRecords(rows, &records)) {
-    comp->data_path = base + ".col";
-    ColumnarComponentWriter writer(comp->data_path);
+    const std::string data_path = base + ".col";
+    comp->files = {data_path, bloom_path};
+    ColumnarComponentWriter writer(data_path);
     for (size_t i = 0; i < rows.size(); i++) {
       writer.Add(rows[i].key, rows[i].antimatter, std::move(records[i]));
     }
     AX_ASSIGN_OR_RETURN(auto wrote, writer.Finish());
-    AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(comp->data_path));
+    AX_ASSIGN_OR_RETURN(comp->col, ColumnarReader::Open(data_path));
     comp->bytes = wrote.file_bytes;
     ColumnarComponentsCounter()->Add(1);
   } else {
-    comp->data_path = base + ".cmp";
-    AX_ASSIGN_OR_RETURN(auto builder, BTreeBuilder::Create(comp->data_path));
+    const std::string data_path = base + ".cmp";
+    comp->files = {data_path, bloom_path};
+    AX_ASSIGN_OR_RETURN(auto builder, BTreeBuilder::Create(data_path));
     for (const auto& row : rows) {
       AX_RETURN_NOT_OK(builder->Add(
-          row.key, EncodeDiskValue(row.value, row.antimatter,
-                                   options_.compress_values)));
+          row.key,
+          EncodeDiskValue(row.value, row.antimatter, compress_values_)));
     }
     AX_ASSIGN_OR_RETURN(auto meta, builder->Finish());
-    AX_ASSIGN_OR_RETURN(comp->tree,
-                        BTree::Open(comp->data_path, options_.cache));
+    AX_ASSIGN_OR_RETURN(comp->tree, BTree::Open(data_path, options_.cache));
     comp->bytes = static_cast<uint64_t>(meta.page_count) * kPageSize;
   }
   // The Bloom file is written last: it is the flush commit point that
-  // Open() uses to distinguish complete components from torn flushes.
-  AX_RETURN_NOT_OK(
-      fs::WriteStringToFile(comp->bloom_path, comp->bloom.Serialize()));
-  return comp;
+  // recovery uses to distinguish complete components from torn flushes.
+  AX_RETURN_NOT_OK(fs::WriteStringToFile(bloom_path, comp->bloom.Serialize()));
+  return DiskPtr(std::move(comp));
 }
 
-Status LsmBTree::FlushOldestLocked(std::unique_lock<std::mutex>& lock) {
-  while (flush_active_ && !closing_) maint_cv_.wait(lock);
-  if (closing_) return Status::OK();
-  if (!maint_error_.ok()) return maint_error_;
-  if (immutables_.empty()) return Status::OK();
-  flush_active_ = true;
-  MemPtr victim = immutables_.back();  // oldest
-  // Antimatter can be dropped only when nothing older could hide a live
-  // row. Newer immutables are irrelevant; only disk components are older,
-  // and the flush slot we hold is the only thing that installs new ones.
-  const bool only_component = components_.empty();
+Result<LsmLifecycle::DiskPtr> LsmBTree::BuildFlushComponent(
+    const LsmMemComponent& mem, bool oldest, const std::string& base) const {
+  const auto& frozen = static_cast<const MemComponent&>(mem);
   std::vector<SnapshotEntry> rows;
-  rows.reserve(victim->rows.size());
-  for (const auto& [key, entry] : victim->rows) {
-    if (entry.antimatter && only_component) continue;  // nothing below to hide
+  rows.reserve(frozen.rows.size());
+  for (const auto& [key, entry] : frozen.rows) {
+    if (entry.antimatter && oldest) continue;  // nothing below to hide
     rows.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
   }
-  const uint64_t seq = victim->seq;
-  lock.unlock();
-  auto built = BuildDiskComponent(rows, seq, seq);
-  lock.lock();
-  flush_active_ = false;
-  if (!built.ok()) {
-    maint_cv_.notify_all();
-    return built.status();
-  }
-  uint64_t bytes = built.value()->bytes;
-  components_.insert(components_.begin(), std::move(built).value());
-  immutables_.pop_back();
-  flushes_++;
-  LsmFlushesCounter()->Add(1);
-  LsmFlushBytesCounter()->Add(bytes);
-  maint_cv_.notify_all();  // backpressure waiters, drain barriers
-  return Status::OK();
-}
-
-Status LsmBTree::DrainImmutablesLocked(std::unique_lock<std::mutex>& lock) {
-  // Cooperative: this thread does the flush work itself instead of waiting
-  // on a queued scheduler task, so a bounded pool can never deadlock on a
-  // barrier (e.g. Instance::Checkpoint fanning out partition flushes).
-  while (true) {
-    while (flush_active_) maint_cv_.wait(lock);
-    if (!maint_error_.ok()) return maint_error_;
-    if (immutables_.empty()) return Status::OK();
-    AX_RETURN_NOT_OK(FlushOldestLocked(lock));
-  }
-}
-
-void LsmBTree::ScheduleFlushLocked() {
-  if (options_.scheduler == nullptr || flush_queued_ || closing_) return;
-  flush_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundFlush(); });
-}
-
-void LsmBTree::ScheduleMergeLocked() {
-  if (options_.scheduler == nullptr || merge_queued_ || merge_active_ ||
-      closing_) {
-    return;
-  }
-  if (PickMergeRunLocked() < 2) return;
-  merge_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundMerge(); });
-}
-
-void LsmBTree::BackgroundFlush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!closing_ && maint_error_.ok()) {
-    if (flush_active_) {  // a barrier (Flush/Checkpoint) is doing our work
-      maint_cv_.wait(lock);
-      continue;
-    }
-    if (immutables_.empty()) break;
-    Status s = FlushOldestLocked(lock);
-    if (!s.ok()) {
-      if (maint_error_.ok()) maint_error_ = std::move(s);
-      break;
-    }
-  }
-  // Cleared under the same lock hold as the emptiness check: a rotation
-  // after this point submits a fresh task.
-  flush_queued_ = false;
-  if (!closing_ && maint_error_.ok()) ScheduleMergeLocked();
-  tasks_inflight_--;
-  maint_cv_.notify_all();
-}
-
-void LsmBTree::BackgroundMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_queued_ = false;
-  if (!closing_ && maint_error_.ok() && !merge_active_) {
-    auto merged = ApplyMergePolicyLocked(lock);
-    if (!merged.ok() && maint_error_.ok()) maint_error_ = merged.status();
-  }
-  tasks_inflight_--;
-  maint_cv_.notify_all();
+  return BuildDiskComponent(rows, base);
 }
 
 // ---------------------------------------------------------------------------
@@ -546,11 +329,11 @@ struct LsmBTree::Iterator::Source {
     return disk->SeekToFirst();
   }
 
-  static Result<std::unique_ptr<Source>> ForComponent(ComponentPtr c,
+  static Result<std::unique_ptr<Source>> ForComponent(const DiskPtr& c,
                                                       int rank) {
     auto src = std::make_unique<Source>();
     src->rank = rank;
-    src->comp = std::move(c);
+    src->comp = std::static_pointer_cast<const DiskComponent>(c);
     if (src->comp->columnar()) {
       src->is_col = true;
       AX_ASSIGN_OR_RETURN(src->cols, src->comp->col->ReadAllColumns());
@@ -619,7 +402,7 @@ Status LsmBTree::Iterator::Advance(bool first) {
 Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
   std::vector<std::unique_ptr<Iterator::Source>> sources;
   std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
+  std::vector<DiskPtr> comps;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto mem_src = std::make_unique<Iterator::Source>();
@@ -635,7 +418,8 @@ Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
     auto src = std::make_unique<Iterator::Source>();
     src->is_mem = true;
     src->rank = rank++;
-    src->snapshot.assign(imm->rows.begin(), imm->rows.end());
+    const auto& rows = static_cast<const MemComponent&>(*imm).rows;
+    src->snapshot.assign(rows.begin(), rows.end());
     sources.push_back(std::move(src));
   }
   for (const auto& comp : comps) {
@@ -648,7 +432,7 @@ Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
 LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
   ScanSnapshot snap;
   std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
+  std::vector<DiskPtr> comps;
   std::map<std::string, MemEntry> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -659,19 +443,21 @@ LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
   // Fold immutable memory components under the mutable one, newest wins
   // (map::insert keeps the existing — newer — entry on key collision).
   for (const auto& imm : imms) {
-    merged.insert(imm->rows.begin(), imm->rows.end());
+    const auto& rows = static_cast<const MemComponent&>(*imm).rows;
+    merged.insert(rows.begin(), rows.end());
   }
   snap.mem.reserve(merged.size());
   for (const auto& [key, entry] : merged) {
     snap.mem.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
   }
-  for (const auto& comp : comps) {
+  for (const auto& c : comps) {
+    const DiskComponent& comp = AsDisk(c);
     ComponentRef ref;
-    ref.keepalive = comp;
-    if (comp->columnar()) {
-      ref.columnar = comp->col.get();
+    ref.keepalive = c;
+    if (comp.columnar()) {
+      ref.columnar = comp.col.get();
     } else {
-      ref.tree = comp->tree.get();
+      ref.tree = comp.tree.get();
     }
     snap.components.push_back(std::move(ref));
   }
@@ -682,8 +468,9 @@ LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
 // Merging
 // ---------------------------------------------------------------------------
 
-Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
-    const std::vector<ComponentPtr>& victims, bool includes_oldest) const {
+Result<LsmLifecycle::DiskPtr> LsmBTree::BuildMergedComponent(
+    const std::vector<DiskPtr>& victims, bool includes_oldest,
+    const std::string& base) const {
   // Build a merged stream over the victim components only. Victims are
   // pinned by shared_ptr and immutable, so no lock is needed.
   std::vector<std::unique_ptr<Iterator::Source>> sources;
@@ -723,121 +510,16 @@ Result<std::vector<LsmBTree::SnapshotEntry>> LsmBTree::BuildMergedRows(
     if (anti && includes_oldest) continue;  // nothing older to annihilate
     rows.push_back(SnapshotEntry{std::move(k), anti, std::move(v)});
   }
-  return rows;
-}
-
-size_t LsmBTree::PickMergeRunLocked() const {
-  const MergePolicy& mp = options_.merge_policy;
-  switch (mp.kind) {
-    case MergePolicyKind::kNoMerge:
-      return 0;
-    case MergePolicyKind::kConstant:
-      if (components_.size() > static_cast<size_t>(mp.max_components)) {
-        return components_.size();
-      }
-      return 0;
-    case MergePolicyKind::kPrefix: {
-      // Merge the longest newest-first run of small components whose total
-      // stays under the cap; skip if the run is trivial.
-      size_t run = 0;
-      uint64_t total = 0;
-      for (const auto& comp : components_) {
-        uint64_t bytes = comp->bytes;
-        if (bytes > mp.max_merged_bytes) break;
-        if (total + bytes > mp.max_merged_bytes) break;
-        total += bytes;
-        run++;
-      }
-      return run >= 2 ? run : 0;
-    }
-  }
-  return 0;
-}
-
-Status LsmBTree::MergeRunLocked(std::unique_lock<std::mutex>& lock,
-                                size_t run) {
-  if (merge_active_) return Status::OK();  // another thread is merging
-  if (run < 2 || run > components_.size()) {
-    return Status::InvalidArgument("bad merge component count");
-  }
-  merge_active_ = true;
-  const bool includes_oldest = run == components_.size();
-  std::vector<ComponentPtr> victims(
-      components_.begin(), components_.begin() + static_cast<ptrdiff_t>(run));
-  const uint64_t seq_lo = victims.back()->seq_lo;
-  const uint64_t seq_hi = victims.front()->seq_hi;
-  lock.unlock();
-  auto built = [&]() -> Result<ComponentPtr> {
-    AX_ASSIGN_OR_RETURN(auto rows, BuildMergedRows(victims, includes_oldest));
-    return BuildDiskComponent(rows, seq_lo, seq_hi);
-  }();
-  lock.lock();
-  merge_active_ = false;
-  maint_cv_.notify_all();
-  if (!built.ok()) return built.status();
-  // Flushes only prepend, so the victim run is still contiguous (and still
-  // the oldest suffix if it was one); splice the merged component into its
-  // place. Readers that pinned the victims keep reading them until their
-  // last reference drops, at which point the files are unlinked.
-  auto first =
-      std::find(components_.begin(), components_.end(), victims.front());
-  if (first == components_.end()) {
-    return Status::Internal("merge victims vanished from component list");
-  }
-  uint64_t bytes = built.value()->bytes;
-  for (auto& victim : victims) victim->obsolete = true;
-  auto pos = components_.erase(first, first + static_cast<ptrdiff_t>(run));
-  components_.insert(pos, std::move(built).value());
-  merges_++;
-  LsmMergesCounter()->Add(1);
-  LsmMergeBytesCounter()->Add(bytes);
-  return Status::OK();
-}
-
-Result<bool> LsmBTree::ApplyMergePolicyLocked(
-    std::unique_lock<std::mutex>& lock) {
-  if (merge_active_) return false;
-  size_t run = PickMergeRunLocked();
-  if (run < 2) return false;
-  AX_RETURN_NOT_OK(MergeRunLocked(lock, run));
-  return true;
-}
-
-Result<bool> LsmBTree::MaybeMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (merge_active_) maint_cv_.wait(lock);
-  return ApplyMergePolicyLocked(lock);
-}
-
-Status LsmBTree::ForceFullMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  while (merge_active_) maint_cv_.wait(lock);
-  if (components_.size() < 2) return Status::OK();
-  return MergeRunLocked(lock, components_.size());
+  return BuildDiskComponent(rows, base);
 }
 
 LsmStats LsmBTree::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  LsmStats s;
-  s.mem_entries = mem_.size();
-  s.mem_bytes = mem_bytes_;
-  s.pending_immutables = immutables_.size();
-  for (const auto& imm : immutables_) {
-    s.mem_entries += imm->entries;
-    s.mem_bytes += imm->bytes;
-  }
-  s.disk_components = components_.size();
+  LsmStats s = StatsLocked();
+  s.mem_entries += mem_.size();
   for (const auto& comp : components_) {
-    if (comp->columnar()) s.columnar_components++;
-    s.disk_entries += comp->entries();
-    s.disk_bytes += comp->bytes;
+    if (AsDisk(comp).columnar()) s.columnar_components++;
   }
-  s.flushes = flushes_;
-  s.merges = merges_;
-  s.write_stalls = write_stalls_;
   return s;
 }
 

@@ -6,14 +6,12 @@
 // immutable memory components, then disk components newest-to-oldest; scans
 // merge all components, resolving each key to its newest version.
 //
-// Maintenance (component builds and merges) runs on a shared
-// MaintenanceScheduler when one is configured: writers only block on the
-// bounded-backpressure contract (too many immutable memory components
-// pending), never on disk I/O. Without a scheduler the tree falls back to
-// inline (synchronous) maintenance on the writing thread. See DESIGN.md §4f.
+// Rotation, flushing, merging, background maintenance and recovery are the
+// shared LSM lifecycle (lsm_lifecycle.h); this file holds only what is
+// B+tree-specific: the sorted memory component, the row/columnar component
+// builders, and the read paths.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,10 +25,9 @@
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
 #include "storage/columnar.h"
+#include "storage/lsm_lifecycle.h"
 
 namespace asterix::storage {
-
-class MaintenanceScheduler;
 
 /// On-disk layout of flushed/merged components (paper §VII: columnar
 /// storage). Row components are B+trees (.cmp); columnar components are
@@ -39,28 +36,10 @@ class MaintenanceScheduler;
 /// to the configured format.
 enum class StorageFormat : uint8_t { kRow, kColumnar };
 
-/// Which components a merge combines (paper: "merge policies").
-enum class MergePolicyKind {
-  kNoMerge,    // never merge (read amplification grows unbounded)
-  kConstant,   // merge everything once there are > max_components components
-  kPrefix,     // merge the newest run whose total size fits max_merged_bytes
-};
-
-struct MergePolicy {
-  MergePolicyKind kind = MergePolicyKind::kConstant;
-  int max_components = 5;                      // kConstant
-  size_t max_merged_bytes = 64u << 20;         // kPrefix
-};
-
-/// Configuration for an LSM tree instance.
-struct LsmOptions {
-  std::string dir;          // directory holding component files
-  std::string name;         // component filename prefix
-  BufferCache* cache = nullptr;
-  size_t mem_budget_bytes = 1u << 20;
+/// Configuration for an LSM B+tree: the shared lifecycle options plus the
+/// B+tree's component format.
+struct LsmOptions : LsmTreeOptions {
   int bloom_bits_per_key = 10;
-  MergePolicy merge_policy;
-  bool auto_flush = true;   // flush automatically when the budget is hit
   /// Compress values in disk components (paper §VII: storage compression).
   /// Applies to row components only; columnar components are uncompressed.
   bool compress_values = false;
@@ -69,45 +48,19 @@ struct LsmOptions {
   /// buffered value is not a columnar-representable ADM record (see
   /// RecordIsColumnar); existing components of either format stay readable.
   StorageFormat storage_format = StorageFormat::kRow;
-  /// Background maintenance pool. When set, budget-tripping writes rotate
-  /// the memory component and return immediately; component builds and
-  /// merges run on the pool. When null, maintenance runs inline on the
-  /// writing thread (the pre-scheduler behavior). The scheduler must
-  /// outlive the tree.
-  MaintenanceScheduler* scheduler = nullptr;
-  /// Backpressure bound: a write blocks only while this many immutable
-  /// memory components are already pending flush (async mode only). The
-  /// wait is surfaced through the storage.lsm.write_stall_* metrics.
-  size_t max_pending_immutables = 2;
 };
 
-/// Point-in-time statistics (benchmarks read these).
-struct LsmStats {
-  size_t mem_entries = 0;  // mutable + pending immutable memory components
-  size_t mem_bytes = 0;
-  size_t pending_immutables = 0;  // immutable memory components not yet flushed
-  size_t disk_components = 0;
-  size_t columnar_components = 0;  // subset of disk_components
-  uint64_t disk_entries = 0;   // includes antimatter
-  uint64_t disk_bytes = 0;
-  uint64_t flushes = 0;
-  uint64_t merges = 0;
-  uint64_t write_stalls = 0;   // writes that hit the backpressure bound
-};
-
-/// An LSM-managed B+tree over byte-string keys. Thread-safe.
-class LsmBTree {
+/// An LSM-managed B+tree over byte-string keys. Thread-safe. Flush(),
+/// MaybeMerge() and ForceFullMerge() come from LsmLifecycle.
+class LsmBTree : public LsmLifecycle {
  public:
   /// Open (or create) the tree; existing components in `options.dir` with
-  /// the configured name prefix are recovered in sequence order. A
-  /// component whose Bloom file is missing is an incomplete flush (the
-  /// Bloom file is the flush commit point) — its data file is removed and
-  /// the rows are recovered from the WAL by the caller's replay.
+  /// the configured name prefix are recovered in sequence order. The Bloom
+  /// file is the flush commit point: a data file without one is dropped
+  /// and its rows are recovered from the WAL by the caller's replay.
   static Result<std::unique_ptr<LsmBTree>> Open(const LsmOptions& options);
   /// Waits for in-flight background maintenance on this tree to finish.
-  /// Unflushed memory components are dropped: WAL truncation only happens
-  /// after an explicit checkpoint flush, so replay recovers them.
-  ~LsmBTree();
+  ~LsmBTree() override;
 
   /// Insert or overwrite.
   Status Put(const std::string& key, const std::string& value)
@@ -117,14 +70,6 @@ class LsmBTree {
   /// Point lookup (Bloom filters skip non-containing components).
   Result<bool> Get(const std::string& key, std::string* value) const
       AX_EXCLUDES(mu_);
-
-  /// Force all memory components to disk (no-op when empty). Synchronous:
-  /// returns once every pending immutable component is flushed.
-  Status Flush() AX_EXCLUDES(mu_);
-  /// Apply the configured merge policy once; returns whether a merge ran.
-  Result<bool> MaybeMerge() AX_EXCLUDES(mu_);
-  /// Merge every disk component into one (full merge). Synchronous.
-  Status ForceFullMerge() AX_EXCLUDES(mu_);
 
   LsmStats stats() const AX_EXCLUDES(mu_);
 
@@ -182,109 +127,46 @@ class LsmBTree {
   ScanSnapshot GetScanSnapshot() const AX_EXCLUDES(mu_);
 
  private:
-  struct DiskComponent {
-    uint64_t seq_lo = 0, seq_hi = 0;
+  struct DiskComponent : LsmDiskComponent {
     std::unique_ptr<BTree> tree;          // row component
     std::unique_ptr<ColumnarReader> col;  // columnar component
     BloomFilter bloom;
-    std::string data_path, bloom_path;
-    uint64_t bytes = 0;  // on-disk size of the data file
-    bool obsolete = false;  // files removed on destruction
     bool columnar() const { return col != nullptr; }
-    uint64_t entries() const {
-      return columnar() ? col->row_count() : tree->entry_count();
-    }
-    ~DiskComponent();
   };
-  // Disk components are reference counted: readers (gets, iterators, scan
-  // snapshots, in-flight merges) hold shared_ptrs, so a merge that retires
-  // a component only marks it obsolete — its files are unlinked when the
-  // last pin drops (~DiskComponent).
-  using ComponentPtr = std::shared_ptr<DiskComponent>;
+  using ComponentPtr = std::shared_ptr<const DiskComponent>;
+  static const DiskComponent& AsDisk(const DiskPtr& comp) {
+    return static_cast<const DiskComponent&>(*comp);
+  }
 
   struct MemEntry {
     bool antimatter = false;
     std::string value;
   };
-
-  /// An immutable (rotated-out) memory component awaiting flush. The map
-  /// is frozen at rotation, so readers may probe it without holding mu_
-  /// once they hold the shared_ptr.
-  struct MemComponent {
-    uint64_t seq = 0;  // component sequence number assigned at rotation
-    size_t bytes = 0;
-    size_t entries = 0;
+  struct MemComponent : LsmMemComponent {
     std::map<std::string, MemEntry> rows;
   };
-  using MemPtr = std::shared_ptr<const MemComponent>;
 
-  explicit LsmBTree(LsmOptions options) : options_(std::move(options)) {}
+  explicit LsmBTree(const LsmOptions& options);
 
-  /// Freeze the mutable memory component into immutables_ (no-op if empty).
-  void RotateMemLocked() AX_REQUIRES(mu_);
-  /// Post-write budget handling: rotate + schedule (async) or rotate +
-  /// drain + merge inline (sync). `lock` owns mu_ on entry and exit.
-  Status HandleBudgetLocked(std::unique_lock<std::mutex>& lock)
+  std::shared_ptr<LsmMemComponent> FreezeMemLocked() override
       AX_REQUIRES(mu_);
-  /// Backpressure: wait until fewer than max_pending_immutables immutable
-  /// components are pending (records storage.lsm.write_stall_* metrics).
-  Status WaitForRoomLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Flush the oldest immutable component: claims the per-tree flush slot,
-  /// releases mu_ for the component build, reacquires it to install.
-  Status FlushOldestLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Barrier: flush every pending immutable component.
-  Status DrainImmutablesLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Victim-run length the merge policy wants merged (0/1 = nothing).
-  size_t PickMergeRunLocked() const AX_REQUIRES(mu_);
-  /// Merge the newest `run` disk components: claims the per-tree merge
-  /// slot, releases mu_ for the merged-component build, reacquires it to
-  /// splice the component list. Returns immediately if a merge is active.
-  Status MergeRunLocked(std::unique_lock<std::mutex>& lock, size_t run)
-      AX_REQUIRES(mu_);
-  Result<bool> ApplyMergePolicyLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  void ScheduleFlushLocked() AX_REQUIRES(mu_);
-  void ScheduleMergeLocked() AX_REQUIRES(mu_);
-  void BackgroundFlush() AX_EXCLUDES(mu_);
-  void BackgroundMerge() AX_EXCLUDES(mu_);
-
+  Result<DiskPtr> OpenDiskComponent(const std::string& base,
+                                    const std::string& ext) const override;
+  Result<DiskPtr> BuildFlushComponent(const LsmMemComponent& mem, bool oldest,
+                                      const std::string& base) const override;
+  Result<DiskPtr> BuildMergedComponent(const std::vector<DiskPtr>& victims,
+                                       bool includes_oldest,
+                                       const std::string& base) const override;
   /// Write `rows` (sorted, already antimatter-filtered as the caller needs)
-  /// as a new disk component in the configured format, falling back to a
-  /// row component when a value is not columnar-representable. Requires no
-  /// lock: reads only immutable options.
-  Result<ComponentPtr> BuildDiskComponent(
-      const std::vector<SnapshotEntry>& rows, uint64_t seq_lo,
-      uint64_t seq_hi) const;
-  /// Merge victim components into one sorted row stream (no lock: victims
-  /// are pinned by shared_ptr and immutable).
-  Result<std::vector<SnapshotEntry>> BuildMergedRows(
-      const std::vector<ComponentPtr>& victims, bool includes_oldest) const;
+  /// as a new disk component at `base` in the configured format, falling
+  /// back to a row component when a value is not columnar-representable.
+  Result<DiskPtr> BuildDiskComponent(const std::vector<SnapshotEntry>& rows,
+                                     const std::string& base) const;
 
-  LsmOptions options_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable maint_cv_;  // flush/merge slots, drain,
-                                              // backpressure
+  const int bloom_bits_per_key_;
+  const bool compress_values_;
+  const StorageFormat storage_format_;
   std::map<std::string, MemEntry> mem_ AX_GUARDED_BY(mu_);
-  size_t mem_bytes_ AX_GUARDED_BY(mu_) = 0;
-  std::vector<MemPtr> immutables_ AX_GUARDED_BY(mu_);  // newest first
-  std::vector<ComponentPtr> components_ AX_GUARDED_BY(mu_);  // newest first
-  uint64_t next_seq_ AX_GUARDED_BY(mu_) = 1;
-  uint64_t flushes_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t merges_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t write_stalls_ AX_GUARDED_BY(mu_) = 0;
-  bool flush_active_ AX_GUARDED_BY(mu_) = false;   // a thread owns the
-                                                   // flush slot
-  bool flush_queued_ AX_GUARDED_BY(mu_) = false;   // background flush task
-                                                   // submitted
-  bool merge_active_ AX_GUARDED_BY(mu_) = false;
-  bool merge_queued_ AX_GUARDED_BY(mu_) = false;
-  bool closing_ AX_GUARDED_BY(mu_) = false;
-  int tasks_inflight_ AX_GUARDED_BY(mu_) = 0;      // scheduler tasks not
-                                                   // yet finished
-  Status maint_error_ AX_GUARDED_BY(mu_);  // sticky background failure
 };
 
 /// Row-component entry codec, shared with external scan sources that read

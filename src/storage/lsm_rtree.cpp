@@ -1,58 +1,39 @@
 #include "storage/lsm_rtree.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
-#include "common/io.h"
 #include "common/metrics.h"
-#include "storage/maintenance.h"
 
 namespace asterix::storage {
 
 namespace {
-metrics::Counter* LsmRTreeFlushesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm_rtree.flushes");
-  return c;
-}
-metrics::Counter* LsmRTreeMergesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm_rtree.merges");
-  return c;
-}
-metrics::Counter* LsmRTreeWriteStallsCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("storage.lsm_rtree.write_stalls");
-  return c;
-}
-metrics::Counter* LsmRTreeWriteStallNsCounter() {
-  static metrics::Counter* c = metrics::Registry::Global().GetCounter(
-      "storage.lsm_rtree.write_stall_ns");
-  return c;
+// Component files: <name>_<lo>_<hi>.rt (the R-tree) and .del (the
+// deleted-key B+tree), the latter written last (the commit point).
+const LsmLayout& RTreeLayout() {
+  static const LsmLayout layout{
+      {".rt"},
+      ".del",
+      {metrics::Registry::Global().GetCounter("storage.lsm_rtree.flushes"),
+       metrics::Registry::Global().GetCounter("storage.lsm_rtree.flush_bytes"),
+       metrics::Registry::Global().GetCounter("storage.lsm_rtree.merges"),
+       metrics::Registry::Global().GetCounter("storage.lsm_rtree.merge_bytes"),
+       metrics::Registry::Global().GetCounter("storage.lsm_rtree.write_stalls"),
+       metrics::Registry::Global().GetCounter(
+           "storage.lsm_rtree.write_stall_ns"),
+       metrics::Registry::Global().GetCounter(
+           "storage.lsm_rtree.incomplete_components_dropped")}};
+  return layout;
 }
 
-std::string ComponentBase(const std::string& dir, const std::string& prefix,
-                          uint64_t lo, uint64_t hi) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "_%010llu_%010llu",
-                static_cast<unsigned long long>(lo),
-                static_cast<unsigned long long>(hi));
-  return dir + "/" + prefix + buf;
+bool IsPoint(const SpatialEntry& e) {
+  return e.mbr.lo.x == e.mbr.hi.x && e.mbr.lo.y == e.mbr.hi.y;
 }
 }  // namespace
 
-LsmRTree::DiskComponent::~DiskComponent() {
-  rtree.reset();
-  deleted.reset();
-  // Best-effort unlink: leftovers are re-collected at the next open.
-  if (obsolete) {
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(rtree_path);
-    // axlint: allow(must-check): best-effort obsolete-component unlink
-    (void)fs::RemoveFile(deleted_path);
-  }
-}
+LsmRTree::LsmRTree(const LsmTreeOptions& options)
+    : LsmLifecycle(options, RTreeLayout()) {}
+
+LsmRTree::~LsmRTree() { Close(); }
 
 std::string LsmRTree::DeleteKey(const adm::Rectangle& mbr,
                                 const std::string& payload) {
@@ -68,124 +49,54 @@ std::string LsmRTree::DeleteKey(const adm::Rectangle& mbr,
 }
 
 Result<std::unique_ptr<LsmRTree>> LsmRTree::Open(
-    const LsmRTreeOptions& options) {
-  if (options.cache == nullptr) {
-    return Status::InvalidArgument("LsmRTreeOptions.cache is required");
-  }
-  AX_RETURN_NOT_OK(fs::CreateDirs(options.dir));
+    const LsmTreeOptions& options) {
   auto tree = std::unique_ptr<LsmRTree>(new LsmRTree(options));
-  AX_ASSIGN_OR_RETURN(auto names, fs::ListDir(options.dir));
-  std::vector<std::pair<std::pair<uint64_t, uint64_t>, std::string>> found;
-  for (const auto& n : names) {
-    if (n.compare(0, options.name.size(), options.name) != 0) continue;
-    if (n.size() < 3 || n.compare(n.size() - 3, 3, ".rt") != 0) continue;
-    unsigned long long lo, hi;
-    std::string tail = n.substr(options.name.size());
-    if (std::sscanf(tail.c_str(), "_%llu_%llu.rt", &lo, &hi) != 2) continue;
-    found.push_back({{hi, lo}, n});
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::lock_guard<std::mutex> lock(tree->mu_);  // satisfies GUARDED_BY
-  for (const auto& [seq, fname] : found) {
-    auto comp = std::make_shared<DiskComponent>();
-    comp->seq_hi = seq.first;
-    comp->seq_lo = seq.second;
-    comp->rtree_path = options.dir + "/" + fname;
-    comp->deleted_path =
-        comp->rtree_path.substr(0, comp->rtree_path.size() - 3) + ".del";
-    // The deleted-key tree is written last (the flush commit point): an
-    // .rt file without its .del is a flush torn by a crash — drop it, the
-    // rows are re-ingested by the caller's WAL replay.
-    if (!fs::Exists(comp->deleted_path)) {
-      // axlint: allow(must-check): best-effort incomplete-component unlink
-      (void)fs::RemoveFile(comp->rtree_path);
-      continue;
-    }
-    AX_ASSIGN_OR_RETURN(comp->rtree,
-                        RTree::Open(comp->rtree_path, options.cache));
-    AX_ASSIGN_OR_RETURN(comp->deleted,
-                        BTree::Open(comp->deleted_path, options.cache));
-    tree->components_.push_back(std::move(comp));
-    tree->next_seq_ = std::max(tree->next_seq_, seq.first + 1);
-  }
+  AX_RETURN_NOT_OK(tree->Recover());
   return tree;
 }
 
-LsmRTree::~LsmRTree() {
-  std::unique_lock<std::mutex> lock(mu_);
-  closing_ = true;
-  maint_cv_.notify_all();
-  while (tasks_inflight_ > 0 || flush_active_ || merge_active_) {
-    maint_cv_.wait(lock);
-  }
+Result<LsmLifecycle::DiskPtr> LsmRTree::OpenDiskComponent(
+    const std::string& base, const std::string& ext) const {
+  auto comp = std::make_shared<DiskComponent>();
+  comp->files = {base + ext, base + ".del"};
+  AX_ASSIGN_OR_RETURN(comp->rtree, RTree::Open(base + ext, options_.cache));
+  AX_ASSIGN_OR_RETURN(comp->deleted, BTree::Open(base + ".del", options_.cache));
+  comp->entries = comp->rtree->entry_count();
+  comp->bytes = static_cast<uint64_t>(comp->rtree->meta().page_count +
+                                      comp->deleted->meta().page_count) *
+                kPageSize;
+  return DiskPtr(std::move(comp));
 }
 
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
-void LsmRTree::RotateMemLocked() {
-  if (mem_inserts_.empty() && mem_deleted_.empty()) return;
+std::shared_ptr<LsmMemComponent> LsmRTree::FreezeMemLocked() {
+  if (mem_inserts_.empty() && mem_deleted_.empty()) return nullptr;
   auto imm = std::make_shared<MemComponent>();
-  imm->seq = next_seq_++;
-  imm->bytes = mem_bytes_;
+  imm->entries = mem_inserts_.size();
   imm->inserts = std::move(mem_inserts_);
   imm->deleted = std::move(mem_deleted_);
   mem_inserts_.clear();
   mem_deleted_.clear();
-  mem_bytes_ = 0;
-  immutables_.insert(immutables_.begin(), std::move(imm));
-}
-
-Status LsmRTree::WaitForRoomLocked(std::unique_lock<std::mutex>& lock) {
-  const size_t bound = std::max<size_t>(1, options_.max_pending_immutables);
-  if (immutables_.size() < bound) return maint_error_;
-  write_stalls_++;
-  LsmRTreeWriteStallsCounter()->Add(1);
-  const uint64_t t0 = metrics::NowNs();
-  while (immutables_.size() >= bound && maint_error_.ok() && !closing_) {
-    maint_cv_.wait(lock);
-  }
-  LsmRTreeWriteStallNsCounter()->Add(metrics::NowNs() - t0);
-  return maint_error_;
-}
-
-Status LsmRTree::HandleBudgetLocked(std::unique_lock<std::mutex>& lock) {
-  if (!options_.auto_flush || mem_bytes_ <= options_.mem_budget_bytes) {
-    return Status::OK();
-  }
-  if (options_.scheduler != nullptr) {
-    AX_RETURN_NOT_OK(WaitForRoomLocked(lock));
-    if (mem_bytes_ <= options_.mem_budget_bytes) return Status::OK();  // raced
-    RotateMemLocked();
-    ScheduleFlushLocked();
-    return Status::OK();
-  }
-  // Inline maintenance (no scheduler).
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  if (components_.size() > static_cast<size_t>(options_.max_components)) {
-    AX_RETURN_NOT_OK(MergeAllLocked(lock));
-  }
-  return Status::OK();
+  return imm;
 }
 
 Status LsmRTree::Insert(const adm::Rectangle& mbr, const std::string& payload) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
+  if (!maint_error().ok()) return maint_error();
   // A re-insert cancels a pending in-memory delete of the same entry. (A
   // delete already frozen in an immutable component is older than this
   // insert, so layering keeps the new entry live regardless.)
   mem_deleted_.erase(DeleteKey(mbr, payload));
   mem_inserts_.push_back(SpatialEntry{mbr, payload});
-  mem_bytes_ += 48 + payload.size();
-  return HandleBudgetLocked(lock);
+  return AfterWriteLocked(lock, 48 + payload.size());
 }
 
 Status LsmRTree::Remove(const adm::Rectangle& mbr, const std::string& payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!maint_error().ok()) return maint_error();
   std::string dk = DeleteKey(mbr, payload);
   // Annihilate a pending in-memory insert directly if present.
   auto it = std::find_if(mem_inserts_.begin(), mem_inserts_.end(),
@@ -199,8 +110,7 @@ Status LsmRTree::Remove(const adm::Rectangle& mbr, const std::string& payload) {
     }
   }
   mem_deleted_.insert(std::move(dk));
-  mem_bytes_ += 48 + payload.size();
-  return Status::OK();
+  return AfterWriteLocked(lock, 48 + payload.size());
 }
 
 Result<std::vector<SpatialEntry>> LsmRTree::Query(
@@ -208,7 +118,7 @@ Result<std::vector<SpatialEntry>> LsmRTree::Query(
   std::vector<SpatialEntry> mem_hits;
   std::set<std::string> mem_deleted;
   std::vector<MemPtr> imms;
-  std::vector<ComponentPtr> comps;
+  std::vector<DiskPtr> comps;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& e : mem_inserts_) {
@@ -221,14 +131,17 @@ Result<std::vector<SpatialEntry>> LsmRTree::Query(
   std::vector<SpatialEntry> out = std::move(mem_hits);
   // An entry is live iff no strictly newer layer deleted it. Layers,
   // newest first: mutable mem, immutable mem components, disk components.
+  auto imm = [&](size_t k) -> const MemComponent& {
+    return static_cast<const MemComponent&>(*imms[k]);
+  };
   auto deleted_in_imms = [&](const std::string& dk, size_t newer_than) {
     for (size_t j = 0; j < newer_than; j++) {
-      if (imms[j]->deleted.count(dk)) return true;
+      if (imm(j).deleted.count(dk)) return true;
     }
     return false;
   };
   for (size_t k = 0; k < imms.size(); k++) {
-    for (const auto& e : imms[k]->inserts) {
+    for (const auto& e : imm(k).inserts) {
       if (!e.mbr.Intersects(query)) continue;
       std::string dk = DeleteKey(e.mbr, e.payload);
       if (mem_deleted.count(dk) || deleted_in_imms(dk, k)) continue;
@@ -236,14 +149,16 @@ Result<std::vector<SpatialEntry>> LsmRTree::Query(
     }
   }
   for (size_t i = 0; i < comps.size(); i++) {
-    AX_ASSIGN_OR_RETURN(auto candidates, comps[i]->rtree->SearchCollect(query));
+    AX_ASSIGN_OR_RETURN(auto candidates,
+                        AsDisk(comps[i]).rtree->SearchCollect(query));
     for (auto& cand : candidates) {
       std::string dk = DeleteKey(cand.mbr, cand.payload);
       if (mem_deleted.count(dk) || deleted_in_imms(dk, imms.size())) continue;
       bool dead = false;
       for (size_t j = 0; j < i && !dead; j++) {
         std::string unused;
-        AX_ASSIGN_OR_RETURN(bool hit, comps[j]->deleted->Get(dk, &unused));
+        AX_ASSIGN_OR_RETURN(bool hit,
+                            AsDisk(comps[j]).deleted->Get(dk, &unused));
         dead = hit;
       }
       if (!dead) out.push_back(std::move(cand));
@@ -252,233 +167,91 @@ Result<std::vector<SpatialEntry>> LsmRTree::Query(
   return out;
 }
 
-Status LsmRTree::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  return DrainImmutablesLocked(lock);
-}
+// ---------------------------------------------------------------------------
+// Component builds
+// ---------------------------------------------------------------------------
 
-Result<LsmRTree::ComponentPtr> LsmRTree::BuildFlushComponent(
-    const MemComponent& mem, bool write_deletes) const {
+Result<LsmLifecycle::DiskPtr> LsmRTree::BuildDiskComponent(
+    const std::vector<SpatialEntry>& inserts,
+    const std::set<std::string>& deleted, const std::string& base) const {
   auto comp = std::make_shared<DiskComponent>();
-  std::string base =
-      ComponentBase(options_.dir, options_.name, mem.seq, mem.seq);
-  comp->seq_lo = comp->seq_hi = mem.seq;
-  comp->rtree_path = base + ".rt";
-  comp->deleted_path = base + ".del";
-  AX_ASSIGN_OR_RETURN(
-      auto rbuilder, RTreeBuilder::Create(comp->rtree_path, options_.point_mode));
-  for (const auto& e : mem.inserts) {
+  const std::string rtree_path = base + ".rt";
+  const std::string deleted_path = base + ".del";
+  comp->files = {rtree_path, deleted_path};
+  // The compact point leaf format whenever this component's entries allow
+  // it; a single rectangle switches the component to full MBR leaves.
+  const bool point_mode = std::all_of(inserts.begin(), inserts.end(), IsPoint);
+  AX_ASSIGN_OR_RETURN(auto rbuilder,
+                      RTreeBuilder::Create(rtree_path, point_mode));
+  for (const auto& e : inserts) {
     AX_RETURN_NOT_OK(rbuilder->Add(e.mbr, e.payload));
   }
   AX_ASSIGN_OR_RETURN(auto rmeta, rbuilder->Finish());
-  (void)rmeta;
   // The deleted-key tree is written last: it is the flush commit point
-  // Open() checks when collecting torn flushes.
-  AX_ASSIGN_OR_RETURN(auto dbuilder, BTreeBuilder::Create(comp->deleted_path));
-  if (write_deletes) {
-    for (const auto& dk : mem.deleted) {
-      AX_RETURN_NOT_OK(dbuilder->Add(dk, ""));
-    }
-  }
+  // recovery checks when collecting torn flushes.
+  AX_ASSIGN_OR_RETURN(auto dbuilder, BTreeBuilder::Create(deleted_path));
+  for (const auto& dk : deleted) AX_RETURN_NOT_OK(dbuilder->Add(dk, ""));
   AX_ASSIGN_OR_RETURN(auto dmeta, dbuilder->Finish());
-  (void)dmeta;
-  AX_ASSIGN_OR_RETURN(comp->rtree, RTree::Open(comp->rtree_path, options_.cache));
-  AX_ASSIGN_OR_RETURN(comp->deleted,
-                      BTree::Open(comp->deleted_path, options_.cache));
-  return comp;
+  AX_ASSIGN_OR_RETURN(comp->rtree, RTree::Open(rtree_path, options_.cache));
+  AX_ASSIGN_OR_RETURN(comp->deleted, BTree::Open(deleted_path, options_.cache));
+  comp->entries = rmeta.entry_count;
+  // Both files count: deleted keys carried through partial merges grow the
+  // .del tree, and the merge policy sizes runs from these bytes.
+  comp->bytes =
+      static_cast<uint64_t>(rmeta.page_count + dmeta.page_count) * kPageSize;
+  return DiskPtr(std::move(comp));
 }
 
-Status LsmRTree::FlushOldestLocked(std::unique_lock<std::mutex>& lock) {
-  while (flush_active_ && !closing_) maint_cv_.wait(lock);
-  if (closing_) return Status::OK();
-  if (!maint_error_.ok()) return maint_error_;
-  if (immutables_.empty()) return Status::OK();
-  flush_active_ = true;
-  MemPtr victim = immutables_.back();  // oldest
+Result<LsmLifecycle::DiskPtr> LsmRTree::BuildFlushComponent(
+    const LsmMemComponent& mem, bool oldest, const std::string& base) const {
+  static const std::set<std::string> kNone;
+  const auto& frozen = static_cast<const MemComponent&>(mem);
   // Deletes only need persisting when something older could hide a live
-  // entry; the flush slot we hold is the only installer of components.
-  const bool write_deletes = !components_.empty();
-  lock.unlock();
-  auto built = BuildFlushComponent(*victim, write_deletes);
-  lock.lock();
-  flush_active_ = false;
-  if (!built.ok()) {
-    maint_cv_.notify_all();
-    return built.status();
-  }
-  components_.insert(components_.begin(), std::move(built).value());
-  immutables_.pop_back();
-  flushes_++;
-  LsmRTreeFlushesCounter()->Add(1);
-  maint_cv_.notify_all();
-  return Status::OK();
+  // entry.
+  return BuildDiskComponent(frozen.inserts, oldest ? kNone : frozen.deleted,
+                            base);
 }
 
-Status LsmRTree::DrainImmutablesLocked(std::unique_lock<std::mutex>& lock) {
-  while (true) {
-    while (flush_active_) maint_cv_.wait(lock);
-    if (!maint_error_.ok()) return maint_error_;
-    if (immutables_.empty()) return Status::OK();
-    AX_RETURN_NOT_OK(FlushOldestLocked(lock));
-  }
-}
-
-void LsmRTree::ScheduleFlushLocked() {
-  if (options_.scheduler == nullptr || flush_queued_ || closing_) return;
-  flush_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundFlush(); });
-}
-
-void LsmRTree::ScheduleMergeLocked() {
-  if (options_.scheduler == nullptr || merge_queued_ || merge_active_ ||
-      closing_) {
-    return;
-  }
-  if (components_.size() <= static_cast<size_t>(options_.max_components)) {
-    return;
-  }
-  merge_queued_ = true;
-  tasks_inflight_++;
-  options_.scheduler->Submit([this] { BackgroundMerge(); });
-}
-
-void LsmRTree::BackgroundFlush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!closing_ && maint_error_.ok()) {
-    if (flush_active_) {
-      maint_cv_.wait(lock);
-      continue;
-    }
-    if (immutables_.empty()) break;
-    Status s = FlushOldestLocked(lock);
-    if (!s.ok()) {
-      if (maint_error_.ok()) maint_error_ = std::move(s);
-      break;
-    }
-  }
-  flush_queued_ = false;
-  if (!closing_ && maint_error_.ok()) ScheduleMergeLocked();
-  tasks_inflight_--;
-  maint_cv_.notify_all();
-}
-
-void LsmRTree::BackgroundMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_queued_ = false;
-  if (!closing_ && maint_error_.ok() && !merge_active_ &&
-      components_.size() > static_cast<size_t>(options_.max_components)) {
-    Status s = MergeAllLocked(lock);
-    if (!s.ok() && maint_error_.ok()) maint_error_ = std::move(s);
-  }
-  tasks_inflight_--;
-  maint_cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Merging
-// ---------------------------------------------------------------------------
-
-Result<LsmRTree::ComponentPtr> LsmRTree::BuildMergedComponent(
-    const std::vector<ComponentPtr>& victims) const {
-  // Collect live entries: an entry of component i survives unless deleted
-  // by a strictly newer component (i-1 .. 0). Victims are pinned and
-  // immutable, so no lock is needed.
+Result<LsmLifecycle::DiskPtr> LsmRTree::BuildMergedComponent(
+    const std::vector<DiskPtr>& victims, bool includes_oldest,
+    const std::string& base) const {
+  // Collect live entries: an entry of victim i survives unless deleted by a
+  // strictly newer victim (i-1 .. 0). A run that stops short of the oldest
+  // component keeps its deleted keys — they still hide entries below it —
+  // just as the B+tree keeps antimatter. Victims are pinned and immutable,
+  // so no lock is needed.
   std::vector<SpatialEntry> live;
-  adm::Rectangle everything{{-1e308, -1e308}, {1e308, 1e308}};
+  std::set<std::string> deleted;
+  const adm::Rectangle everything{{-1e308, -1e308}, {1e308, 1e308}};
   for (size_t i = 0; i < victims.size(); i++) {
-    AX_ASSIGN_OR_RETURN(auto entries,
-                        victims[i]->rtree->SearchCollect(everything));
+    const DiskComponent& victim = AsDisk(victims[i]);
+    AX_ASSIGN_OR_RETURN(auto entries, victim.rtree->SearchCollect(everything));
     for (auto& e : entries) {
       std::string dk = DeleteKey(e.mbr, e.payload);
       bool dead = false;
       for (size_t j = 0; j < i && !dead; j++) {
         std::string unused;
-        AX_ASSIGN_OR_RETURN(bool hit, victims[j]->deleted->Get(dk, &unused));
+        AX_ASSIGN_OR_RETURN(bool hit,
+                            AsDisk(victims[j]).deleted->Get(dk, &unused));
         dead = hit;
       }
       if (!dead) live.push_back(std::move(e));
     }
+    if (includes_oldest) continue;
+    BTree::Iterator it = victim.deleted->NewIterator();
+    AX_RETURN_NOT_OK(it.SeekToFirst());
+    while (it.Valid()) {
+      deleted.insert(it.key());
+      AX_RETURN_NOT_OK(it.Next());
+    }
   }
-  uint64_t seq_lo = victims.back()->seq_lo;
-  uint64_t seq_hi = victims.front()->seq_hi;
-  auto merged = std::make_shared<DiskComponent>();
-  std::string base = ComponentBase(options_.dir, options_.name, seq_lo, seq_hi);
-  merged->seq_lo = seq_lo;
-  merged->seq_hi = seq_hi;
-  merged->rtree_path = base + ".rt";
-  merged->deleted_path = base + ".del";
-  AX_ASSIGN_OR_RETURN(
-      auto rbuilder,
-      RTreeBuilder::Create(merged->rtree_path, options_.point_mode));
-  for (const auto& e : live) AX_RETURN_NOT_OK(rbuilder->Add(e.mbr, e.payload));
-  AX_ASSIGN_OR_RETURN(auto rmeta, rbuilder->Finish());
-  (void)rmeta;
-  // Full merge over the victim stack: the victims' deletes have
-  // annihilated — empty deleted-key tree. (Deletes pending in memory
-  // components are newer layers; they mask the merged entries at query
-  // time and flush into newer components.)
-  AX_ASSIGN_OR_RETURN(auto dbuilder, BTreeBuilder::Create(merged->deleted_path));
-  AX_ASSIGN_OR_RETURN(auto dmeta, dbuilder->Finish());
-  (void)dmeta;
-  AX_ASSIGN_OR_RETURN(merged->rtree,
-                      RTree::Open(merged->rtree_path, options_.cache));
-  AX_ASSIGN_OR_RETURN(merged->deleted,
-                      BTree::Open(merged->deleted_path, options_.cache));
-  return merged;
+  return BuildDiskComponent(live, deleted, base);
 }
 
-Status LsmRTree::MergeAllLocked(std::unique_lock<std::mutex>& lock) {
-  while (merge_active_) maint_cv_.wait(lock);
-  if (components_.size() < 2) return Status::OK();
-  merge_active_ = true;
-  std::vector<ComponentPtr> victims = components_;  // snapshot, oldest tail
-  lock.unlock();
-  auto built = BuildMergedComponent(victims);
-  lock.lock();
-  merge_active_ = false;
-  maint_cv_.notify_all();
-  if (!built.ok()) return built.status();
-  // Flushes only prepend, so the victims are still the tail of the list;
-  // replace them with the merged component. Queries that pinned the old
-  // stack keep reading it until their last reference drops.
-  if (components_.size() < victims.size() ||
-      components_.back() != victims.back()) {
-    return Status::Internal("merge victims vanished from component list");
-  }
-  for (auto& victim : victims) victim->obsolete = true;
-  components_.erase(components_.end() - static_cast<ptrdiff_t>(victims.size()),
-                    components_.end());
-  components_.push_back(std::move(built).value());
-  merges_++;
-  LsmRTreeMergesCounter()->Add(1);
-  return Status::OK();
-}
-
-Status LsmRTree::ForceFullMerge() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!maint_error_.ok()) return maint_error_;
-  RotateMemLocked();
-  AX_RETURN_NOT_OK(DrainImmutablesLocked(lock));
-  return MergeAllLocked(lock);
-}
-
-LsmRTreeStats LsmRTree::stats() const {
+LsmStats LsmRTree::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  LsmRTreeStats s;
-  s.mem_entries = mem_inserts_.size();
-  s.pending_immutables = immutables_.size();
-  for (const auto& imm : immutables_) s.mem_entries += imm->inserts.size();
-  s.disk_components = components_.size();
-  for (const auto& comp : components_) {
-    s.disk_entries += comp->rtree->entry_count();
-    s.disk_pages += comp->rtree->meta().page_count;
-  }
-  s.flushes = flushes_;
-  s.merges = merges_;
-  s.write_stalls = write_stalls_;
+  LsmStats s = StatsLocked();
+  s.mem_entries += mem_inserts_.size();
   return s;
 }
 

@@ -4,12 +4,11 @@
 // is live iff no newer component's deleted-key set contains it. This is the
 // "change in how deletions were handled for LSM" the paper mentions.
 //
-// Like LsmBTree, maintenance runs on a shared MaintenanceScheduler when one
-// is configured: the memory component rotates to an immutable component at
-// budget and flush/merge builds run off-thread (see DESIGN.md §4f).
+// Rotation, flushing, merging, background maintenance and recovery are the
+// shared LSM lifecycle (lsm_lifecycle.h); this file holds only what is
+// R-tree-specific: the memory component, the component builders, and Query.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,45 +19,21 @@
 #include "common/thread_annotations.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
+#include "storage/lsm_lifecycle.h"
 #include "storage/rtree.h"
 
 namespace asterix::storage {
 
-class MaintenanceScheduler;
-
-struct LsmRTreeOptions {
-  std::string dir;
-  std::string name;
-  BufferCache* cache = nullptr;
-  size_t mem_budget_bytes = 1u << 20;
-  bool point_mode = true;   // the paper's point-storage optimization
-  int max_components = 5;   // constant merge policy
-  bool auto_flush = true;
-  /// Background maintenance pool (null = inline maintenance). Must outlive
-  /// the tree. Same contract as LsmOptions::scheduler.
-  MaintenanceScheduler* scheduler = nullptr;
-  /// Backpressure bound on pending immutable memory components.
-  size_t max_pending_immutables = 2;
-};
-
-struct LsmRTreeStats {
-  size_t mem_entries = 0;  // mutable + pending immutable memory components
-  size_t pending_immutables = 0;
-  size_t disk_components = 0;
-  uint64_t disk_entries = 0;
-  uint64_t disk_pages = 0;
-  uint64_t flushes = 0;
-  uint64_t merges = 0;
-  uint64_t write_stalls = 0;
-};
-
 /// LSM-managed R-tree mapping MBRs (or points) to opaque payloads
-/// (encoded primary keys). Thread-safe.
-class LsmRTree {
+/// (encoded primary keys). Thread-safe. Flush(), MaybeMerge() and
+/// ForceFullMerge() come from LsmLifecycle.
+class LsmRTree : public LsmLifecycle {
  public:
-  static Result<std::unique_ptr<LsmRTree>> Open(const LsmRTreeOptions& options);
+  /// Open (or create) the tree, recovering `<name>_<lo>_<hi>.rt`
+  /// components. The deleted-key file (.del) is the flush commit point.
+  static Result<std::unique_ptr<LsmRTree>> Open(const LsmTreeOptions& options);
   /// Waits for in-flight background maintenance on this tree.
-  ~LsmRTree();
+  ~LsmRTree() override;
 
   Status Insert(const adm::Rectangle& mbr, const std::string& payload)
       AX_EXCLUDES(mu_);
@@ -70,80 +45,46 @@ class LsmRTree {
   Result<std::vector<SpatialEntry>> Query(const adm::Rectangle& query) const
       AX_EXCLUDES(mu_);
 
-  /// Synchronous barrier: all memory components flushed to disk.
-  Status Flush() AX_EXCLUDES(mu_);
-  Status ForceFullMerge() AX_EXCLUDES(mu_);
-  LsmRTreeStats stats() const AX_EXCLUDES(mu_);
+  /// disk_bytes counts the R-tree files only (deleted-key trees are
+  /// sidecars, like the B+tree's Bloom files).
+  LsmStats stats() const AX_EXCLUDES(mu_);
 
  private:
-  struct DiskComponent {
-    uint64_t seq_lo = 0, seq_hi = 0;
+  struct DiskComponent : LsmDiskComponent {
     std::unique_ptr<RTree> rtree;
     std::unique_ptr<BTree> deleted;  // deleted-key B+tree
-    std::string rtree_path, deleted_path;
-    bool obsolete = false;
-    ~DiskComponent();
   };
-  // Reference counted like LsmBTree's components: queries pin the stack
-  // they opened against; a merge marks victims obsolete and their files
-  // are unlinked when the last pin drops.
-  using ComponentPtr = std::shared_ptr<DiskComponent>;
+  static const DiskComponent& AsDisk(const DiskPtr& comp) {
+    return static_cast<const DiskComponent&>(*comp);
+  }
 
   /// A rotated-out, frozen memory component awaiting flush.
-  struct MemComponent {
-    uint64_t seq = 0;
-    size_t bytes = 0;
+  struct MemComponent : LsmMemComponent {
     std::vector<SpatialEntry> inserts;
     std::set<std::string> deleted;
   };
-  using MemPtr = std::shared_ptr<const MemComponent>;
 
-  explicit LsmRTree(LsmRTreeOptions options) : options_(std::move(options)) {}
-  void RotateMemLocked() AX_REQUIRES(mu_);
-  Status HandleBudgetLocked(std::unique_lock<std::mutex>& lock)
+  explicit LsmRTree(const LsmTreeOptions& options);
+
+  std::shared_ptr<LsmMemComponent> FreezeMemLocked() override
       AX_REQUIRES(mu_);
-  Status WaitForRoomLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  Status FlushOldestLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  Status DrainImmutablesLocked(std::unique_lock<std::mutex>& lock)
-      AX_REQUIRES(mu_);
-  /// Full merge of the current disk stack (claims the merge slot, builds
-  /// with mu_ released, splices under mu_). No-op below 2 components or
-  /// when a merge is already active.
-  Status MergeAllLocked(std::unique_lock<std::mutex>& lock) AX_REQUIRES(mu_);
-  void ScheduleFlushLocked() AX_REQUIRES(mu_);
-  void ScheduleMergeLocked() AX_REQUIRES(mu_);
-  void BackgroundFlush() AX_EXCLUDES(mu_);
-  void BackgroundMerge() AX_EXCLUDES(mu_);
-  /// Build a disk component from a frozen memory component (no lock).
-  Result<ComponentPtr> BuildFlushComponent(const MemComponent& mem,
-                                           bool write_deletes) const;
-  /// Collect the live entries of `victims` and build the merged component
-  /// (no lock: victims are pinned and immutable).
-  Result<ComponentPtr> BuildMergedComponent(
-      const std::vector<ComponentPtr>& victims) const;
+  Result<DiskPtr> OpenDiskComponent(const std::string& base,
+                                    const std::string& ext) const override;
+  Result<DiskPtr> BuildFlushComponent(const LsmMemComponent& mem, bool oldest,
+                                      const std::string& base) const override;
+  Result<DiskPtr> BuildMergedComponent(const std::vector<DiskPtr>& victims,
+                                       bool includes_oldest,
+                                       const std::string& base) const override;
+  /// Write `inserts` and `deleted` as a component at `base`, in the point
+  /// leaf format when every entry is a point.
+  Result<DiskPtr> BuildDiskComponent(const std::vector<SpatialEntry>& inserts,
+                                     const std::set<std::string>& deleted,
+                                     const std::string& base) const;
   static std::string DeleteKey(const adm::Rectangle& mbr,
                                const std::string& payload);
 
-  LsmRTreeOptions options_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable maint_cv_;
   std::vector<SpatialEntry> mem_inserts_ AX_GUARDED_BY(mu_);
   std::set<std::string> mem_deleted_ AX_GUARDED_BY(mu_);
-  size_t mem_bytes_ AX_GUARDED_BY(mu_) = 0;
-  std::vector<MemPtr> immutables_ AX_GUARDED_BY(mu_);  // newest first
-  std::vector<ComponentPtr> components_ AX_GUARDED_BY(mu_);  // newest first
-  uint64_t next_seq_ AX_GUARDED_BY(mu_) = 1;
-  uint64_t flushes_ AX_GUARDED_BY(mu_) = 0, merges_ AX_GUARDED_BY(mu_) = 0;
-  uint64_t write_stalls_ AX_GUARDED_BY(mu_) = 0;
-  bool flush_active_ AX_GUARDED_BY(mu_) = false;
-  bool flush_queued_ AX_GUARDED_BY(mu_) = false;
-  bool merge_active_ AX_GUARDED_BY(mu_) = false;
-  bool merge_queued_ AX_GUARDED_BY(mu_) = false;
-  bool closing_ AX_GUARDED_BY(mu_) = false;
-  int tasks_inflight_ AX_GUARDED_BY(mu_) = 0;
-  Status maint_error_ AX_GUARDED_BY(mu_);
 };
 
 }  // namespace asterix::storage

@@ -27,12 +27,11 @@ class RTreeSpatialIndex : public SpatialIndex {
  public:
   static Result<std::unique_ptr<RTreeSpatialIndex>> Make(
       const SpatialIndexOptions& options) {
-    LsmRTreeOptions o;
+    LsmTreeOptions o;
     o.dir = options.dir;
     o.name = options.name;
     o.cache = options.cache;
     o.mem_budget_bytes = options.mem_budget_bytes;
-    o.point_mode = options.rtree_point_mode;
     o.scheduler = options.scheduler;
     AX_ASSIGN_OR_RETURN(auto tree, LsmRTree::Open(o));
     auto idx = std::make_unique<RTreeSpatialIndex>();
@@ -58,7 +57,8 @@ class RTreeSpatialIndex : public SpatialIndex {
   Status ForceFullMerge() override { return tree_->ForceFullMerge(); }
   SpatialIndexStats stats() const override {
     auto s = tree_->stats();
-    return SpatialIndexStats{s.disk_pages, s.disk_entries, s.disk_components};
+    return SpatialIndexStats{s.disk_bytes / kPageSize, s.disk_entries,
+                             s.disk_components};
   }
   SpatialIndexKind kind() const override { return SpatialIndexKind::kRTree; }
 

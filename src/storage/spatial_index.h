@@ -38,8 +38,6 @@ struct SpatialIndexOptions {
   adm::Rectangle world{{-180, -90}, {180, 90}};
   /// Grid resolution per dimension (kGrid only).
   uint32_t grid_cells = 64;
-  /// Point-storage optimization in R-tree leaves (kRTree only).
-  bool rtree_point_mode = true;
   /// Background maintenance pool for the backing LSM structure (null =
   /// inline maintenance). Must outlive the index.
   MaintenanceScheduler* scheduler = nullptr;

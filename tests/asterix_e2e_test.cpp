@@ -28,6 +28,14 @@ class E2ETest : public ::testing::Test {
     instance_.reset();
     std::filesystem::remove_all(dir_);
   }
+  // Close and reopen the instance over the same directory.
+  void Reopen() {
+    instance_.reset();
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = 2;
+    instance_ = Instance::Open(opts).value();
+  }
   QueryResult Exec(const std::string& stmt) {
     auto r = instance_->Execute(stmt);
     EXPECT_TRUE(r.ok()) << stmt << "\n  -> " << r.status().ToString();
@@ -270,6 +278,58 @@ TEST_F(E2ETest, RTreeIndexSpatialQuery) {
       "create_point(2.0, 2.0)))");
   EXPECT_EQ(r.rows.size(), 9u);  // 3x3 grid corner
   EXPECT_NE(r.plan.find("rtree-search"), std::string::npos) << r.plan;
+}
+
+// A rectangle in an RTREE index: its component is written with full MBR
+// leaves, so the checkpoint flush succeeds and the index still finds the
+// rectangle after reopen.
+TEST_F(E2ETest, RTreeIndexOnRectanglesSurvivesCheckpoint) {
+  Exec("CREATE TYPE ZoneType AS { id: int, area: rectangle }");
+  Exec("CREATE DATASET Zones(ZoneType) PRIMARY KEY id");
+  Exec("CREATE INDEX zoneIdx ON Zones (area) TYPE RTREE");
+  Exec("INSERT INTO Zones ({\"id\": 1, \"area\": rectangle(\"0,0 2,2\")})");
+  Exec("INSERT INTO Zones ({\"id\": 2, \"area\": rectangle(\"10,10 12,12\")})");
+  Status s = instance_->Checkpoint();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  Reopen();
+  auto r = Exec(
+      "SELECT VALUE z.id FROM Zones z WHERE "
+      "spatial_intersect(z.area, create_rectangle(create_point(1.0, 1.0), "
+      "create_point(3.0, 3.0)))");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].AsInt(), 1);
+  EXPECT_NE(r.plan.find("rtree-search"), std::string::npos) << r.plan;
+}
+
+// Indexes "a" and "a_1" share a partition directory (files ix_a_* and
+// ix_a_1_*). After a checkpoint and reopen each index recovers only its
+// own components, so index-path queries return each PK once.
+TEST_F(E2ETest, IndexesWithPrefixNamesRecoverTheirOwnComponents) {
+  Exec("CREATE TYPE T AS { id: int, x: int, y: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  Exec("CREATE INDEX a ON D (x) TYPE BTREE");
+  Exec("CREATE INDEX a_1 ON D (y) TYPE BTREE");
+  for (int i = 0; i < 20; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"x\": " +
+         std::to_string(i) + ", \"y\": " + std::to_string(100 + i) + "})");
+  }
+  Status s = instance_->Checkpoint();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  Reopen();
+  auto r = Exec("SELECT VALUE d.id FROM D d WHERE d.x >= 0 ORDER BY d.id");
+  EXPECT_NE(r.plan.find("btree-search"), std::string::npos) << r.plan;
+  ASSERT_EQ(r.rows.size(), 20u);
+  for (int i = 0; i < 20; i++) EXPECT_EQ(r.rows[i].AsInt(), i);
+  r = Exec("SELECT VALUE d.id FROM D d WHERE d.y >= 100 ORDER BY d.id");
+  EXPECT_NE(r.plan.find("btree-search"), std::string::npos) << r.plan;
+  ASSERT_EQ(r.rows.size(), 20u);
+  for (int i = 0; i < 20; i++) EXPECT_EQ(r.rows[i].AsInt(), i);
+  r = Exec("SELECT VALUE d.id FROM D d WHERE d.x = 7");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].AsInt(), 7);
+  r = Exec("SELECT VALUE d.id FROM D d WHERE d.y = 113");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].AsInt(), 13);
 }
 
 TEST_F(E2ETest, KeywordIndexTextSearch) {

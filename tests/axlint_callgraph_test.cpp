@@ -192,6 +192,15 @@ TEST(CallGraphChecks, BlockingUnderLockCrossesFunctionBoundary) {
          "acquire must not count as under-lock";
 }
 
+TEST(CallGraphChecks, InheritedMutexResolvesToBaseRank) {
+  RunResult r = RunOn("inherited_mutex");
+  EXPECT_EQ(1u, r.unbaselined.size());
+  EXPECT_EQ(1, CountCheck(r, "blocking-under-lock"));
+  EXPECT_TRUE(HasMessage(r, "Tree::Bad sleeps while holding 'Core::mu_'"));
+  EXPECT_FALSE(HasMessage(r, "Tree::Good"))
+      << "a callee that requires the inherited mutex is exempt";
+}
+
 TEST(CallGraphChecks, LockOrderInversionAcrossCall) {
   RunResult r = RunOn("xfn_lock_order");
   EXPECT_EQ(1u, r.unbaselined.size());

@@ -254,6 +254,35 @@ TEST_F(LsmTest, ReopenRecoversDiskComponents) {
   EXPECT_EQ(count, 200);
 }
 
+// Recovery adopts only this tree's own files: a tree whose name extends
+// this one's ("ds" vs "ds_1") shares the directory, not the components.
+TEST_F(LsmTest, ReopenIgnoresComponentsOfTreeWithLongerName) {
+  LsmOptions other = Options();
+  other.name = "ds_1";
+  {
+    auto tree = LsmBTree::Open(other).value();
+    ASSERT_TRUE(tree->Put(IntKey(1), "other").ok());
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+  {
+    auto tree = LsmBTree::Open(Options()).value();
+    EXPECT_EQ(tree->stats().disk_components, 0u);
+    std::string v;
+    EXPECT_FALSE(tree->Get(IntKey(1), &v).value());
+    // A full merge of "ds" must not retire any of "ds_1"'s files.
+    ASSERT_TRUE(tree->Put(IntKey(2), "mine").ok());
+    ASSERT_TRUE(tree->Flush().ok());
+    ASSERT_TRUE(tree->Put(IntKey(3), "mine").ok());
+    ASSERT_TRUE(tree->ForceFullMerge().ok());
+  }
+  auto tree = LsmBTree::Open(other).value();
+  EXPECT_EQ(tree->stats().disk_components, 1u);
+  std::string v;
+  ASSERT_TRUE(tree->Get(IntKey(1), &v).value());
+  EXPECT_EQ(v, "other");
+  EXPECT_FALSE(tree->Get(IntKey(2), &v).value());
+}
+
 TEST_F(LsmTest, SeekWithinMergedView) {
   auto tree = LsmBTree::Open(Options()).value();
   for (int i = 0; i < 100; i += 2) ASSERT_TRUE(tree->Put(IntKey(i), "even").ok());

@@ -281,6 +281,7 @@ TEST_F(MaintenanceLsmTest, DrainOnCloseCompletesInflightFlushes) {
     // Destructor: waits for in-flight background work; queued-but-unrun
     // flushes still run (scheduler holds no dangling tree pointer after).
   }
+  EXPECT_GT(flushes, 0u);  // the budget was crossed before close
   // Reopen without a scheduler: every component on disk must be complete
   // (a torn file would have been dropped and changed the count).
   auto tree = LsmBTree::Open(Options(nullptr)).value();
@@ -299,7 +300,7 @@ TEST_F(MaintenanceLsmTest, DrainOnCloseCompletesInflightFlushes) {
 
 TEST_F(MaintenanceLsmTest, RTreeBackgroundFlushQueryParity) {
   MaintenanceScheduler sched(2);
-  LsmRTreeOptions o;
+  LsmTreeOptions o;
   o.dir = dir_;
   o.name = "rt";
   o.cache = cache_.get();
@@ -319,7 +320,7 @@ TEST_F(MaintenanceLsmTest, RTreeBackgroundFlushQueryParity) {
   Status write_status;
   for (int i = 0; i < 800 && write_status.ok(); i++) {
     double x = (i * 13) % 900, y = (i * 29) % 900;
-    adm::Rectangle r{{x, y}, {x, y}};  // point entries (point-mode default)
+    adm::Rectangle r{{x, y}, {x, y}};  // point entries
     write_status = tree->Insert(r, "p" + std::to_string(i));
     if (!write_status.ok()) break;
     if (i % 5 == 2) {

@@ -21,19 +21,26 @@ constexpr size_t kMaxCandidates = 24;
 
 int CallGraph::ResolveMutexRank(const std::map<std::string, int>& ranks,
                                 const std::string& class_ctx,
-                                const std::string& expr,
-                                std::string* resolved) {
-  std::string ctx = class_ctx;
-  while (true) {
-    std::string key = ctx.empty() ? expr : ctx + "::" + expr;
-    auto it = ranks.find(key);
-    if (it != ranks.end()) {
-      *resolved = key;
-      return it->second;
+                                const std::string& expr, std::string* resolved,
+                                const CallGraph* graph) {
+  // A mutex inherited from a base class resolves to the base's entry.
+  std::vector<std::string> scopes{class_ctx};
+  if (graph != nullptr && !class_ctx.empty()) {
+    for (const std::string& b : graph->BasesOf(class_ctx)) scopes.push_back(b);
+  }
+  for (const std::string& scope : scopes) {
+    std::string ctx = scope;
+    while (true) {
+      std::string key = ctx.empty() ? expr : ctx + "::" + expr;
+      auto it = ranks.find(key);
+      if (it != ranks.end()) {
+        *resolved = key;
+        return it->second;
+      }
+      if (ctx.empty()) break;
+      size_t cut = ctx.rfind("::");
+      ctx = (cut == std::string::npos) ? "" : ctx.substr(0, cut);
     }
-    if (ctx.empty()) break;
-    size_t cut = ctx.rfind("::");
-    ctx = (cut == std::string::npos) ? "" : ctx.substr(0, cut);
   }
   std::string match;
   int rank = -1;
@@ -93,7 +100,8 @@ CallGraph CallGraph::Build(
     auto add = [&](const std::vector<std::string>& exprs) {
       for (const std::string& e : exprs) {
         std::string resolved;
-        if (ResolveMutexRank(lock_ranks, n.fn->class_ctx, e, &resolved) >= 0) {
+        if (ResolveMutexRank(lock_ranks, n.fn->class_ctx, e, &resolved,
+                             &g) >= 0) {
           n.requires_q.insert(resolved);
         }
       }
@@ -129,6 +137,27 @@ bool CallGraph::DerivesFrom(const std::string& derived,
     }
   }
   return false;
+}
+
+std::vector<std::string> CallGraph::BasesOf(const std::string& cls) const {
+  std::vector<std::string> out;
+  std::set<std::string> seen{cls, SimpleName(cls)};
+  std::vector<std::string> frontier{cls};
+  while (!frontier.empty()) {
+    std::vector<std::string> next;
+    for (const std::string& cur : frontier) {
+      auto it = classes_.find(cur);
+      if (it == classes_.end()) continue;
+      for (const std::string& b : it->second->bases) {
+        if (seen.insert(b).second) {
+          out.push_back(b);
+          next.push_back(b);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return out;
 }
 
 void CallGraph::ResolveCalls() {
@@ -352,7 +381,7 @@ void CallGraph::ComputeSummaries() {
             if (gv != fn.guard_vars.end()) expr = gv->second;
             std::string resolved;
             if (ResolveMutexRank(*lock_ranks_, fn.class_ctx, expr,
-                                 &resolved) >= 0 &&
+                                 &resolved, this) >= 0 &&
                 !nd.acquires.count(resolved)) {
               nd.acquires[resolved] = "in " + fn.qualified;
               changed = true;

@@ -61,14 +61,19 @@ class CallGraph {
   /// True when class `derived` (simple name) transitively lists `base` among
   /// its bases. Not reflexive.
   bool DerivesFrom(const std::string& derived, const std::string& base) const;
+  /// Transitive bases of class `cls` (simple or qualified name), nearest
+  /// first.
+  std::vector<std::string> BasesOf(const std::string& cls) const;
   size_t scc_count() const { return scc_count_; }
 
   /// Resolve a mutex expression seen inside `class_ctx` against the rank
-  /// table: exact Class::expr first, then enclosing classes, then a unique
-  /// `::expr` suffix. Returns the rank, -1 if unranked/ambiguous.
+  /// table: exact Class::expr first, then enclosing classes, then (given a
+  /// graph) the classes `class_ctx` derives from, then a unique `::expr`
+  /// suffix. Returns the rank, -1 if unranked/ambiguous.
   static int ResolveMutexRank(const std::map<std::string, int>& ranks,
                               const std::string& class_ctx,
-                              const std::string& expr, std::string* resolved);
+                              const std::string& expr, std::string* resolved,
+                              const CallGraph* graph = nullptr);
 
  private:
   void ResolveCalls();

@@ -114,39 +114,12 @@ void CheckLayering(const Project& p, std::vector<Finding>* out) {
 // rank is LOWER than one already held inverts the hierarchy.
 // ---------------------------------------------------------------------------
 
-/// Resolve a mutex expression seen in `class_ctx` against the rank table:
-/// exact Class::mu first, then outer classes, then a unique suffix match.
+/// Resolve a mutex expression seen in `class_ctx` against the rank table
+/// (see CallGraph::ResolveMutexRank).
 int ResolveRank(const Project& p, const std::string& class_ctx,
                 const std::string& expr, std::string* resolved) {
-  std::string ctx = class_ctx;
-  while (true) {
-    std::string key = ctx.empty() ? expr : ctx + "::" + expr;
-    auto it = p.lock_ranks.find(key);
-    if (it != p.lock_ranks.end()) {
-      *resolved = key;
-      return it->second;
-    }
-    if (ctx.empty()) break;
-    size_t cut = ctx.rfind("::");
-    ctx = (cut == std::string::npos) ? "" : ctx.substr(0, cut);
-  }
-  const std::map<std::string, int>& ranks = p.lock_ranks;
-  std::string match;
-  int rank = -1;
-  for (const auto& [name, r] : ranks) {
-    if (name.size() > expr.size() + 2 &&
-        name.compare(name.size() - expr.size() - 2, 2, "::") == 0 &&
-        name.compare(name.size() - expr.size(), expr.size(), expr) == 0) {
-      if (!match.empty()) return -1;  // ambiguous
-      match = name;
-      rank = r;
-    }
-  }
-  if (!match.empty()) {
-    *resolved = match;
-    return rank;
-  }
-  return -1;
+  return CallGraph::ResolveMutexRank(p.lock_ranks, class_ctx, expr, resolved,
+                                     p.graph);
 }
 
 void CheckLockOrder(const Project& p, std::vector<Finding>* out) {
@@ -352,7 +325,7 @@ int EventMutexRank(const Project& p, const FunctionModel& fn,
   auto gv = fn.guard_vars.find(expr);
   if (gv != fn.guard_vars.end()) expr = gv->second;
   return CallGraph::ResolveMutexRank(p.lock_ranks, fn.class_ctx, expr,
-                                     resolved);
+                                     resolved, p.graph);
 }
 
 void ReleaseByDepth(std::vector<HeldLock>* held, int depth) {
