@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
   // ---- profiling overhead: the <5% observability contract -------------------
   // Same instance shape, same query; the only difference is
   // InstanceOptions::profile_queries. Off must cost nothing (no wrappers
-  // are created); on must stay within a few percent (sampled Next timing).
+  // are created); on must stay within a few percent (exact per-batch
+  // timing: one clock pair per NextBatch call).
   {
     const size_t kProfParts = smoke ? 2 : 4;
     const int kProfReps = smoke ? 3 : 10;

@@ -40,14 +40,6 @@ class PartitionScanSource : public hyracks::TupleStream {
     AX_RETURN_NOT_OK(it_->SeekToFirst());
     return Status::OK();
   }
-  Result<bool> Next(Tuple* out) override {
-    if (!it_ || !it_->Valid()) return false;
-    AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
-    out->fields.clear();
-    out->fields.push_back(std::move(record));
-    AX_RETURN_NOT_OK(it_->Next());
-    return true;
-  }
   Result<bool> NextBatch(hyracks::Batch* out) override {
     out->Clear();
     while (it_ && it_->Valid() && !out->full()) {
@@ -156,11 +148,6 @@ class IndexSearchSource : public hyracks::TupleStream {
     return Status::OK();
   }
 
-  Result<bool> Next(Tuple* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = std::move(rows_[pos_++]);
-    return true;
-  }
   Result<bool> NextBatch(hyracks::Batch* out) override {
     out->Clear();
     while (pos_ < rows_.size() && !out->full()) {

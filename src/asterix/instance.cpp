@@ -232,7 +232,7 @@ Result<QueryResult> Instance::ExecuteScript(const std::string& script) {
 Result<QueryResult> Instance::ExecuteParsed(const Statement& st) {
   switch (st.kind) {
     case Statement::kQuery:
-      return RunQuery(*st.query, options_.optimizer);
+      return RunQuery(SqlppPlan(*st.query), options_.optimizer);
     case Statement::kInsert:
     case Statement::kUpsert:
     case Statement::kDelete:
@@ -248,7 +248,7 @@ Result<QueryResult> Instance::QueryWithOptions(
   if (st.kind != Statement::kQuery) {
     return Status::InvalidArgument("QueryWithOptions expects a SELECT query");
   }
-  return RunQuery(*st.query, opts);
+  return RunQuery(SqlppPlan(*st.query), opts);
 }
 
 Result<QueryResult> Instance::Query(const std::string& query,
@@ -257,48 +257,28 @@ Result<QueryResult> Instance::Query(const std::string& query,
   if (st.kind != Statement::kQuery) {
     return Status::InvalidArgument("Query expects a SELECT query");
   }
-  return RunQuery(*st.query, options_.optimizer, run);
+  return RunQuery(SqlppPlan(*st.query), options_.optimizer, run);
 }
 
 Result<QueryResult> Instance::QueryAql(const std::string& query,
                                        const QueryRunOptions& run) {
-  auto ctx = std::make_shared<resource::QueryContext>();
-  int64_t deadline_ms =
-      run.deadline_ms > 0 ? run.deadline_ms : options_.query_deadline_ms;
-  if (deadline_ms > 0) {
-    ctx->SetDeadlineAfter(std::chrono::milliseconds(deadline_ms));
-  }
-  std::string id;
-  AX_RETURN_NOT_OK(RegisterQuery(run.client_context_id, ctx, &id));
-  auto result = [&]() -> Result<QueryResult> {
-    // Registered before admission so a queued query is cancellable; the
-    // slot and all grants release via RAII on every path out of here.
-    resource::AdmissionSlot slot;
-    if (admission_ != nullptr) {
-      AX_ASSIGN_OR_RETURN(slot, admission_->Admit(ctx.get()));
-    }
+  auto translate = [&]() -> Result<algebricks::LogicalOpPtr> {
     AX_ASSIGN_OR_RETURN(auto translated, aql::TranslateAql(query, *metadata_));
-    AX_ASSIGN_OR_RETURN(
-        auto optimized,
-        algebricks::Optimize(translated.plan, *metadata_, options_.optimizer,
-                             algebricks::FunctionRegistry::Instance()));
-    Executor ex = MakeExecutor(options_.optimizer, ctx.get());
-    ex.set_profiling(options_.profile_queries);
-    ExecStats stats;
-    AX_ASSIGN_OR_RETURN(auto rows, ex.Run(optimized, &stats));
-    QueryResult out;
-    out.rows = std::move(rows);
-    out.plan = stats.optimized_plan;
-    out.elapsed_ms = stats.elapsed_ms;
-    out.profile = std::move(stats.profile);
-    if (out.profile) out.profiled_plan = out.profile->Render();
-    return out;
-  }();
-  UnregisterQuery(id);
-  return result;
+    return translated.plan;
+  };
+  return RunQuery(translate, options_.optimizer, run);
 }
 
-Result<QueryResult> Instance::RunQuery(const sqlpp::ast::SelectQuery& q,
+Instance::PlanProducer Instance::SqlppPlan(
+    const sqlpp::ast::SelectQuery& q) const {
+  return [this, &q]() -> Result<algebricks::LogicalOpPtr> {
+    sqlpp::Translator translator(metadata_.get());
+    AX_ASSIGN_OR_RETURN(auto translated, translator.TranslateQuery(q));
+    return translated.plan;
+  };
+}
+
+Result<QueryResult> Instance::RunQuery(const PlanProducer& translate,
                                        const algebricks::OptimizerOptions& opts,
                                        const QueryRunOptions& run) {
   auto ctx = std::make_shared<resource::QueryContext>();
@@ -316,11 +296,10 @@ Result<QueryResult> Instance::RunQuery(const sqlpp::ast::SelectQuery& q,
     if (admission_ != nullptr) {
       AX_ASSIGN_OR_RETURN(slot, admission_->Admit(ctx.get()));
     }
-    sqlpp::Translator translator(metadata_.get());
-    AX_ASSIGN_OR_RETURN(auto translated, translator.TranslateQuery(q));
+    AX_ASSIGN_OR_RETURN(algebricks::LogicalOpPtr plan, translate());
     AX_ASSIGN_OR_RETURN(
         auto optimized,
-        algebricks::Optimize(translated.plan, *metadata_, opts,
+        algebricks::Optimize(std::move(plan), *metadata_, opts,
                              algebricks::FunctionRegistry::Instance()));
     Executor ex = MakeExecutor(opts, ctx.get());
     ex.set_profiling(options_.profile_queries);

@@ -4,6 +4,7 @@
 // with LSM storage, a WAL, and worker threads, all within one process.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -167,9 +168,16 @@ class Instance : public feeds::FeedSink {
                                              const adm::Value& pk);
   Executor MakeExecutor(const algebricks::OptimizerOptions& opts,
                         resource::QueryContext* ctx = nullptr);
-  Result<QueryResult> RunQuery(const sqlpp::ast::SelectQuery& q,
+  /// Produces a query's logical plan. RunQuery calls it after admission,
+  /// so a shed or queued query costs no translation.
+  using PlanProducer = std::function<Result<algebricks::LogicalOpPtr>()>;
+  /// The one query path for both languages: register the query, admit it,
+  /// translate, optimize and execute.
+  Result<QueryResult> RunQuery(const PlanProducer& translate,
                                const algebricks::OptimizerOptions& opts,
                                const QueryRunOptions& run = {});
+  /// The SQL++ plan producer for a parsed SELECT (`q` must outlive it).
+  PlanProducer SqlppPlan(const sqlpp::ast::SelectQuery& q) const;
   /// Make the query visible to CancelQuery. `*out_id` is the registered id
   /// (generated when `wanted_id` is empty); AlreadyExists on a duplicate.
   Status RegisterQuery(const std::string& wanted_id,

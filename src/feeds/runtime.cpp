@@ -444,7 +444,7 @@ Status FeedRuntime::DrainSpill(bool blocking) {
     }
     for (size_t i = spill_pending_.size(); i < kFrameTuples; i++) {
       hyracks::Tuple t;
-      AX_ASSIGN_OR_RETURN(bool have, spill_reader_->Next(&t));
+      AX_ASSIGN_OR_RETURN(bool have, spill_reader_->Read(&t));
       if (!have) {
         spill_reader_.reset();
         break;

@@ -15,21 +15,11 @@ metrics::Counter* BatchTuplesCounter() {
       metrics::Registry::Global().GetCounter("hyracks.batch.tuples");
   return c;
 }
-metrics::Counter* FallbackBatchesCounter() {
-  static metrics::Counter* c =
-      metrics::Registry::Global().GetCounter("hyracks.batch.fallback_batches");
-  return c;
-}
 }  // namespace
 
 void NoteBatchEmitted(size_t tuples) {
   BatchesEmittedCounter()->Add(1);
   BatchTuplesCounter()->Add(tuples);
-}
-
-void NoteFallbackBatch(size_t tuples) {
-  FallbackBatchesCounter()->Add(1);
-  NoteBatchEmitted(tuples);
 }
 
 }  // namespace asterix::hyracks

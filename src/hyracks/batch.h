@@ -52,8 +52,8 @@ class Batch {
     return t;
   }
 
-  /// Drop the most recently added slot (used when a Next() probe into a
-  /// fresh slot hits end-of-stream).
+  /// Drop the most recently added slot (used when a read into a fresh slot
+  /// hits end-of-stream).
   void PopLast() {
     if (size_ > 0) size_--;
   }
@@ -88,11 +88,11 @@ class Batch {
   size_t size_ = 0;
 };
 
-/// hyracks.batch.* counters. NoteBatchEmitted is called by every migrated
-/// NextBatch override per non-empty batch (one boundary hand-off each);
-/// NoteFallbackBatch by the default tuple-at-a-time adapter instead.
-/// Average batch fill = hyracks.batch.tuples / hyracks.batch.batches_emitted.
+/// hyracks.batch.* counters. NoteBatchEmitted is called by every NextBatch
+/// override that produces tuples, once per non-empty batch (one boundary
+/// hand-off each); pure pass-throughs (UnionAllOp, the profiler wrapper)
+/// record nothing of their own. Average batch fill =
+/// hyracks.batch.tuples / hyracks.batch.batches_emitted.
 void NoteBatchEmitted(size_t tuples);
-void NoteFallbackBatch(size_t tuples);
 
 }  // namespace asterix::hyracks

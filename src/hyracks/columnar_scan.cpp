@@ -310,17 +310,6 @@ Status ColumnarScanSource::Refill() {
   return Status::OK();
 }
 
-Result<bool> ColumnarScanSource::Next(Tuple* out) {
-  while (pos_ >= rows_.size()) {
-    AX_RETURN_NOT_OK(PollAlive());
-    if (exhausted_ && rows_.empty()) return false;
-    AX_RETURN_NOT_OK(Refill());
-    if (rows_.empty() && exhausted_) return false;
-  }
-  *out = std::move(rows_[pos_++]);
-  return true;
-}
-
 Result<bool> ColumnarScanSource::NextBatch(Batch* out) {
   out->Clear();
   while (pos_ >= rows_.size()) {

@@ -52,7 +52,6 @@ class ColumnarScanSource : public TupleStream {
   ~ColumnarScanSource() override;
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
 

@@ -187,45 +187,23 @@ Exchange::Exchange(size_t n_producers, size_t n_consumers,
 }
 
 namespace {
-/// Consumer-side stream over one queue. Next() unpacks frames tuple by
-/// tuple; NextBatch() hands a popped frame straight out as a batch (one
-/// vector swap, zero per-tuple work).
+/// Consumer-side stream over one queue: hands each popped frame straight
+/// out as a batch (one vector swap, zero per-tuple work).
 class QueueStream : public TupleStream {
  public:
   explicit QueueStream(std::shared_ptr<BoundedTupleQueue> q)
       : q_(std::move(q)) {}
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Tuple* out) override {
-    while (pos_ >= frame_.size()) {
-      frame_.clear();
-      pos_ = 0;
-      AX_ASSIGN_OR_RETURN(bool more, q_->PopFrame(&frame_));
-      if (!more) return false;
-    }
-    *out = std::move(frame_[pos_++]);
-    return true;
-  }
   Result<bool> NextBatch(Batch* out) override {
     out->Clear();
-    if (pos_ < frame_.size()) {
-      // A Next() caller left a partially drained frame: finish it first so
-      // interleaved callers never skip tuples.
-      while (pos_ < frame_.size() && !out->full()) {
-        *out->Add() = std::move(frame_[pos_++]);
-      }
-      NoteBatchEmitted(out->size());
-      return true;
-    }
+    // Destroy the previous batch's leftovers here, outside the queue lock;
+    // PopFrame then parks the empty vector on the queue's free list.
     frame_.clear();
-    pos_ = 0;
-    // PopFrame parks frame_'s old storage on the queue's free list.
     AX_ASSIGN_OR_RETURN(bool more, q_->PopFrame(&frame_));
     if (!more) return false;
     // Swap the whole frame into the batch; the batch's previous slot
-    // vector lands in frame_, marked fully consumed, and is recycled by
-    // the next PopFrame.
+    // vector lands in frame_ and is recycled by the next PopFrame.
     out->SwapVector(&frame_);
-    pos_ = frame_.size();
     NoteBatchEmitted(out->size());
     return true;
   }
@@ -234,7 +212,6 @@ class QueueStream : public TupleStream {
  private:
   std::shared_ptr<BoundedTupleQueue> q_;
   Frame frame_;
-  size_t pos_ = 0;
 };
 }  // namespace
 

@@ -366,12 +366,6 @@ Status HashGroupByOp::Open() {
   return Status::OK();
 }
 
-Result<bool> HashGroupByOp::Next(Tuple* out) {
-  if (out_pos_ >= output_.size()) return false;
-  *out = std::move(output_[out_pos_++]);
-  return true;
-}
-
 Result<bool> HashGroupByOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
   out->Clear();

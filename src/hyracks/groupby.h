@@ -53,7 +53,6 @@ class HashGroupByOp : public TupleStream {
   }
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Emits buffered group results batch-at-a-time.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;

@@ -258,32 +258,12 @@ Status HashJoinOp::Open() {
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Next(Tuple* out) {
-  if (output_reader_) {
-    return output_reader_->Next(out);
-  }
-  if (out_pos_ >= output_.size()) return false;
-  *out = std::move(output_[out_pos_++]);
-  return true;
-}
-
 Result<bool> HashJoinOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+  if (output_reader_) return output_reader_->NextBatch(out);
   out->Clear();
-  if (output_reader_) {
-    while (!out->full()) {
-      AX_RETURN_NOT_OK(PollAlive());
-      Tuple* slot = out->Add();
-      AX_ASSIGN_OR_RETURN(bool more, output_reader_->Next(slot));
-      if (!more) {
-        out->PopLast();
-        break;
-      }
-    }
-  } else {
-    while (out_pos_ < output_.size() && !out->full()) {
-      *out->Add() = std::move(output_[out_pos_++]);
-    }
+  while (out_pos_ < output_.size() && !out->full()) {
+    *out->Add() = std::move(output_[out_pos_++]);
   }
   if (out->empty()) return false;
   NoteBatchEmitted(out->size());

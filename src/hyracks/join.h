@@ -47,7 +47,6 @@ class HashJoinOp : public TupleStream {
   }
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Emits buffered (or spilled) join results batch-at-a-time.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;

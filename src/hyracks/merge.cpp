@@ -28,22 +28,25 @@ Status OrderedMergeStream::Open() {
     for (auto& t : threads) t.join();
   }
   for (const auto& st : statuses) AX_RETURN_NOT_OK(st);
+  cursors_.clear();
+  cursors_.resize(children_.size());
   heads_.clear();
   for (size_t i = 0; i < children_.size(); i++) AX_RETURN_NOT_OK(PushFrom(i));
   return Status::OK();
 }
 
 Status OrderedMergeStream::PushFrom(size_t child) {
-  Tuple t;
-  AX_ASSIGN_OR_RETURN(bool more, children_[child]->Next(&t));
-  if (!more) return Status::OK();
-  // Insert keeping heads_ sorted descending, so the global minimum sits at
-  // the back (pop_back is O(1); insertion is O(fan-in), which is small).
-  Head head{std::move(t), child};
+  Cursor& cur = cursors_[child];
+  if (cur.pos >= cur.batch.size()) {
+    AX_ASSIGN_OR_RETURN(bool more, children_[child]->NextBatch(&cur.batch));
+    cur.pos = 0;
+    if (!more) return Status::OK();
+  }
   size_t pos = heads_.size();
-  heads_.push_back(std::move(head));
+  heads_.push_back(child);
   while (pos > 0) {
-    AX_ASSIGN_OR_RETURN(int c, Compare(heads_[pos - 1].tuple, heads_[pos].tuple));
+    AX_ASSIGN_OR_RETURN(int c, Compare(cursors_[heads_[pos - 1]].head(),
+                                       cur.head()));
     // Keep descending order: previous should be >= current.
     if (c >= 0) break;
     std::swap(heads_[pos - 1], heads_[pos]);
@@ -52,23 +55,15 @@ Status OrderedMergeStream::PushFrom(size_t child) {
   return Status::OK();
 }
 
-Result<bool> OrderedMergeStream::Next(Tuple* out) {
-  if (heads_.empty()) return false;
-  Head head = std::move(heads_.back());
-  heads_.pop_back();
-  *out = std::move(head.tuple);
-  AX_RETURN_NOT_OK(PushFrom(head.src));
-  return true;
-}
-
 Result<bool> OrderedMergeStream::NextBatch(Batch* out) {
   out->Clear();
   while (!heads_.empty() && !out->full()) {
     AX_RETURN_NOT_OK(PollAlive());
-    Head head = std::move(heads_.back());
+    const size_t child = heads_.back();
     heads_.pop_back();
-    *out->Add() = std::move(head.tuple);
-    AX_RETURN_NOT_OK(PushFrom(head.src));
+    Cursor& cur = cursors_[child];
+    out->Add()->fields.swap(cur.batch[cur.pos++].fields);
+    AX_RETURN_NOT_OK(PushFrom(child));
   }
   if (out->empty()) return false;
   NoteBatchEmitted(out->size());
@@ -81,6 +76,7 @@ Status OrderedMergeStream::Close() {
     Status st = c->Close();
     if (!st.ok() && first.ok()) first = st;
   }
+  cursors_.clear();
   heads_.clear();
   return first;
 }

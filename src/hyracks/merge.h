@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -22,26 +21,32 @@ class OrderedMergeStream : public TupleStream {
       : children_(std::move(children)), keys_(std::move(keys)) {}
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  /// Pops up to a frame's worth of merged tuples per call (the heap logic
-  /// runs inline, so no per-tuple virtual dispatch downstream).
+  /// Pops up to a frame's worth of merged tuples per call, pulling a
+  /// child's next batch whenever its cursor runs dry.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
 
  private:
+  /// One child's current batch and the position of its head tuple.
+  struct Cursor {
+    Batch batch;
+    size_t pos = 0;
+    const Tuple& head() const { return batch[pos]; }
+  };
+
   Result<int> Compare(const Tuple& a, const Tuple& b) const;
+  /// Ensure `child`'s cursor holds a head tuple (pulling its next batch if
+  /// needed) and, if it does, insert the child into heads_.
   Status PushFrom(size_t child);
 
   std::vector<StreamPtr> children_;
   std::vector<SortKey> keys_;
-  struct Head {
-    Tuple tuple;
-    size_t src;
-  };
-  // Sorted heads, maintained as a vector-based heap via explicit compares
-  // (comparators can fail, so std::priority_queue's noexcept-ish comparator
-  // contract doesn't fit; linear insertion is fine for small fan-in).
-  std::vector<Head> heads_;
+  std::vector<Cursor> cursors_;
+  // Children with a head tuple, kept sorted descending by head so the
+  // global minimum sits at the back (comparators can fail, so
+  // std::priority_queue's comparator contract doesn't fit; linear
+  // insertion is fine for small fan-in).
+  std::vector<size_t> heads_;
 };
 
 }  // namespace asterix::hyracks

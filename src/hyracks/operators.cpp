@@ -1,16 +1,8 @@
 #include "hyracks/operators.h"
 
-namespace asterix::hyracks {
+#include <algorithm>
 
-Result<bool> SelectOp::Next(Tuple* out) {
-  while (true) {
-    AX_RETURN_NOT_OK(PollAlive());
-    AX_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    AX_ASSIGN_OR_RETURN(adm::Value pass, predicate_(*out));
-    if (IsTrue(pass)) return true;
-  }
-}
+namespace asterix::hyracks {
 
 Result<bool> SelectOp::NextBatch(Batch* out) {
   // Keep pulling child batches until one survives the filter (a fully
@@ -51,16 +43,6 @@ Result<bool> SelectOp::NextBatch(Batch* out) {
   }
 }
 
-Result<bool> AssignOp::Next(Tuple* out) {
-  AX_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  for (const auto& eval : evals_) {
-    AX_ASSIGN_OR_RETURN(adm::Value v, eval(*out));
-    out->fields.push_back(std::move(v));
-  }
-  return true;
-}
-
 Result<bool> AssignOp::NextBatch(Batch* out) {
   AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -86,25 +68,6 @@ Status ProjectOp::ShiftInPlace(Tuple* t) const {
   }
   t->fields.resize(keep_.size());
   return Status::OK();
-}
-
-Result<bool> ProjectOp::Next(Tuple* out) {
-  AX_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  if (monotone_) {
-    AX_RETURN_NOT_OK(ShiftInPlace(out));
-    return true;
-  }
-  scratch_.clear();
-  scratch_.reserve(keep_.size());
-  for (size_t idx : keep_) {
-    if (idx >= out->arity()) {
-      return Status::Internal("project index out of range");
-    }
-    scratch_.push_back(out->fields[idx]);
-  }
-  out->fields.swap(scratch_);
-  return true;
 }
 
 Result<bool> ProjectOp::NextBatch(Batch* out) {
@@ -134,61 +97,75 @@ Result<bool> ProjectOp::NextBatch(Batch* out) {
   return true;
 }
 
-Result<bool> LimitOp::Next(Tuple* out) {
+Result<bool> LimitOp::NextBatch(Batch* out) {
+  out->Clear();
   while (emitted_ < limit_) {
     AX_RETURN_NOT_OK(PollAlive());
-    AX_ASSIGN_OR_RETURN(bool more, child_->Next(out));
+    AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
     if (!more) return false;
-    if (seen_++ < offset_) continue;
-    emitted_++;
+    const uint64_t n = out->size();
+    const uint64_t skip = std::min(offset_ - skipped_, n);
+    skipped_ += skip;
+    const uint64_t take = std::min(n - skip, limit_ - emitted_);
+    if (take == 0) continue;  // the whole batch fell inside the offset
+    if (skip > 0) {
+      for (size_t i = 0; i < take; i++) {
+        (*out)[i].fields.swap((*out)[skip + i].fields);
+      }
+    }
+    out->Truncate(take);
+    emitted_ += take;
+    NoteBatchEmitted(take);
     return true;
   }
   return false;
 }
 
-Result<bool> UnnestOp::Next(Tuple* out) {
-  while (true) {
-    AX_RETURN_NOT_OK(PollAlive());
-    if (!pending_.empty()) {
-      *out = std::move(pending_.back());
-      pending_.pop_back();
-      return true;
+Result<bool> UnnestOp::NextBatch(Batch* out) {
+  out->Clear();
+  while (!out->full()) {
+    if (items_.is_collection() && item_pos_ < items_.items().size()) {
+      // Emit the next item of the expansion in progress. The last item is
+      // the last use of the input tuple: take its fields instead of
+      // copying them.
+      const auto& items = items_.items();
+      Tuple& in = in_[in_pos_ - 1];
+      Tuple* t = out->Add();
+      if (item_pos_ + 1 == items.size()) {
+        t->fields.swap(in.fields);
+      } else {
+        t->fields = in.fields;
+      }
+      t->fields.push_back(items[item_pos_++]);
+      continue;
     }
-    Tuple in;
-    AX_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-    if (!more) return false;
+    if (in_pos_ >= in_.size()) {
+      if (!out->empty()) break;  // hand over what is ready first
+      AX_RETURN_NOT_OK(PollAlive());
+      AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_));
+      if (!more) break;
+      in_pos_ = 0;
+    }
+    Tuple& in = in_[in_pos_++];
     AX_ASSIGN_OR_RETURN(adm::Value coll, collection_(in));
     if (coll.is_collection() && !coll.items().empty()) {
-      // Queue in reverse so pop_back yields source order. The final
-      // iteration (i == 1) is the last use of `in`: move instead of copy.
-      const auto& items = coll.items();
-      for (size_t i = items.size(); i > 0; i--) {
-        Tuple t = (i == 1) ? std::move(in) : in;
-        t.fields.push_back(items[i - 1]);
-        pending_.push_back(std::move(t));
-      }
+      items_ = std::move(coll);
+      item_pos_ = 0;
     } else if (outer_) {
-      Tuple t = std::move(in);
-      t.fields.push_back(adm::Value::Missing());
-      pending_.push_back(std::move(t));
+      Tuple* t = out->Add();
+      t->fields.swap(in.fields);
+      t->fields.push_back(adm::Value::Missing());
     }
   }
+  if (out->empty()) return false;
+  NoteBatchEmitted(out->size());
+  return true;
 }
 
 Status UnionAllOp::Open() {
   current_ = 0;
   for (auto& c : children_) AX_RETURN_NOT_OK(c->Open());
   return Status::OK();
-}
-
-Result<bool> UnionAllOp::Next(Tuple* out) {
-  while (current_ < children_.size()) {
-    AX_RETURN_NOT_OK(PollAlive());
-    AX_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(out));
-    if (more) return true;
-    current_++;
-  }
-  return false;
 }
 
 Result<bool> UnionAllOp::NextBatch(Batch* out) {
@@ -210,14 +187,25 @@ Status UnionAllOp::Close() {
   return first;
 }
 
-Result<bool> StreamDistinctOp::Next(Tuple* out) {
+Result<bool> StreamDistinctOp::NextBatch(Batch* out) {
   while (true) {
     AX_RETURN_NOT_OK(PollAlive());
-    AX_ASSIGN_OR_RETURN(bool more, child_->Next(out));
+    AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
     if (!more) return false;
-    if (!has_prev_ || CompareTuples(*out, prev_) != 0) {
-      prev_ = *out;
+    size_t w = 0;
+    for (size_t r = 0; r < out->size(); r++) {
+      const Tuple& last = w > 0 ? (*out)[w - 1] : prev_;
+      if ((w > 0 || has_prev_) && CompareTuples((*out)[r], last) == 0) {
+        continue;
+      }
+      if (w != r) (*out)[w].fields.swap((*out)[r].fields);
+      w++;
+    }
+    out->Truncate(w);
+    if (w > 0) {
+      prev_ = (*out)[w - 1];
       has_prev_ = true;
+      NoteBatchEmitted(w);
       return true;
     }
   }

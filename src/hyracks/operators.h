@@ -1,10 +1,8 @@
 // Streaming (pipelined) Hyracks operators: select, assign, project, limit,
 // unnest, union-all, and stream-distinct. Blocking operators live in
-// sort.h / join.h / groupby.h. Select/assign/project are migrated to the
-// batch path (NextBatch overrides transform whole batches in place);
-// limit/unnest/distinct stay tuple-at-a-time behind the default adapter
-// — their per-tuple control flow dominates, and they double as the proof
-// that mixed pipelines work.
+// sort.h / join.h / groupby.h. Most transform the child's batch in place;
+// unnest fills its own output batch because one input tuple may expand
+// past a batch's capacity.
 #pragma once
 
 #include <memory>
@@ -29,13 +27,12 @@ class SelectOp : public TupleStream {
  public:
   /// `batch_predicate` is optional: when present, NextBatch evaluates the
   /// whole batch with it; otherwise it interprets `predicate` per tuple.
-  /// Next always uses `predicate` — the two must agree tuple-for-tuple.
+  /// The two must agree tuple-for-tuple.
   SelectOp(StreamPtr child, TupleEval predicate,
            BatchPredicate batch_predicate = nullptr)
       : child_(std::move(child)), predicate_(std::move(predicate)),
         batch_predicate_(std::move(batch_predicate)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Filters the child's batch in place (stable compaction by move).
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
@@ -53,7 +50,6 @@ class AssignOp : public TupleStream {
   AssignOp(StreamPtr child, std::vector<TupleEval> evals)
       : child_(std::move(child)), evals_(std::move(evals)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Appends the computed fields to every tuple of the child's batch.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
@@ -79,7 +75,6 @@ class ProjectOp : public TupleStream {
     }
   }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Tuple* out) override;
   /// Projects every tuple of the child's batch in place. Strictly
   /// increasing keep lists (the common compiler output) shift fields
   /// within the tuple's own vector; reordering/duplicating lists cycle a
@@ -105,16 +100,18 @@ class LimitOp : public TupleStream {
   LimitOp(StreamPtr child, uint64_t limit, uint64_t offset = 0)
       : child_(std::move(child)), limit_(limit), offset_(offset) {}
   Status Open() override {
-    seen_ = emitted_ = 0;
+    skipped_ = emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Drops the offset prefix and truncates the batch that crosses the
+  /// limit; once the limit is reached the child is never pulled again.
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:
   StreamPtr child_;
   uint64_t limit_, offset_;
-  uint64_t seen_ = 0, emitted_ = 0;
+  uint64_t skipped_ = 0, emitted_ = 0;
 };
 
 /// Unnest: for each input tuple, evaluates a collection expression and
@@ -126,17 +123,26 @@ class UnnestOp : public TupleStream {
       : child_(std::move(child)), collection_(std::move(collection)),
         outer_(outer) {}
   Status Open() override {
-    pending_.clear();
+    in_.Clear();
+    in_pos_ = 0;
+    items_ = adm::Value::Missing();
+    item_pos_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Fills `*out` from the expansion in progress, pulling further child
+  /// batches as inputs run out; an expansion larger than one batch
+  /// continues on the next call.
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:
   StreamPtr child_;
   TupleEval collection_;
   bool outer_;
-  std::vector<Tuple> pending_;  // queued expansion of the current input
+  Batch in_;             // current child batch
+  size_t in_pos_ = 0;    // next unexpanded input in in_
+  adm::Value items_;     // collection of input in_[in_pos_ - 1]
+  size_t item_pos_ = 0;  // next item of items_ to emit
 };
 
 /// Union-all over same-arity children, streamed in order.
@@ -145,7 +151,6 @@ class UnionAllOp : public TupleStream {
   explicit UnionAllOp(std::vector<StreamPtr> children)
       : children_(std::move(children)) {}
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Pure pass-through: forwards the current child's batches unchanged
   /// (and records no batch metrics of its own).
   Result<bool> NextBatch(Batch* out) override;
@@ -164,7 +169,9 @@ class StreamDistinctOp : public TupleStream {
     has_prev_ = false;
     return child_->Open();
   }
-  Result<bool> Next(Tuple* out) override;
+  /// Compacts the child's batch in place, comparing each tuple with the
+  /// last one kept — across batch boundaries, via prev_.
+  Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return child_->Close(); }
 
  private:

@@ -23,48 +23,14 @@ Status ProfiledStream::Open() {
   return st;
 }
 
-Result<bool> ProfiledStream::Next(Tuple* out) {
-  // Hot path: forward the child's Result as-is (NRVO — no re-wrapping; a
-  // Result carries a Status string, so constructing a fresh one per tuple
-  // per wrapped operator is the dominant profiling cost).
-  const uint64_t call = stats_->next_calls++;
-  if (call % kSampleStride != 0) {
-    Result<bool> r = child_->Next(out);
-    if (r.ok() && *r) stats_->tuples_out++;
-    return r;
-  }
-  const uint64_t t0 = metrics::NowNs();
-  Result<bool> r = child_->Next(out);
-  const uint64_t dt = metrics::NowNs() - t0;
-  if (call == 0) {
-    // Time-to-first-tuple: for blocking operators this contains the whole
-    // upstream pipeline, so it is recorded exactly and excluded from the
-    // sampled extrapolation (see OpStats::EstimatedNextNs).
-    stats_->first_next_ns = dt;
-  } else {
-    stats_->sampled_next_ns += dt;
-    stats_->sampled_next_calls++;
-  }
-  if (r.ok() && *r) stats_->tuples_out++;
-  return r;
-}
-
 Result<bool> ProfiledStream::NextBatch(Batch* out) {
-  // Exact timing: two clock reads per batch is far below the sampled
-  // per-tuple budget, so no sampling is needed on this path.
-  const bool first_call =
-      stats_->next_calls == 0 && stats_->batch_calls == 0;
-  stats_->batch_calls++;
+  const bool first_call = stats_->batch_calls++ == 0;
   const uint64_t t0 = metrics::NowNs();
   Result<bool> r = child_->NextBatch(out);
   const uint64_t dt = metrics::NowNs() - t0;
-  if (first_call) {
-    // Time-to-first-tuple, same contract as the Next() path: a blocking
-    // operator pays its whole upstream in the first call.
-    stats_->first_next_ns = dt;
-  } else {
-    stats_->batch_ns += dt;
-  }
+  // Time-to-first-batch is kept apart: a blocking operator pays its whole
+  // upstream in the first call.
+  (first_call ? stats_->first_batch_ns : stats_->batch_ns) += dt;
   if (r.ok() && *r) stats_->tuples_out += out->size();
   return r;
 }
@@ -209,14 +175,12 @@ std::string PlanProfile::ToChromeTrace() const {
       std::snprintf(buf, sizeof(buf),
                     ",\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
                     "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"partition\":%zu,"
-                    "\"tuples_out\":%llu,\"next_calls\":%llu,"
-                    "\"batch_calls\":%llu,"
+                    "\"tuples_out\":%llu,\"batch_calls\":%llu,"
                     "\"open_us\":%.3f,\"cpu_est_us\":%.3f",
                     label.c_str(), s.tid,
                     static_cast<double>(s.start_ns - base) / 1e3,
                     static_cast<double>(end - s.start_ns) / 1e3, p,
                     static_cast<unsigned long long>(s.tuples_out),
-                    static_cast<unsigned long long>(s.next_calls),
                     static_cast<unsigned long long>(s.batch_calls),
                     static_cast<double>(s.open_ns) / 1e3,
                     static_cast<double>(s.TotalNs()) / 1e3);

@@ -7,13 +7,9 @@
 //
 // Overhead contract (<5% on the Fig. 1 benches): tuple/call counts are
 // plain increments (each stream instance runs on exactly one partition
-// thread), Open/Close are timed exactly (two clock reads per operator per
-// partition), and Next() latency is *sampled* — every 61st call (see
-// kSampleStride for why a prime) — then extrapolated, so a million-tuple
-// pipeline pays ~33k clock reads instead of ~2M. NextBatch() is timed
-// *exactly* on every call: two clock reads per ~kFrameTuples tuples is
-// already cheaper than the sampled tuple path, so batch pipelines get
-// precise timing for free. When profiling is off the Executor never wraps
+// thread), and Open, every NextBatch and Close are timed exactly — two
+// clock reads per call, which a batch call amortizes over up to
+// kFrameTuples tuples. When profiling is off the Executor never wraps
 // streams, so the cost is exactly zero.
 //
 // Concurrency: each OpStats is written by the single thread driving its
@@ -36,37 +32,25 @@ namespace asterix::hyracks {
 
 /// Statistics for one operator instance (one partition of one plan node).
 struct OpStats {
-  uint64_t tuples_out = 0;          // Next() calls that produced a tuple
-  uint64_t next_calls = 0;          // total Next() calls
-  uint64_t open_ns = 0;             // exact Open() latency
-  uint64_t close_ns = 0;            // exact Close() latency
-  uint64_t first_next_ns = 0;       // exact first Next() (time to first
-                                    // tuple: blocking ops pay their whole
-                                    // upstream here — kept out of sampling
-                                    // so extrapolation stays unbiased)
-  uint64_t sampled_next_ns = 0;     // sum over sampled Next() calls
-  uint64_t sampled_next_calls = 0;  // how many were sampled (call >= 1)
-  uint64_t batch_calls = 0;         // total NextBatch() calls
-  uint64_t batch_ns = 0;            // exact time in NextBatch() (the first
-                                    // call lands in first_next_ns instead)
-  uint64_t start_ns = 0;            // wall clock at Open() entry
-  uint64_t end_ns = 0;              // wall clock at Close() exit
-  uint32_t tid = 0;                 // small thread ordinal (trace lanes)
+  uint64_t tuples_out = 0;      // tuples carried by the emitted batches
+  uint64_t batch_calls = 0;     // total NextBatch() calls
+  uint64_t open_ns = 0;         // exact Open() latency
+  uint64_t close_ns = 0;        // exact Close() latency
+  uint64_t first_batch_ns = 0;  // exact first NextBatch() (time to first
+                                // batch: blocking ops pay their whole
+                                // upstream here)
+  uint64_t batch_ns = 0;        // exact time in the later NextBatch() calls
+  uint64_t start_ns = 0;        // wall clock at Open() entry
+  uint64_t end_ns = 0;          // wall clock at Close() exit
+  uint32_t tid = 0;             // small thread ordinal (trace lanes)
   // Operator-specific stats harvested at Close (spill bytes, runs, ...).
   std::map<std::string, uint64_t> extra;
 
-  /// Exact first call plus exact batch time plus sampled tuple time
-  /// extrapolated to the remaining Next() calls.
-  uint64_t EstimatedNextNs() const {
-    uint64_t est = first_next_ns + batch_ns;
-    if (sampled_next_calls > 0 && next_calls > 1) {
-      est += sampled_next_ns * (next_calls - 1) / sampled_next_calls;
-    }
-    return est;
+  /// Time this instance spent inside the operator chain below it
+  /// (inclusive — children are nested within its calls).
+  uint64_t TotalNs() const {
+    return open_ns + first_batch_ns + batch_ns + close_ns;
   }
-  /// Estimated CPU time this instance spent inside the operator chain
-  /// below it (inclusive — children are nested within Next()).
-  uint64_t TotalNs() const { return open_ns + EstimatedNextNs() + close_ns; }
 };
 
 /// The profiled-plan tree for one query execution.
@@ -127,21 +111,13 @@ class PlanProfile {
 class ProfiledStream : public TupleStream {
  public:
   using Harvest = std::function<void(OpStats*)>;
-  /// Sample every 61st Next() call for latency. The stride is prime —
-  /// coprime with kFrameTuples (256) — so sampling neither catches every
-  /// frame-boundary queue pop (which would extrapolate the occasional
-  /// blocking pop across all calls) nor misses them all; costly calls are
-  /// hit at their true frequency and the extrapolation stays unbiased.
-  static constexpr uint64_t kSampleStride = 61;
 
   ProfiledStream(StreamPtr child, OpStats* stats, Harvest harvest = nullptr)
       : child_(std::move(child)), stats_(stats),
         harvest_(std::move(harvest)) {}
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
-  /// Timed exactly on every call (the clock cost amortizes over the whole
-  /// batch); counts every tuple the batch carries.
+  /// Timed exactly on every call; counts every tuple the batch carries.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
 

@@ -134,7 +134,6 @@ Status ExternalSortOp::Open() {
     runs = std::move(next);
   }
   AX_ASSIGN_OR_RETURN(merged_, RunReader::Open(runs[0]));
-  merged_->SetQueryContext(query_context());
   return Status::OK();
 }
 
@@ -157,14 +156,13 @@ Result<std::string> ExternalSortOp::MergeRuns(
   std::priority_queue<Head, std::vector<Head>, decltype(cmp)> heap(cmp);
   for (size_t i = 0; i < readers.size(); i++) {
     Tuple t;
-    AX_ASSIGN_OR_RETURN(bool more, readers[i]->Next(&t));
+    AX_ASSIGN_OR_RETURN(bool more, readers[i]->Read(&t));
     if (more) heap.push(Head{std::move(t), i});
   }
   AX_ASSIGN_OR_RETURN(auto writer, RunWriter::Create(tmp_->NextPath("sortmerge")));
   owned_spill_paths_.push_back(writer->path());
   size_t merged_tuples = 0;
   while (!heap.empty()) {
-    AX_RETURN_NOT_OK(PollAlive());
     // Merge passes can run for a long time with no batch boundary above
     // them; check cancellation every frame's worth of tuples.
     if (ctx_ != nullptr && merged_tuples++ % kFrameTuples == 0) {
@@ -174,7 +172,7 @@ Result<std::string> ExternalSortOp::MergeRuns(
     heap.pop();
     AX_RETURN_NOT_OK(writer->Write(h.tuple));
     Tuple t;
-    AX_ASSIGN_OR_RETURN(bool more, readers[h.src]->Next(&t));
+    AX_ASSIGN_OR_RETURN(bool more, readers[h.src]->Read(&t));
     if (more) heap.push(Head{std::move(t), h.src});
   }
   AX_RETURN_NOT_OK(writer->Finish());
@@ -183,27 +181,13 @@ Result<std::string> ExternalSortOp::MergeRuns(
   return writer->path();
 }
 
-Result<bool> ExternalSortOp::Next(Tuple* out) {
-  Tuple aug;
-  if (merged_) {
-    AX_ASSIGN_OR_RETURN(bool more, merged_->Next(&aug));
-    if (!more) return false;
-  } else {
-    if (mem_pos_ >= memory_.size()) return false;
-    aug = std::move(memory_[mem_pos_++]);
-  }
-  StripPrefix(&aug, out);
-  return true;
-}
-
 Result<bool> ExternalSortOp::NextBatch(Batch* out) {
   if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
   out->Clear();
   if (merged_) {
     Tuple aug;
     while (!out->full()) {
-      AX_RETURN_NOT_OK(PollAlive());
-      AX_ASSIGN_OR_RETURN(bool more, merged_->Next(&aug));
+      AX_ASSIGN_OR_RETURN(bool more, merged_->Read(&aug));
       if (!more) break;
       StripPrefix(&aug, out->Add());
     }

@@ -42,15 +42,14 @@ class ExternalSortOp : public TupleStream {
   void AttachResources(const resource::QueryContext* ctx,
                        resource::MemoryGrant grant) {
     ctx_ = ctx;
-    SetQueryContext(ctx);  // internal run readers inherit it via the base
+    SetQueryContext(ctx);  // keep the base probe (PollAlive) in step
     grant_ = std::move(grant);
     if (grant_.bytes() > 0) budget_ = grant_.bytes();
   }
 
   Status Open() override;
-  Result<bool> Next(Tuple* out) override;
   /// Emits sorted output batch-at-a-time straight from the in-memory array
-  /// (or the merged run reader), skipping the per-tuple Next chain.
+  /// (or the merged run reader).
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override;
 

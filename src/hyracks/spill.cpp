@@ -80,9 +80,8 @@ Status RunReader::Refill() {
   return Status::OK();
 }
 
-Result<bool> RunReader::Next(Tuple* out) {
+Result<bool> RunReader::Read(Tuple* out) {
   while (true) {
-    AX_RETURN_NOT_OK(PollAlive());
     size_t try_pos = buf_pos_;
     auto r = DeserializeTuple(buffer_, &try_pos);
     if (r.ok()) {
@@ -105,9 +104,7 @@ Result<bool> RunReader::NextBatch(Batch* out) {
   while (!out->full()) {
     AX_RETURN_NOT_OK(PollAlive());
     Tuple* slot = out->Add();
-    // Qualified call: deserialize straight into the batch slot without
-    // virtual dispatch per tuple.
-    AX_ASSIGN_OR_RETURN(bool more, RunReader::Next(slot));
+    AX_ASSIGN_OR_RETURN(bool more, Read(slot));
     if (!more) {
       out->PopLast();
       break;

@@ -42,17 +42,22 @@ class RunWriter {
 };
 
 /// Sequential reader over a run file. Deletes the file on destruction when
-/// `delete_on_close` (spill files are single-consumer temporaries).
+/// `delete_on_close` (spill files are single-consumer temporaries). It is a
+/// file cursor first: the k-way merges (external sort passes, feed spill
+/// catch-up) step it one tuple at a time with Read. It is also a stream,
+/// so a spilled partition can be re-fed to the operator that spilled it.
 class RunReader : public TupleStream {
  public:
   static Result<std::unique_ptr<RunReader>> Open(const std::string& path,
                                                  bool delete_on_close = true);
   ~RunReader() override;
 
+  /// Deserialize the next tuple into `*out`; false at end of file.
+  Result<bool> Read(Tuple* out);
+
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Tuple* out) override;
-  /// Deserializes a frame's worth of tuples per call (non-virtual inner
-  /// loop), so spill re-reads feed batch consumers efficiently.
+  /// Deserializes a frame's worth of tuples per call straight into the
+  /// batch slots.
   Result<bool> NextBatch(Batch* out) override;
   Status Close() override { return Status::OK(); }
 

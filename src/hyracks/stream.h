@@ -1,9 +1,8 @@
 // TupleStream: the pull (Volcano-style) operator interface of the Hyracks
 // runtime, plus basic sources/sinks. Physical operators compose into a
 // per-partition pipeline tree; exchange operators (exchange.h) bridge
-// pipelines across partitions. Streams support two pull granularities:
-// tuple-at-a-time Next() (always correct) and batch-at-a-time NextBatch()
-// (the vectorized hot path — see batch.h for the execution model).
+// pipelines across partitions. There is one pull granularity: the batch
+// (NextBatch — see batch.h for the execution model).
 #pragma once
 
 #include <algorithm>
@@ -18,23 +17,19 @@
 
 namespace asterix::hyracks {
 
-/// Pull interface. Usage: Open(); while (Next(&t) == true) ...; Close()
-/// — or the batched equivalent with NextBatch. Streams are single-use and
-/// not thread-safe (each lives on one partition).
+/// Pull interface. Usage: Open(); while (NextBatch(&b) == true) ...;
+/// Close(). Streams are single-use and not thread-safe (each lives on one
+/// partition).
 class TupleStream {
  public:
   virtual ~TupleStream() = default;
   virtual Status Open() = 0;
-  /// Produce the next tuple into `*out`; returns false at end of stream.
-  virtual Result<bool> Next(Tuple* out) = 0;
-  /// Produce the next batch into `*out` (cleared first): up to kFrameTuples
-  /// tuples, possibly fewer mid-stream. Returns true iff at least one tuple
-  /// was produced; false only at end of stream (with *out empty). The base
-  /// implementation adapts Next() tuple-at-a-time, so every operator works
-  /// on a batch-driven pipeline; hot operators override it. Interleaving
-  /// Next and NextBatch on one stream is allowed (no tuple is dropped or
-  /// duplicated) but defeats the amortization.
-  virtual Result<bool> NextBatch(Batch* out);
+  /// Produce the next batch into `*out` (overwritten wholesale): up to
+  /// kFrameTuples tuples, possibly fewer anywhere mid-stream — consumers
+  /// must accept 1-tuple and odd-sized batches. Returns true iff at least
+  /// one tuple was produced; false only at end of stream (with *out
+  /// empty).
+  virtual Result<bool> NextBatch(Batch* out) = 0;
   virtual Status Close() = 0;
 
   /// Attach the owning query's cancellation/deadline token. The executor
@@ -46,14 +41,9 @@ class TupleStream {
   const resource::QueryContext* query_context() const { return query_ctx_; }
 
  protected:
-  /// Shared adapter body: fill `*out` by repeated (virtual) Next() calls.
-  /// Returns whether anything was produced; records no batch metrics —
-  /// callers attribute the batch (fallback vs migrated) themselves.
-  Result<bool> FillBatchFromNext(Batch* out);
-
   /// Cancellation probe for operator pump loops. Cheap enough to sit in a
   /// per-tuple loop: only every kFrameTuples-th call consults the context,
-  /// so the observed granularity stays batch-sized on both pull paths (the
+  /// so a per-tuple loop observes cancellation at batch granularity (the
   /// convention — see resource/query_context.h).
   Status PollAlive() {
     if (query_ctx_ == nullptr || poll_calls_++ % kFrameTuples != 0) {
@@ -83,11 +73,6 @@ class VectorSource : public TupleStream {
     pos_ = 0;
     return Status::OK();
   }
-  Result<bool> Next(Tuple* out) override {
-    if (pos_ >= tuples_.size()) return false;
-    *out = std::move(tuples_[pos_++]);
-    return true;
-  }
   Result<bool> NextBatch(Batch* out) override {
     out->Clear();
     // Swap-fill, not move-assign: each slot's recycled fields buffer (and
@@ -108,23 +93,18 @@ class VectorSource : public TupleStream {
   size_t pos_ = 0;
 };
 
-/// A source driven by callbacks (dataset scans wrap LSM iterators in one).
-/// The batch callback is optional; without it NextBatch falls back to the
-/// tuple-at-a-time adapter over `next`.
+/// A source driven by callbacks (tests and ad-hoc plumbing). `open` and
+/// `close` may be null.
 class CallbackSource : public TupleStream {
  public:
   using OpenFn = std::function<Status()>;
-  using NextFn = std::function<Result<bool>(Tuple*)>;
   using NextBatchFn = std::function<Result<bool>(Batch*)>;
   using CloseFn = std::function<Status()>;
-  CallbackSource(OpenFn open, NextFn next, CloseFn close,
-                 NextBatchFn next_batch = nullptr)
-      : open_(std::move(open)), next_(std::move(next)),
-        close_(std::move(close)), next_batch_(std::move(next_batch)) {}
+  CallbackSource(OpenFn open, NextBatchFn next_batch, CloseFn close)
+      : open_(std::move(open)), next_batch_(std::move(next_batch)),
+        close_(std::move(close)) {}
   Status Open() override { return open_ ? open_() : Status::OK(); }
-  Result<bool> Next(Tuple* out) override { return next_(out); }
   Result<bool> NextBatch(Batch* out) override {
-    if (!next_batch_) return TupleStream::NextBatch(out);
     AX_ASSIGN_OR_RETURN(bool more, next_batch_(out));
     if (more) NoteBatchEmitted(out->size());
     return more;
@@ -133,14 +113,12 @@ class CallbackSource : public TupleStream {
 
  private:
   OpenFn open_;
-  NextFn next_;
-  CloseFn close_;
   NextBatchFn next_batch_;
+  CloseFn close_;
 };
 
-/// Drain a stream into a vector (root collector / test helper). Pulls
-/// batch-at-a-time so a fully migrated pipeline runs vectorized end to end.
-/// With a QueryContext the drain observes cancellation/deadline at batch
+/// Drain a stream into a vector (root collector / test helper). With a
+/// QueryContext the drain observes cancellation/deadline at batch
 /// granularity, like every operator hot loop.
 inline Result<std::vector<Tuple>> CollectAll(
     TupleStream* stream, const resource::QueryContext* ctx = nullptr) {

@@ -97,7 +97,7 @@ TEST(Exchange, ProducerFailurePropagates) {
   job.AddProducerTask([ex]() {
     CallbackSource src(
         nullptr,
-        [](Tuple*) -> Result<bool> {
+        [](Batch*) -> Result<bool> {
           return Status::Internal("injected producer failure");
         },
         nullptr);

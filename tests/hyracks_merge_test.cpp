@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "hyracks/merge.h"
 #include "hyracks/sort.h"
+#include "hyracks_test_util.h"
 
 namespace asterix::hyracks {
 namespace {
@@ -31,6 +32,24 @@ TEST(OrderedMerge, MergesSortedStreamsGlobally) {
   auto rows = CollectAll(&merge).value();
   ASSERT_EQ(rows.size(), 100u);
   for (int i = 0; i < 100; i++) EXPECT_EQ(rows[static_cast<size_t>(i)].at(0).AsInt(), i);
+}
+
+TEST(OrderedMerge, OneTupleBatchesStayGloballyOrdered) {
+  // Every child hands over one tuple per batch, so each head advance
+  // refills that child's cursor; the merged order must not care.
+  std::vector<StreamPtr> children;
+  for (int c = 0; c < 3; c++) {
+    std::vector<Tuple> run;
+    for (int i = c; i < 600; i += 3) run.push_back(Tuple({Value::Int(i)}));
+    children.push_back(
+        Rechunked(std::make_unique<VectorSource>(std::move(run)), 1));
+  }
+  OrderedMergeStream merge(std::move(children), {{Field(0), true}});
+  auto rows = CollectAll(&merge).value();
+  ASSERT_EQ(rows.size(), 600u);
+  for (int i = 0; i < 600; i++) {
+    EXPECT_EQ(rows[static_cast<size_t>(i)].at(0).AsInt(), i);
+  }
 }
 
 TEST(OrderedMerge, DescendingKeys) {

@@ -11,6 +11,7 @@
 #include "hyracks/operators.h"
 #include "hyracks/sort.h"
 #include "hyracks/spill.h"
+#include "hyracks_test_util.h"
 
 namespace asterix::hyracks {
 namespace {
@@ -58,29 +59,31 @@ TEST_F(HyracksTest, RunFileRoundTrip) {
   auto reader = RunReader::Open(writer->path()).value();
   Tuple t;
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(reader->Next(&t).value()) << i;
+    ASSERT_TRUE(reader->Read(&t).value()) << i;
     EXPECT_EQ(t.at(0).AsInt(), expect[i].at(0).AsInt());
     EXPECT_EQ(t.at(1).AsString(), expect[i].at(1).AsString());
   }
-  EXPECT_FALSE(reader->Next(&t).value());
+  EXPECT_FALSE(reader->Read(&t).value());
 }
 
 TEST_F(HyracksTest, CancellationIsObservedMidDrain) {
   // Regression for operator pump loops that never consulted the query
   // context: once wired, a cancel mid-drain must surface within one frame
-  // of pulls (the strided PollAlive convention), on both pull paths.
+  // of tuples (the strided PollAlive convention). The source hands over
+  // one tuple per batch, so a frame of tuples is kFrameTuples pulls.
   std::vector<Tuple> in;
   for (int i = 0; i < 4000; i++) in.push_back(T({Value::Int(i)}));
-  SelectOp op(std::make_unique<VectorSource>(in), GreaterThan(0, -1));
+  SelectOp op(Rechunked(std::make_unique<VectorSource>(in), 1),
+              GreaterThan(0, -1));
   resource::QueryContext ctx;
   op.SetQueryContext(&ctx);
   ASSERT_TRUE(op.Open().ok());
-  Tuple t;
-  for (int i = 0; i < 10; i++) ASSERT_TRUE(op.Next(&t).value()) << i;
+  Batch b;
+  for (int i = 0; i < 10; i++) ASSERT_TRUE(op.NextBatch(&b).value()) << i;
   ctx.Cancel();
   Status observed = Status::OK();
   for (size_t i = 0; i <= kFrameTuples && observed.ok(); i++) {
-    auto r = op.Next(&t);
+    auto r = op.NextBatch(&b);
     if (!r.ok()) observed = r.status();
   }
   EXPECT_TRUE(observed.IsCancelled()) << observed.ToString();
@@ -88,7 +91,6 @@ TEST_F(HyracksTest, CancellationIsObservedMidDrain) {
   SelectOp batched(std::make_unique<VectorSource>(in), GreaterThan(0, -1));
   batched.SetQueryContext(&ctx);  // already cancelled
   ASSERT_TRUE(batched.Open().ok());
-  Batch b;
   EXPECT_TRUE(batched.NextBatch(&b).status().IsCancelled());
 }
 
@@ -132,6 +134,71 @@ TEST_F(HyracksTest, LimitAndOffset) {
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].at(0).AsInt(), 4);
   EXPECT_EQ(out[2].at(0).AsInt(), 6);
+}
+
+TEST_F(HyracksTest, LimitStopsPullingOnceSatisfied) {
+  // LIMIT 10 fits in the child's first batch: the child must be pulled
+  // exactly once, not drained and not asked for a second batch.
+  int pulls = 0;
+  int64_t next = 0;
+  auto src = std::make_unique<CallbackSource>(
+      nullptr,
+      [&](Batch* out) -> Result<bool> {
+        pulls++;
+        out->Clear();
+        while (!out->full() && next < 10'000) {
+          out->Add()->fields.push_back(Value::Int(next++));
+        }
+        return !out->empty();
+      },
+      nullptr);
+  LimitOp op(std::move(src), /*limit=*/10);
+  auto out = CollectAll(&op).value();
+  ASSERT_EQ(out.size(), 10u);
+  for (int i = 0; i < 10; i++) EXPECT_EQ(out[i].at(0).AsInt(), i);
+  EXPECT_EQ(pulls, 1);
+}
+
+TEST_F(HyracksTest, LimitOffsetAcrossBatchEdge) {
+  // OFFSET 300 skips one whole batch (256) and cuts into the second.
+  std::vector<Tuple> in;
+  for (int i = 0; i < 1000; i++) in.push_back(T({Value::Int(i)}));
+  LimitOp op(std::make_unique<VectorSource>(in), /*limit=*/5, /*offset=*/300);
+  auto out = CollectAll(&op).value();
+  ASSERT_EQ(out.size(), 5u);
+  for (int i = 0; i < 5; i++) EXPECT_EQ(out[i].at(0).AsInt(), 300 + i);
+}
+
+TEST_F(HyracksTest, UnnestCarriesLargeExpansionAcrossCalls) {
+  // One input whose 600 items exceed a batch: 256 + 256 + 88, in order.
+  std::vector<Value> items;
+  for (int i = 0; i < 600; i++) items.push_back(Value::Int(i));
+  std::vector<Tuple> in = {T({Value::Int(7), Value::Array(std::move(items))})};
+  UnnestOp op(std::make_unique<VectorSource>(in), Field(1));
+  ASSERT_TRUE(op.Open().ok());
+  Batch b;
+  std::vector<int64_t> got;
+  int calls = 0;
+  while (op.NextBatch(&b).value()) {
+    calls++;
+    for (size_t i = 0; i < b.size(); i++) {
+      EXPECT_EQ(b[i].at(0).AsInt(), 7);
+      got.push_back(b[i].at(2).AsInt());
+    }
+  }
+  ASSERT_TRUE(op.Close().ok());
+  EXPECT_EQ(calls, 3);
+  ASSERT_EQ(got.size(), 600u);
+  for (int i = 0; i < 600; i++) EXPECT_EQ(got[i], i);
+}
+
+TEST_F(HyracksTest, OuterUnnestOfEmptyArrayEmitsMissing) {
+  std::vector<Tuple> in = {T({Value::Int(1), Value::Array({})})};
+  UnnestOp op(std::make_unique<VectorSource>(in), Field(1), /*outer=*/true);
+  auto out = CollectAll(&op).value();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].at(0).AsInt(), 1);
+  EXPECT_TRUE(out[0].at(2).is_missing());
 }
 
 TEST_F(HyracksTest, UnnestExpandsCollections) {
@@ -223,6 +290,24 @@ TEST_F(HyracksTest, StreamDistinctOnSorted) {
   StreamDistinctOp op(std::make_unique<VectorSource>(in));
   auto out = CollectAll(&op).value();
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST_F(HyracksTest, StreamDistinctRunStraddlingBatchBoundary) {
+  // Keys 0..249, then key 250 at positions 250..262 (the source's first
+  // batch ends at 256, inside the run), then keys 263..299.
+  std::vector<Tuple> in;
+  for (int i = 0; i < 300; i++) {
+    in.push_back(T({Value::Int(i >= 250 && i <= 262 ? 250 : i)}));
+  }
+  StreamDistinctOp op(std::make_unique<VectorSource>(in));
+  auto out = CollectAll(&op).value();
+  ASSERT_EQ(out.size(), 288u);
+  int runs = 0;
+  for (const auto& t : out) runs += t.at(0).AsInt() == 250;
+  EXPECT_EQ(runs, 1);
+  for (size_t i = 1; i < out.size(); i++) {
+    EXPECT_LT(out[i - 1].at(0).AsInt(), out[i].at(0).AsInt());
+  }
 }
 
 TEST_F(HyracksTest, GroupByCompleteAllAggregates) {

@@ -314,7 +314,7 @@ TEST_F(ProfileTest, ChromeTraceJsonIsValidAndCarriesSchema) {
     if (ev.GetField("name").AsString() == "SCAN Msgs" &&
         args.GetField("partition").AsInt() == 0) {
       saw_scan = true;
-      EXPECT_TRUE(args.GetField("next_calls").is_numeric());
+      EXPECT_TRUE(args.GetField("batch_calls").is_numeric());
     }
   }
   // One complete event per (node, partition): scans/joins/exchanges on two

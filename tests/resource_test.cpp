@@ -448,6 +448,10 @@ TEST_F(WorkloadTest, AdmissionShedsLoadWhenSaturated) {
   auto shed = instance_->Execute("SELECT VALUE COUNT(*) FROM D d");
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsResourceExhausted());
+  // AQL shares the query path, admission included.
+  auto shed_aql = instance_->QueryAql("for $d in dataset D return $d.id");
+  ASSERT_FALSE(shed_aql.ok());
+  EXPECT_TRUE(shed_aql.status().IsResourceExhausted());
 
   ASSERT_TRUE(instance_->CancelQuery("slow").ok());
   runner.join();

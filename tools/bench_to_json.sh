@@ -174,7 +174,7 @@ if [[ $CHECK -eq 1 ]]; then
   grep -q '"schema":"axbench-v1"' "$OUT" || {
     echo "FAIL: $OUT is not an axbench-v1 document" >&2; exit 1; }
   for entry in scan_select_project_tuple scan_select_project_batch \
-               mixed_adapter_batch exchange_1to1_tuple exchange_1to1_batch \
+               exchange_1to1_tuple exchange_1to1_batch \
                speedup_agg_p1 direct_upsert feed_basic feed_spill \
                feed_discard feed_throttle feed_stall_recovery \
                columnar_scan_row columnar_scan_col \
