@@ -119,8 +119,9 @@ int main() {
     using namespace hyracks;
     TempFileManager tmp(dir + "/tmp");
     auto field0 = [](const Tuple& t) -> Result<adm::Value> { return t.at(0); };
+    WorkerPool pool;
     double ms = TimeMs([&] {
-      Job job;
+      Job job(&pool);
       Exchange* ex = job.AddExchange(2, 2);
       for (int p = 0; p < 2; p++) {
         std::vector<Tuple> data;

@@ -1,5 +1,6 @@
 #include "adm/key_encoder.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace asterix::adm {
@@ -76,12 +77,18 @@ Status EncodeKeyPart(const Value& v, std::string* out) {
       out->push_back(kClassNumber);
       // Primary order: the double image (orders ints and doubles together).
       PutOrderedDoubleBits(OrderedDoubleBits(v.AsNumber()), out);
-      // Tiebreak: exact int64 (doubles get their truncated-int neighbour;
-      // only consulted when double images are equal). Tag byte last so a
-      // double and an int with identical numeric value stay adjacent but
-      // deterministic: int64 encodes its exact value, double encodes 0.
+      // Tiebreak: the exact int64 (only consulted when double images are
+      // equal, i.e. for ints beyond 2^53). A double equal to an int of
+      // magnitude below 2^53 encodes as that int, so numerically equal keys
+      // get equal bytes whatever their tag, as Value::Hash does: a search
+      // for 42.0 finds the key 42 and routes to 42's partition. Other
+      // doubles encode a 0 tiebreak and tag byte 1.
+      const double d = v.AsNumber();
       if (v.tag() == TypeTag::kInt64) {
         PutOrderedInt64(v.AsInt(), out);
+        out->push_back(0);
+      } else if (std::abs(d) < 0x1p53 && d == std::trunc(d)) {
+        PutOrderedInt64(static_cast<int64_t>(d), out);
         out->push_back(0);
       } else {
         PutOrderedInt64(0, out);

@@ -6,7 +6,10 @@
 //   numbers   -> class 0x20, 8-byte order-preserving double image + an
 //                order-preserving int64 image as tiebreak (keeps int64
 //                precision beyond 2^53 while ordering ints and doubles
-//                together, as Value::Compare does)
+//                together, as Value::Compare does); an integral double
+//                below 2^53 in magnitude encodes exactly as the equal
+//                int64, so equal numbers are equal keys (and decode as
+//                int64)
 //   strings   -> class 0x30, bytes with 0x00 escaped as {0x00,0xFF},
 //                terminated by {0x00,0x00}
 //   temporals -> class 0x4x (per tag), big-endian biased int64

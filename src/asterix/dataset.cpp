@@ -1,5 +1,7 @@
 #include "asterix/dataset.h"
 
+#include <functional>
+
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
 
@@ -62,6 +64,11 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
 
 Result<std::string> DatasetPartition::EncodePk(const adm::Value& pk) {
   return adm::EncodeKey(pk);
+}
+
+size_t DatasetPartition::PartitionOf(const std::string& encoded_pk,
+                                     size_t num_partitions) {
+  return std::hash<std::string>{}(encoded_pk) % num_partitions;
 }
 
 Result<adm::Value> DatasetPartition::ExtractPk(const Value& record) const {

@@ -83,6 +83,11 @@ class DatasetPartition {
 
   /// Encode a primary key value for this dataset.
   static Result<std::string> EncodePk(const adm::Value& pk);
+  /// The partition, of `num_partitions`, that owns the record whose
+  /// encoded primary key is `encoded_pk`. Write routing and the
+  /// executor's pk-lookup pruning both call this, so they cannot diverge.
+  static size_t PartitionOf(const std::string& encoded_pk,
+                            size_t num_partitions);
 
  private:
   DatasetPartition(meta::DatasetDef def, PartitionOptions options)

@@ -63,111 +63,107 @@ class PartitionScanSource : public hyracks::TupleStream {
   std::unique_ptr<storage::LsmBTree::Iterator> it_;
 };
 
-/// Index-search source: runs the access path at Open, then streams the
-/// fetched records.
+/// Index-search source over one partition, with bounds already evaluated.
+/// A primary range streams off its snapshot iterator. Every other path
+/// collects only encoded primary keys at Open and fetches one frame of
+/// records per NextBatch, so no path holds its whole result.
 class IndexSearchSource : public hyracks::TupleStream {
  public:
   IndexSearchSource(const DatasetPartition* part, const LogicalOp* op,
-                    bool sort_pks, const algebricks::FunctionRegistry* fns)
-      : part_(part), op_(op), sort_pks_(sort_pks), fns_(fns) {}
+                    adm::Value lo, adm::Value hi, bool sort_pks)
+      : part_(part), op_(op), lo_(std::move(lo)), hi_(std::move(hi)),
+        sort_pks_(sort_pks) {}
 
   Status Open() override {
+    it_.reset();
+    pks_.clear();
     pos_ = 0;
-    rows_.clear();
-    // Evaluate constant bounds.
-    adm::Value lo = adm::Value::Missing(), hi = adm::Value::Missing();
-    if (op_->search_lo) {
-      AX_ASSIGN_OR_RETURN(lo, algebricks::EvaluateConst(op_->search_lo, *fns_));
-    }
-    if (op_->search_hi) {
-      AX_ASSIGN_OR_RETURN(hi, algebricks::EvaluateConst(op_->search_hi, *fns_));
-    }
-    std::vector<std::string> pks;
     switch (op_->access_path) {
       case AccessPathKind::kPrimaryLookup: {
-        adm::Value record;
-        AX_ASSIGN_OR_RETURN(bool found, part_->Get(lo, &record));
-        if (found) {
-          Tuple t;
-          t.fields.push_back(std::move(record));
-          rows_.push_back(std::move(t));
-        }
+        AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo_));
+        pks_.push_back(std::move(pk));
         return Status::OK();
       }
       case AccessPathKind::kPrimaryRange: {
-        AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
         std::string lo_key = adm::MinKey();
-        if (!lo.is_unknown()) {
-          AX_ASSIGN_OR_RETURN(lo_key, adm::EncodeKey(lo));
+        if (!lo_.is_unknown()) {
+          AX_ASSIGN_OR_RETURN(lo_key, adm::EncodeKey(lo_));
         }
-        std::string hi_key = adm::MaxKey();
-        if (!hi.is_unknown()) {
-          AX_ASSIGN_OR_RETURN(hi_key, adm::EncodeKey(hi));
+        hi_key_ = adm::MaxKey();
+        if (!hi_.is_unknown()) {
+          AX_ASSIGN_OR_RETURN(hi_key_, adm::EncodeKey(hi_));
         }
-        AX_RETURN_NOT_OK(it.Seek(lo_key));
-        while (it.Valid() && it.key() <= hi_key) {
-          AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it.value()));
-          Tuple t;
-          t.fields.push_back(std::move(record));
-          rows_.push_back(std::move(t));
-          AX_RETURN_NOT_OK(it.Next());
-        }
-        return Status::OK();
+        AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
+        it_ = std::make_unique<storage::LsmBTree::Iterator>(std::move(it));
+        return it_->Seek(lo_key);
       }
       case AccessPathKind::kSecondaryBTree: {
-        AX_ASSIGN_OR_RETURN(pks, part_->BTreeSearch(op_->index_name, lo, hi));
+        AX_ASSIGN_OR_RETURN(pks_,
+                            part_->BTreeSearch(op_->index_name, lo_, hi_));
         break;
       }
       case AccessPathKind::kRTree: {
-        if (!lo.is_point() && !lo.is_rectangle()) {
+        if (!lo_.is_point() && !lo_.is_rectangle()) {
           return Status::InvalidArgument("R-tree search needs a spatial key");
         }
-        AX_ASSIGN_OR_RETURN(pks, part_->RTreeSearch(op_->index_name, lo.Mbr()));
+        AX_ASSIGN_OR_RETURN(pks_,
+                            part_->RTreeSearch(op_->index_name, lo_.Mbr()));
         break;
       }
       case AccessPathKind::kKeyword: {
-        if (!lo.is_string()) {
+        if (!lo_.is_string()) {
           return Status::InvalidArgument("keyword search needs a string key");
         }
-        AX_ASSIGN_OR_RETURN(pks,
-                            part_->KeywordSearch(op_->index_name, lo.AsString()));
+        AX_ASSIGN_OR_RETURN(
+            pks_, part_->KeywordSearch(op_->index_name, lo_.AsString()));
         break;
       }
     }
     // The [26] trick: sort PKs so the primary fetch sweeps the B+tree in
     // key order instead of random-probing it.
-    if (sort_pks_) std::sort(pks.begin(), pks.end());
-    for (const auto& pk : pks) {
-      adm::Value record;
-      AX_ASSIGN_OR_RETURN(bool found, part_->GetByEncodedPk(pk, &record));
-      if (!found) continue;  // racing delete
-      Tuple t;
-      t.fields.push_back(std::move(record));
-      rows_.push_back(std::move(t));
-    }
+    if (sort_pks_) std::sort(pks_.begin(), pks_.end());
     return Status::OK();
   }
 
   Result<bool> NextBatch(hyracks::Batch* out) override {
     out->Clear();
-    while (pos_ < rows_.size() && !out->full()) {
-      *out->Add() = std::move(rows_[pos_++]);
+    if (it_) {
+      while (it_->Valid() && it_->key() <= hi_key_ && !out->full()) {
+        AX_RETURN_NOT_OK(PollAlive());
+        AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
+        out->Add()->fields.push_back(std::move(record));
+        AX_RETURN_NOT_OK(it_->Next());
+      }
+    } else {
+      while (pos_ < pks_.size() && !out->full()) {
+        AX_RETURN_NOT_OK(PollAlive());
+        adm::Value record;
+        AX_ASSIGN_OR_RETURN(bool found,
+                            part_->GetByEncodedPk(pks_[pos_++], &record));
+        if (!found) continue;  // racing delete
+        out->Add()->fields.push_back(std::move(record));
+      }
     }
     if (out->empty()) return false;
     hyracks::NoteBatchEmitted(out->size());
     return true;
   }
   Status Close() override {
-    rows_.clear();
+    it_.reset();
+    pks_.clear();
     return Status::OK();
   }
 
  private:
   const DatasetPartition* part_;
   const LogicalOp* op_;
+  adm::Value lo_, hi_;
   bool sort_pks_;
-  const algebricks::FunctionRegistry* fns_;
-  std::vector<Tuple> rows_;
+  // Primary range: the snapshot iterator and its encoded upper bound.
+  std::unique_ptr<storage::LsmBTree::Iterator> it_;
+  std::string hi_key_;
+  // Every other path: the encoded pks still to fetch, from pos_ on.
+  std::vector<std::string> pks_;
   size_t pos_ = 0;
 };
 
@@ -325,11 +321,32 @@ Result<Executor::Lowered> Executor::BuildIndexSearch(const LogicalOp& op) {
   if (it == partitions_.end()) {
     return Status::Internal("no partitions opened for dataset " + op.dataset);
   }
-  bool sort_pks = op.sort_pks_before_fetch && !force_unsorted_fetch_;
-  for (DatasetPartition* part : it->second) {
-    out.streams.push_back(
-        std::make_unique<IndexSearchSource>(part, &op, sort_pks, fns_));
+  const std::vector<DatasetPartition*>& parts = it->second;
+  adm::Value lo = adm::Value::Missing(), hi = adm::Value::Missing();
+  if (op.search_lo) {
+    AX_ASSIGN_OR_RETURN(lo, algebricks::EvaluateConst(op.search_lo, *fns_));
   }
+  if (op.search_hi) {
+    AX_ASSIGN_OR_RETURN(hi, algebricks::EvaluateConst(op.search_hi, *fns_));
+  }
+  std::string label = "INDEX-SEARCH " + op.dataset;
+  if (!op.index_name.empty()) label += "." + op.index_name;
+  bool sort_pks = op.sort_pks_before_fetch && !force_unsorted_fetch_;
+  if (op.access_path == AccessPathKind::kPrimaryLookup) {
+    // Pk equality: only the partition that writes route the key to can
+    // hold it, so search that one alone.
+    AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo));
+    size_t p = DatasetPartition::PartitionOf(pk, parts.size());
+    out.streams.push_back(
+        std::make_unique<IndexSearchSource>(parts[p], &op, lo, hi, sort_pks));
+    label += " (partition " + std::to_string(p) + ")";
+  } else {
+    for (DatasetPartition* part : parts) {
+      out.streams.push_back(
+          std::make_unique<IndexSearchSource>(part, &op, lo, hi, sort_pks));
+    }
+  }
+  ProfileWrap(&out, std::move(label), {});
   return out;
 }
 
@@ -389,13 +406,8 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       ProfileWrap(&out, "SCAN " + op->dataset, {});
       return out;
     }
-    case LogicalOpKind::kIndexSearch: {
-      AX_ASSIGN_OR_RETURN(Lowered out, BuildIndexSearch(*op));
-      std::string label = "INDEX-SEARCH " + op->dataset;
-      if (!op->index_name.empty()) label += "." + op->index_name;
-      ProfileWrap(&out, std::move(label), {});
-      return out;
-    }
+    case LogicalOpKind::kIndexSearch:
+      return BuildIndexSearch(*op);
 
     case LogicalOpKind::kSelect: {
       AX_ASSIGN_OR_RETURN(Lowered in, Build(op->children[0], job));
@@ -522,7 +534,7 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       Lowered out;
       out.schema = in.schema;
       out.streams.push_back(std::make_unique<hyracks::OrderedMergeStream>(
-          std::move(locals.streams), std::move(keys)));
+          std::move(locals.streams), std::move(keys), pool_));
       ProfileWrap(&out, "MERGE", {locals.profile_node});
       return out;
     }
@@ -722,7 +734,7 @@ Result<resource::MemoryGrant> Executor::AcquireBudget(
 Result<std::vector<adm::Value>> Executor::Run(const LogicalOpPtr& plan,
                                               ExecStats* stats) {
   auto start = std::chrono::steady_clock::now();
-  hyracks::Job job;
+  hyracks::Job job(pool_);
   job.SetContext(ctx_);
   std::shared_ptr<hyracks::PlanProfile> profile;
   if (profiling_) profile = std::make_shared<hyracks::PlanProfile>();

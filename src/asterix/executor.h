@@ -37,6 +37,8 @@ class Executor {
   using PartitionMap =
       std::map<std::string, std::vector<DatasetPartition*>>;
 
+  /// `pool` runs the job's producer tasks, its roots after the first and
+  /// the parallel sorts under an ordered merge.
   /// `governor` (optional) brokers per-operator memory grants; without one
   /// every blocking operator uses `op_memory_budget` directly, as before.
   /// `ctx` (optional) is the query's cancellation/deadline token, threaded
@@ -44,12 +46,13 @@ class Executor {
   Executor(const meta::MetadataManager* metadata, PartitionMap partitions,
            size_t num_partitions, TempFileManager* tmp,
            size_t op_memory_budget, const algebricks::FunctionRegistry* fns,
+           hyracks::WorkerPool* pool,
            resource::MemoryGovernor* governor = nullptr,
            resource::QueryContext* ctx = nullptr)
       : metadata_(metadata), partitions_(std::move(partitions)),
         num_partitions_(num_partitions), tmp_(tmp),
-        op_budget_(op_memory_budget), fns_(fns), governor_(governor),
-        ctx_(ctx) {}
+        op_budget_(op_memory_budget), fns_(fns), pool_(pool),
+        governor_(governor), ctx_(ctx) {}
 
   /// Execute a plan whose root schema is [result_var]; returns result values.
   Result<std::vector<adm::Value>> Run(const algebricks::LogicalOpPtr& plan,
@@ -72,6 +75,8 @@ class Executor {
 
   Result<Lowered> Build(const algebricks::LogicalOpPtr& op, hyracks::Job* job);
   Result<Lowered> BuildScan(const algebricks::LogicalOp& op);
+  /// Index search sources, profiled. A primary-key lookup searches only
+  /// the partition that owns the key.
   Result<Lowered> BuildIndexSearch(const algebricks::LogicalOp& op);
   /// Repartition a lowered child to `n` consumers by hashing `key_evals`
   /// (empty = single consumer merge).
@@ -103,6 +108,7 @@ class Executor {
   TempFileManager* tmp_;
   size_t op_budget_;
   const algebricks::FunctionRegistry* fns_;
+  hyracks::WorkerPool* pool_;
   resource::MemoryGovernor* governor_;
   resource::QueryContext* ctx_;
   bool force_unsorted_fetch_ = false;

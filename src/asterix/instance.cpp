@@ -18,10 +18,6 @@ using adm::Value;
 using sqlpp::ast::Statement;
 
 namespace {
-size_t PartitionOfKey(const std::string& encoded_pk, size_t n) {
-  return std::hash<std::string>{}(encoded_pk) % n;
-}
-
 Result<adm::TypePtr> ResolveTypeSpec(const sqlpp::ast::TypeSpec& spec,
                                      const meta::MetadataManager& metadata) {
   using sqlpp::ast::TypeSpec;
@@ -157,7 +153,8 @@ Executor Instance::MakeExecutor(const algebricks::OptimizerOptions& opts,
   }
   Executor ex(metadata_.get(), std::move(map), options_.num_partitions,
               tmp_.get(), options_.op_memory_budget_bytes,
-              &algebricks::FunctionRegistry::Instance(), governor_.get(), ctx);
+              &algebricks::FunctionRegistry::Instance(), &workers_,
+              governor_.get(), ctx);
   ex.set_force_unsorted_fetch(!opts.sort_pks_before_fetch);
   return ex;
 }
@@ -208,7 +205,8 @@ Result<DatasetPartition*> Instance::RouteToPartition(const std::string& dataset,
     return Status::NotFound("no internal dataset '" + dataset + "'");
   }
   AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  return it->second[PartitionOfKey(key, options_.num_partitions)].get();
+  return it->second[DatasetPartition::PartitionOf(key, it->second.size())]
+      .get();
 }
 
 // ---------------------------------------------------------------------------

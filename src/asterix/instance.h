@@ -209,6 +209,9 @@ class Instance : public feeds::FeedSink {
   std::mutex ddl_mu_;
   std::unique_ptr<resource::MemoryGovernor> governor_;
   std::unique_ptr<resource::AdmissionController> admission_;
+  // Persistent query workers (Hyracks node-controller threads); parked
+  // workers are joined when the Instance is destroyed.
+  hyracks::WorkerPool workers_;
   // Active-query registry for CancelQuery. Queries register BEFORE
   // admission so a queued query is cancellable too. shared_ptr: CancelQuery
   // may hold the context briefly after the query thread deregisters.

@@ -41,27 +41,32 @@ void Job::NoteStatus(const Status& st) {
   if (first_error_.ok()) first_error_ = st;
 }
 
+void Job::CollectRoot(TupleStream* root, std::vector<Tuple>* out) {
+  auto r = CollectAll(root, ctx_);
+  if (r.ok()) {
+    *out = std::move(r).value();
+    return;
+  }
+  NoteStatus(r.status());
+  // Poison exchanges so producers blocked on full queues unwind.
+  for (auto& ex : exchanges_) ex->PoisonAll(r.status());
+}
+
 Result<std::vector<std::vector<Tuple>>> Job::RunCollect(
     std::vector<StreamPtr> roots) {
-  std::vector<std::thread> threads;
-  threads.reserve(tasks_.size() + roots.size());
-  for (auto& task : tasks_) {
-    threads.emplace_back([this, &task] { NoteStatus(task()); });
-  }
   std::vector<std::vector<Tuple>> results(roots.size());
-  for (size_t i = 0; i < roots.size(); i++) {
-    threads.emplace_back([this, &roots, &results, i] {
-      auto r = CollectAll(roots[i].get(), ctx_);
-      if (r.ok()) {
-        results[i] = std::move(r).value();
-      } else {
-        NoteStatus(r.status());
-        // Poison exchanges so producers blocked on full queues unwind.
-        for (auto& ex : exchanges_) ex->PoisonAll(r.status());
-      }
-    });
+  {
+    TaskGroup group(pool_);  // waits for every spawned task on scope exit
+    for (auto& task : tasks_) {
+      group.Spawn([this, &task] { NoteStatus(task()); });
+    }
+    for (size_t i = 1; i < roots.size(); i++) {
+      group.Spawn([this, &roots, &results, i] {
+        CollectRoot(roots[i].get(), &results[i]);
+      });
+    }
+    if (!roots.empty()) CollectRoot(roots[0].get(), &results[0]);
   }
-  for (auto& th : threads) th.join();
   std::lock_guard<std::mutex> lock(mu_);
   if (!first_error_.ok()) return first_error_;
   return results;

@@ -1,25 +1,31 @@
 // Job executor: runs a partitioned dataflow to completion. A job is a set
-// of producer tasks (threads driving pipelines into exchanges) plus root
-// streams (one per partition) that the caller collects. This is the
-// "Hyracks jobs coordinated by the cluster controller" of paper Fig. 1,
-// with threads standing in for cluster nodes.
+// of producer tasks (each drives a pipeline into an exchange) plus root
+// streams (one per output partition) whose tuples the caller collects.
+// This is the "Hyracks jobs coordinated by the cluster controller" of
+// paper Fig. 1. The calling thread collects root 0 itself; every other
+// root and every producer task runs on the Instance's persistent
+// WorkerPool, standing in for the node controllers' worker threads. A job
+// with one root and no producer tasks, such as a pk lookup pruned to one
+// partition, therefore runs entirely on the caller's thread.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "hyracks/exchange.h"
 #include "hyracks/stream.h"
+#include "hyracks/worker_pool.h"
 
 namespace asterix::hyracks {
 
 class Job {
  public:
-  Job() = default;
+  /// `pool` runs the job's producer tasks and roots 1..n-1; it must
+  /// outlive RunCollect.
+  explicit Job(WorkerPool* pool) : pool_(pool) {}
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
   ~Job();
@@ -39,8 +45,9 @@ class Job {
   /// partition into an exchange (typically Exchange::RunProducer).
   void AddProducerTask(std::function<Status()> task);
 
-  /// Run all producer tasks on threads, pull every root stream to
-  /// completion in parallel, and return each root's tuples.
+  /// Run every producer task and every root but the first on the pool,
+  /// collect root 0 on the calling thread, wait for all of them, and
+  /// return each root's tuples.
   Result<std::vector<std::vector<Tuple>>> RunCollect(
       std::vector<StreamPtr> roots);
 
@@ -48,9 +55,13 @@ class Job {
   void NoteStatus(const Status& st) AX_EXCLUDES(mu_);
   /// Wire one exchange to ctx_: queue contexts + a poisoning listener.
   void AttachExchange(Exchange* ex);
+  /// Pull `root` to completion into `*out`; on failure record the error
+  /// and poison every exchange so blocked producers unwind.
+  void CollectRoot(TupleStream* root, std::vector<Tuple>* out);
 
+  WorkerPool* pool_;
   // Populated single-threaded during job construction; read-only while the
-  // job's producer/collector threads run.
+  // job's producers and collectors run.
   std::vector<std::unique_ptr<Exchange>> exchanges_;
   std::vector<std::function<Status()>> tasks_;
   resource::QueryContext* ctx_ = nullptr;

@@ -16,16 +16,16 @@ Result<int> OrderedMergeStream::Compare(const Tuple& a, const Tuple& b) const {
 
 Status OrderedMergeStream::Open() {
   // Open children concurrently: each child's Open() performs its local
-  // sort, so this is where the parallel speedup comes from.
+  // sort, so this is where the parallel speedup comes from. The calling
+  // thread opens child 0 itself.
   std::vector<Status> statuses(children_.size());
   {
-    std::vector<std::thread> threads;
-    threads.reserve(children_.size());
-    for (size_t i = 0; i < children_.size(); i++) {
-      threads.emplace_back(
+    TaskGroup group(pool_);  // waits for every spawned Open on scope exit
+    for (size_t i = 1; i < children_.size(); i++) {
+      group.Spawn(
           [this, i, &statuses] { statuses[i] = children_[i]->Open(); });
     }
-    for (auto& t : threads) t.join();
+    if (!children_.empty()) statuses[0] = children_[0]->Open();
   }
   for (const auto& st : statuses) AX_RETURN_NOT_OK(st);
   cursors_.clear();

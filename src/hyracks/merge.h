@@ -1,24 +1,27 @@
 // Ordered merge of sorted partition streams: the final stage of the
 // parallel sort (paper §VII credits "much-improved parallel sorting" as a
 // community contribution). Each partition sorts locally — those sorts run
-// concurrently because Open() fans out to threads — and this stream then
-// k-way merges the sorted results, preserving the global order.
+// concurrently because Open() opens child 0 on the calling thread and the
+// others on the worker pool — and this stream then k-way merges the sorted
+// results, preserving the global order.
 #pragma once
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "hyracks/sort.h"
 #include "hyracks/stream.h"
+#include "hyracks/worker_pool.h"
 
 namespace asterix::hyracks {
 
 class OrderedMergeStream : public TupleStream {
  public:
-  /// `keys` must match the sort keys of the (sorted) children.
-  OrderedMergeStream(std::vector<StreamPtr> children, std::vector<SortKey> keys)
-      : children_(std::move(children)), keys_(std::move(keys)) {}
+  /// `keys` must match the sort keys of the (sorted) children. `pool`
+  /// opens children 1..n-1 concurrently and must outlive Open().
+  OrderedMergeStream(std::vector<StreamPtr> children, std::vector<SortKey> keys,
+                     WorkerPool* pool)
+      : children_(std::move(children)), keys_(std::move(keys)), pool_(pool) {}
 
   Status Open() override;
   /// Pops up to a frame's worth of merged tuples per call, pulling a
@@ -41,6 +44,7 @@ class OrderedMergeStream : public TupleStream {
 
   std::vector<StreamPtr> children_;
   std::vector<SortKey> keys_;
+  WorkerPool* pool_;
   std::vector<Cursor> cursors_;
   // Children with a head tuple, kept sorted descending by head so the
   // global minimum sits at the back (comparators can fail, so

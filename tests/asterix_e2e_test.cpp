@@ -264,6 +264,36 @@ TEST_F(E2ETest, PrimaryKeyLookupPath) {
   EXPECT_NE(r.plan.find("primary-lookup"), std::string::npos) << r.plan;
 }
 
+TEST_F(E2ETest, LimitedPrimaryRangeStreamsItsRecords) {
+  // An index search emits a frame at a time, so LIMIT stops the range scan
+  // early instead of reading the whole range first.
+  Exec("CREATE TYPE PadT AS { id: int, pad: string }");
+  Exec("CREATE DATASET Pad(PadT) PRIMARY KEY id");
+  const std::string pad(200, 'p');
+  for (int i = 0; i < 12000; i++) {
+    ASSERT_TRUE(instance_
+                    ->UpsertValue("Pad", adm::ObjectBuilder()
+                                             .Add("id", Value::Int(i))
+                                             .Add("pad", Value::String(pad))
+                                             .Build())
+                    .ok());
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());  // reads go through the cache
+  auto pins = [&](const std::string& q, size_t want_rows) {
+    instance_->buffer_cache()->ResetStats();
+    auto r = Exec(q);
+    EXPECT_EQ(r.rows.size(), want_rows) << q;
+    EXPECT_NE(r.plan.find("primary-range"), std::string::npos) << r.plan;
+    auto st = instance_->buffer_cache()->stats();
+    return st.hits + st.misses;
+  };
+  uint64_t limited =
+      pins("SELECT VALUE p.id FROM Pad p WHERE p.id >= 0 LIMIT 5", 5);
+  uint64_t full = pins("SELECT VALUE p.id FROM Pad p WHERE p.id >= 0", 12000);
+  EXPECT_GT(full, 0u);
+  EXPECT_LT(limited * 10, full) << "limited " << limited << " full " << full;
+}
+
 TEST_F(E2ETest, RTreeIndexSpatialQuery) {
   Exec("CREATE TYPE T AS { id: int, loc: point }");
   Exec("CREATE DATASET D(T) PRIMARY KEY id");

@@ -67,6 +67,14 @@ TEST_P(PartitionInvariance, QuerySuiteMatchesSinglePartition) {
       "ORDER BY nf",
       "SELECT VALUE m.messageId FROM GleambookMessages m "
       "WHERE ftcontains(m.message, \"word1\") ",
+      // Primary-key lookups, which search only the owning partition.
+      "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 417",
+      "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 90417",
+      "SELECT VALUE m.authorId FROM GleambookMessages m "
+      "WHERE m.messageId = 250 AND m.authorId >= 0",
+      "SELECT VALUE m.authorId FROM GleambookMessages m "
+      "WHERE m.messageId = 250 AND m.authorId < 0",
+      "SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0",
   };
   // Build the single-partition reference lazily (shared across params is
   // not possible with TEST_P fixtures, so recompute; data is identical
@@ -108,6 +116,108 @@ TEST_P(PartitionInvariance, QuerySuiteMatchesSinglePartition) {
 
 INSTANTIATE_TEST_SUITE_P(Partitions, PartitionInvariance,
                          ::testing::Values(2, 3, 5, 8));
+
+// Index equality against a numerically equal constant of the other numeric
+// type, or a constant expression, must find what a full scan finds: the
+// search key, the pk pruning hash and write routing all see the same key
+// bytes. Each query runs with index selection on and off.
+class NumericKeyDifferential : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "axnum_" + std::to_string(GetParam());
+    std::filesystem::remove_all(dir_);
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = GetParam();
+    instance_ = Instance::Open(opts).value();
+    ASSERT_TRUE(instance_->ExecuteScript(gleambook::Generator::Ddl(true)).ok());
+    gleambook::GeneratorOptions gen_opts;
+    gen_opts.num_users = 50;
+    gen_opts.num_messages = 500;
+    gleambook::Generator gen(gen_opts);
+    for (const auto& m : gen.Messages()) {
+      ASSERT_TRUE(instance_->UpsertValue("GleambookMessages", m).ok());
+    }
+    // An open, undeclared indexed field holding ints and integral doubles.
+    ASSERT_TRUE(instance_->ExecuteScript(
+        "CREATE TYPE OpenT AS { id: int };"
+        "CREATE DATASET Open(OpenT) PRIMARY KEY id;"
+        "CREATE INDEX scoreIdx ON Open (score) TYPE BTREE").ok());
+    for (int i = 0; i < 60; i++) {
+      Value score = i % 2 ? Value::Double(i % 10) : Value::Int(i % 10);
+      ASSERT_TRUE(instance_
+                      ->UpsertValue("Open", adm::ObjectBuilder()
+                                                .Add("id", Value::Int(i))
+                                                .Add("score", score)
+                                                .Build())
+                      .ok());
+    }
+  }
+  void TearDown() override {
+    instance_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  std::string dir_;
+  std::unique_ptr<Instance> instance_;
+};
+
+TEST_P(NumericKeyDifferential, IndexMatchesScan) {
+  const std::string pk = "SELECT VALUE m FROM GleambookMessages m WHERE ";
+  const std::string sk =
+      "SELECT VALUE m.messageId FROM GleambookMessages m WHERE ";
+  const std::string open = "SELECT VALUE o.id FROM Open o WHERE ";
+  struct Case {
+    std::string query;
+    const char* path;  // access path the index-on plan must use
+    bool empty;        // expected to match nothing
+  };
+  const std::vector<Case> cases = {
+      {pk + "m.messageId = 42", "primary-lookup", false},
+      {pk + "m.messageId = 42.0", "primary-lookup", false},
+      {pk + "42.0 = m.messageId", "primary-lookup", false},
+      {pk + "m.messageId = 40 + 2", "primary-lookup", false},
+      {pk + "m.messageId = 40.5 + 1.5", "primary-lookup", false},
+      {pk + "m.messageId = 0.0", "primary-lookup", false},
+      {pk + "m.messageId = -0.0", "primary-lookup", false},
+      {pk + "m.messageId = 42.5", "primary-lookup", true},
+      {pk + "m.messageId = 90042", "primary-lookup", true},
+      {pk + "m.messageId = 90042.0", "primary-lookup", true},
+      {pk + "m.messageId <= 42.0", "primary-range", false},
+      {pk + "m.messageId >= 458.0", "primary-range", false},
+      {pk + "m.messageId < 42.5", "primary-range", false},
+      {sk + "m.authorId = 7", "btree-search", false},
+      {sk + "m.authorId = 7.0", "btree-search", false},
+      {sk + "m.authorId = 3 + 4", "btree-search", false},
+      {sk + "m.authorId = 7.5", "btree-search", true},
+      {sk + "m.authorId = 90007.0", "btree-search", true},
+      {sk + "m.authorId <= 7.0", "btree-search", false},
+      {open + "o.score = 4", "btree-search", false},
+      {open + "o.score = 5.0", "btree-search", false},
+      {open + "o.score = 2 + 3", "btree-search", false},
+      {open + "o.score = 5.5", "btree-search", true},
+  };
+  algebricks::OptimizerOptions scan_opts;
+  scan_opts.index_selection = false;
+  for (const auto& c : cases) {
+    auto indexed = instance_->Execute(c.query);
+    ASSERT_TRUE(indexed.ok()) << c.query << ": " << indexed.status().ToString();
+    EXPECT_NE(indexed->plan.find(c.path), std::string::npos)
+        << c.query << "\n" << indexed->plan;
+    auto scanned = instance_->QueryWithOptions(c.query, scan_opts);
+    ASSERT_TRUE(scanned.ok()) << c.query << ": " << scanned.status().ToString();
+    EXPECT_EQ(scanned->plan.find("index-search"), std::string::npos) << c.query;
+    EXPECT_EQ(scanned->rows.empty(), c.empty) << c.query;
+    auto got = Canon(indexed->rows);
+    auto want = Canon(scanned->rows);
+    ASSERT_EQ(got.size(), want.size()) << c.query;
+    for (size_t i = 0; i < got.size(); i++) {
+      EXPECT_EQ(got[i], want[i]) << c.query << " row " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, NumericKeyDifferential,
+                         ::testing::Values(1, 2, 8));
 
 class ErrorPathTest : public ::testing::Test {
  protected:

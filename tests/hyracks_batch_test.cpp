@@ -333,8 +333,9 @@ const ParityCase kCases[] = {
        std::vector<StreamPtr> children;
        children.push_back(Rechunked(SortById(std::move(b), k, tmp), k));
        children.push_back(Rechunked(SortById(std::move(a), k, tmp), k));
+       static WorkerPool pool;
        return std::make_unique<OrderedMergeStream>(
-           std::move(children), std::vector<SortKey>{{Field(1), true}});
+           std::move(children), std::vector<SortKey>{{Field(1), true}}, &pool);
      },
      [](const Rows& in) { return in; }},  // input is ordered by f1 already
     {"groupby", false,
@@ -464,7 +465,8 @@ void ExpectExchangeDelivers(size_t n_producers, size_t n_consumers,
   };
   for (size_t k : {size_t{1}, size_t{7}, kFrameTuples}) {
     SCOPED_TRACE("k=" + std::to_string(k));
-    Job job;
+    WorkerPool pool;
+    Job job(&pool);
     Exchange* ex = job.AddExchange(n_producers, n_consumers);
     std::vector<Rows> expect(n_consumers);
     const Exchange::RoutingFn route = make_route();
@@ -543,7 +545,8 @@ TEST(BatchErrors, MidBatchErrorSurfacesThroughOperators) {
 }
 
 TEST(BatchErrors, BatchProducerFailurePoisonsExchange) {
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(1, 2);
   job.AddProducerTask([ex]() {
     int calls = 0;

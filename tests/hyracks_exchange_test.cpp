@@ -28,7 +28,8 @@ Tuple T(std::initializer_list<Value> vals) {
 TEST(Exchange, HashPartitionRoutesConsistently) {
   // 2 producers -> 3 consumers, partitioned on field 0. All copies of the
   // same key must land on the same consumer.
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(2, 3);
   for (int p = 0; p < 2; p++) {
     std::vector<Tuple> data;
@@ -62,7 +63,8 @@ TEST(Exchange, HashPartitionRoutesConsistently) {
 }
 
 TEST(Exchange, MergeToSingleConsumer) {
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(4, 1);
   for (int p = 0; p < 4; p++) {
     std::vector<Tuple> data;
@@ -79,7 +81,8 @@ TEST(Exchange, MergeToSingleConsumer) {
 }
 
 TEST(Exchange, BroadcastReachesAllConsumers) {
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(1, 3);
   job.AddProducerTask([ex]() {
     VectorSource src({T({Value::Int(1)}), T({Value::Int(2)})});
@@ -92,7 +95,8 @@ TEST(Exchange, BroadcastReachesAllConsumers) {
 }
 
 TEST(Exchange, ProducerFailurePropagates) {
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(1, 1);
   job.AddProducerTask([ex]() {
     CallbackSource src(
@@ -112,7 +116,8 @@ TEST(Exchange, ProducerFailurePropagates) {
 
 TEST(Exchange, BackpressureBoundedQueue) {
   // Tiny queue: producer must block and still complete correctly.
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(1, 1, /*queue_capacity=*/2);
   std::vector<Tuple> data;
   for (int i = 0; i < 5000; i++) data.push_back(T({Value::Int(i)}));
@@ -147,7 +152,8 @@ TEST(Exchange, TwoPhaseParallelAggregation) {
         T({Value::Int(key)}));
   }
 
-  Job job;
+  WorkerPool pool;
+  Job job(&pool);
   Exchange* ex = job.AddExchange(kPartitions, kPartitions);
   std::vector<AggSpec> aggs = {{AggKind::kCount, nullptr}};
   for (int p = 0; p < kPartitions; p++) {

@@ -28,7 +28,8 @@ TEST(OrderedMerge, MergesSortedStreamsGlobally) {
   children.push_back(std::make_unique<VectorSource>(a));
   children.push_back(std::make_unique<VectorSource>(b));
   children.push_back(std::make_unique<VectorSource>(c));
-  OrderedMergeStream merge(std::move(children), {{Field(0), true}});
+  WorkerPool pool;
+  OrderedMergeStream merge(std::move(children), {{Field(0), true}}, &pool);
   auto rows = CollectAll(&merge).value();
   ASSERT_EQ(rows.size(), 100u);
   for (int i = 0; i < 100; i++) EXPECT_EQ(rows[static_cast<size_t>(i)].at(0).AsInt(), i);
@@ -44,7 +45,8 @@ TEST(OrderedMerge, OneTupleBatchesStayGloballyOrdered) {
     children.push_back(
         Rechunked(std::make_unique<VectorSource>(std::move(run)), 1));
   }
-  OrderedMergeStream merge(std::move(children), {{Field(0), true}});
+  WorkerPool pool;
+  OrderedMergeStream merge(std::move(children), {{Field(0), true}}, &pool);
   auto rows = CollectAll(&merge).value();
   ASSERT_EQ(rows.size(), 600u);
   for (int i = 0; i < 600; i++) {
@@ -58,7 +60,8 @@ TEST(OrderedMerge, DescendingKeys) {
   std::vector<Tuple> b = {Tuple({Value::Int(8)}), Tuple({Value::Int(1)})};
   children.push_back(std::make_unique<VectorSource>(a));
   children.push_back(std::make_unique<VectorSource>(b));
-  OrderedMergeStream merge(std::move(children), {{Field(0), false}});
+  WorkerPool pool;
+  OrderedMergeStream merge(std::move(children), {{Field(0), false}}, &pool);
   auto rows = CollectAll(&merge).value();
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].at(0).AsInt(), 9);
@@ -71,7 +74,8 @@ TEST(OrderedMerge, EmptyAndUnevenChildren) {
   children.push_back(std::make_unique<VectorSource>(
       std::vector<Tuple>{Tuple({Value::Int(1)})}));
   children.push_back(std::make_unique<VectorSource>(std::vector<Tuple>{}));
-  OrderedMergeStream merge(std::move(children), {{Field(0), true}});
+  WorkerPool pool;
+  OrderedMergeStream merge(std::move(children), {{Field(0), true}}, &pool);
   auto rows = CollectAll(&merge).value();
   ASSERT_EQ(rows.size(), 1u);
 }
@@ -97,7 +101,9 @@ TEST(OrderedMerge, ParallelLocalSortsMatchSingleSort) {
         std::make_unique<VectorSource>(std::move(p)),
         std::vector<SortKey>{{Field(0), true}}, 1 << 18, &tmp));
   }
-  OrderedMergeStream merge(std::move(sorted_parts), {{Field(0), true}});
+  WorkerPool pool;
+  OrderedMergeStream merge(std::move(sorted_parts), {{Field(0), true}},
+                           &pool);
   auto merged = CollectAll(&merge).value();
 
   ExternalSortOp global(std::make_unique<VectorSource>(std::move(all)),

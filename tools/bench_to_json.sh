@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the tracked benches, merges their axbench-v1 JSON reports into one
-# BENCH_BASELINE.json, and gates five regressions: the batch-at-a-time
+# BENCH_BASELINE.json, and gates six regressions: the batch-at-a-time
 # scan→select→project pipeline must not be slower than tuple-at-a-time,
 # the Basic-policy feed must retain >= 80% of direct-upsert ingest
 # throughput, the columnar scan must not be slower than the row scan
@@ -8,14 +8,17 @@
 # worse p99 write latency than inline (sync) maintenance, and governed
 # (admission-controlled) query p99 must not be worse than ungoverned under
 # the oversubscribed workload — with admission overload shedding at least
-# one query — all on the same build.
+# one query — and a SQL++ primary-key lookup must cost at most 10x
+# Instance::GetByKey at 2 partitions and must not grow by more than 1.5x
+# from 1 to 8 partitions — all on the same build.
 #
 #   tools/bench_to_json.sh [--build-dir DIR] [--smoke] [--out FILE]
 #   tools/bench_to_json.sh --check [FILE]
 #
 # Without --check: runs bench_batch_pipeline, bench_fig1_cluster_scaling,
-# bench_feed_ingestion, bench_columnar_scan, bench_lsm_ingestion and
-# bench_admission from DIR (default: build-rel), writes the merged report
+# bench_feed_ingestion, bench_columnar_scan, bench_lsm_ingestion,
+# bench_admission and bench_point_lookup from DIR (default: build-rel),
+# writes the merged report
 # to FILE (default: BENCH_BASELINE.json), and fails if any fresh-run gate
 # trips.
 #
@@ -23,7 +26,8 @@
 # BENCH_BASELINE.json) parses, carries the axbench-v1 schema, contains the
 # tracked entries, and records the gates (batch ≥ tuple, feed_basic ≥ 80%
 # of direct upsert, columnar scan ≥ 1.5x over row scan, async p99 write
-# latency ≤ sync, governed p99 ≤ ungoverned p99 — the committed baseline
+# latency ≤ sync, governed p99 ≤ ungoverned p99, SQL++ pk lookup ≤ 10x
+# GetByKey at p2 and ≤ 1.5x its p1 cost at p8 — the committed baseline
 # is a quiet full run, so it must hold the ISSUE 7/9 ratios that CI smoke
 # runs on shared runners cannot pin).
 # CI runs both modes: --check keeps the committed baseline honest, a fresh
@@ -166,6 +170,36 @@ gate_governed_vs_ungoverned() {  # <file with bench_admission results> <max rati
        "gate ${max_ratio}x), overload shed ${rejects}"
 }
 
+gate_point_lookup() {  # <file with bench_point_lookup results>
+  local sql_p1 sql_p2 sql_p8 get_p2
+  sql_p1=$(ms_of "$1" pk_lookup_sqlpp_p1)
+  sql_p2=$(ms_of "$1" pk_lookup_sqlpp_p2)
+  sql_p8=$(ms_of "$1" pk_lookup_sqlpp_p8)
+  get_p2=$(ms_of "$1" pk_lookup_get_p2)
+  if [[ -z "$sql_p1" || -z "$sql_p2" || -z "$sql_p8" || -z "$get_p2" ]]; then
+    echo "FAIL: $1 is missing the pk_lookup_{sqlpp_p1,sqlpp_p2,sqlpp_p8,get_p2}" \
+         "entries" >&2
+    return 1
+  fi
+  # Each row is already the median of 5 reps of the same key sequence. A
+  # pk statement pruned to one partition and run on the caller's thread
+  # costs parse + translate + optimize + one GetByKey-sized search, so it
+  # stays within 10x the storage call and does not grow with partitions.
+  if ! awk -v s="$sql_p2" -v g="$get_p2" 'BEGIN{exit !(s <= 10 * g)}'; then
+    echo "FAIL: SQL++ pk lookup at p2 (${sql_p2} ms) costs >10x GetByKey" \
+         "(${get_p2} ms)" >&2
+    return 1
+  fi
+  if ! awk -v a="$sql_p8" -v b="$sql_p1" 'BEGIN{exit !(a <= 1.5 * b)}'; then
+    echo "FAIL: SQL++ pk lookup at p8 (${sql_p8} ms) costs >1.5x p1" \
+         "(${sql_p1} ms)" >&2
+    return 1
+  fi
+  echo "OK: SQL++ pk lookup p2 ${sql_p2} ms vs GetByKey ${get_p2} ms" \
+       "($(awk -v s="$sql_p2" -v g="$get_p2" 'BEGIN{printf "%.1f", s/g}')x, gate 10x)," \
+       "p8/p1 $(awk -v a="$sql_p8" -v b="$sql_p1" 'BEGIN{printf "%.2f", a/b}')x (gate 1.5x)"
+}
+
 if [[ $CHECK -eq 1 ]]; then
   if [[ ! -s "$OUT" ]]; then
     echo "FAIL: $OUT does not exist (regenerate with tools/bench_to_json.sh)" >&2
@@ -181,7 +215,10 @@ if [[ $CHECK -eq 1 ]]; then
                lsm_sync_ingest lsm_async_ingest lsm_sync_p99 lsm_async_p99 \
                admission_ungoverned_total admission_governed_total \
                admission_ungoverned_p99 admission_governed_p99 \
-               admission_overload_served admission_overload_rejects; do
+               admission_overload_served admission_overload_rejects \
+               pk_lookup_sqlpp_p1 pk_lookup_sqlpp_p2 pk_lookup_sqlpp_p4 \
+               pk_lookup_sqlpp_p8 pk_lookup_get_p1 pk_lookup_get_p2 \
+               pk_lookup_get_p4 pk_lookup_get_p8; do
     grep -q '"name":"'"$entry"'"' "$OUT" || {
       echo "FAIL: $OUT is missing tracked entry '$entry'" >&2; exit 1; }
   done
@@ -192,12 +229,14 @@ if [[ $CHECK -eq 1 ]]; then
   gate_columnar_vs_row "$OUT" 1.5
   gate_async_vs_sync "$OUT"
   gate_governed_vs_ungoverned "$OUT" 1.0
+  gate_point_lookup "$OUT"
   echo "OK: $OUT validates"
   exit 0
 fi
 
 for bin in bench_batch_pipeline bench_fig1_cluster_scaling bench_feed_ingestion \
-           bench_columnar_scan bench_lsm_ingestion bench_admission; do
+           bench_columnar_scan bench_lsm_ingestion bench_admission \
+           bench_point_lookup; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "FAIL: $BUILD_DIR/bench/$bin not built" >&2
     echo "  (configure with: cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release)" >&2
@@ -225,12 +264,15 @@ settle
 "$BUILD_DIR"/bench/bench_lsm_ingestion $SMOKE --json "$tmp/lsm.json"
 settle
 "$BUILD_DIR"/bench/bench_admission $SMOKE --json "$tmp/admission.json"
+settle
+"$BUILD_DIR"/bench/bench_point_lookup $SMOKE --json "$tmp/point.json"
 
 gate_batch_vs_tuple "$tmp/batch.json"
 gate_feed_vs_direct "$tmp/feeds.json"
 gate_columnar_vs_row "$tmp/colscan.json" 1.0
 gate_async_vs_sync "$tmp/lsm.json"
 gate_governed_vs_ungoverned "$tmp/admission.json" 1.25
+gate_point_lookup "$tmp/point.json"
 
 # Merge: one top-level axbench-v1 document with each bench's report under
 # "benches". The per-bench files are single JSON objects from
@@ -249,6 +291,8 @@ gate_governed_vs_ungoverned "$tmp/admission.json" 1.25
   cat "$tmp/lsm.json"
   printf ',\n'
   cat "$tmp/admission.json"
+  printf ',\n'
+  cat "$tmp/point.json"
   printf ']}\n'
 } > "$OUT"
 
