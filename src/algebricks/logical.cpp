@@ -43,9 +43,6 @@ std::vector<VarId> LogicalOp::schema() const {
     }
     case LogicalOpKind::kProject:
       return project_vars;
-    case LogicalOpKind::kInsert:
-    case LogicalOpKind::kDelete:
-      return {};
   }
   return {};
 }
@@ -145,14 +142,6 @@ std::string LogicalOp::ToString(int indent) const {
       for (VarId v : project_vars) out << " $" << v;
       break;
     }
-    case LogicalOpKind::kInsert:
-      out << (upsert ? "upsert into " : "insert into ") << target_dataset
-          << " value " << payload->ToString();
-      break;
-    case LogicalOpKind::kDelete:
-      out << "delete from " << target_dataset;
-      if (condition) out << " where " << condition->ToString();
-      break;
   }
   out << "\n";
   for (const auto& c : children) out << c->ToString(indent + 1);

@@ -30,8 +30,6 @@ enum class LogicalOpKind : uint8_t {
   kDistinct,      // duplicate elimination on the full output record
   kProject,       // keep listed vars
   kIndexSearch,   // access-path op introduced by the optimizer
-  kInsert,        // DML sinks (insert/upsert/delete into a dataset)
-  kDelete,
 };
 
 enum class JoinKind : uint8_t { kInner, kLeftOuter, kLeftSemi };
@@ -112,11 +110,6 @@ struct LogicalOp {
   ExprPtr search_lo, search_hi;  // key bounds (inclusive); point: lo==hi
   bool sort_pks_before_fetch = true;  // the [26] trick — ablatable
   ExprPtr residual;            // re-check predicate after fetch
-
-  // kInsert / kDelete
-  std::string target_dataset;
-  ExprPtr payload;  // record to insert / key expr for delete
-  bool upsert = false;
 
   /// Output variables in tuple position order.
   std::vector<VarId> schema() const;

@@ -44,7 +44,6 @@ Status FoldAllExprs(const LogicalOpPtr& op, const FunctionRegistry& registry) {
   };
   AX_RETURN_NOT_OK(fold(&op->condition));
   AX_RETURN_NOT_OK(fold(&op->unnest_expr));
-  AX_RETURN_NOT_OK(fold(&op->payload));
   AX_RETURN_NOT_OK(fold(&op->search_lo));
   AX_RETURN_NOT_OK(fold(&op->search_hi));
   AX_RETURN_NOT_OK(fold(&op->residual));
@@ -449,7 +448,6 @@ void CollectFieldUsesInPlan(const LogicalOp& op, VarId var,
   auto take = [&](const ExprPtr& e) { CollectFieldUses(e, var, fields, whole); };
   take(op.condition);
   take(op.unnest_expr);
-  take(op.payload);
   take(op.search_lo);
   take(op.search_hi);
   take(op.residual);
@@ -512,7 +510,6 @@ void CollectUsedVars(const LogicalOp& op, std::set<VarId>* used) {
   };
   take(op.condition);
   take(op.unnest_expr);
-  take(op.payload);
   take(op.search_lo);
   take(op.search_hi);
   take(op.residual);

@@ -70,9 +70,8 @@ class PartitionScanSource : public hyracks::TupleStream {
 class IndexSearchSource : public hyracks::TupleStream {
  public:
   IndexSearchSource(const DatasetPartition* part, const LogicalOp* op,
-                    adm::Value lo, adm::Value hi, bool sort_pks)
-      : part_(part), op_(op), lo_(std::move(lo)), hi_(std::move(hi)),
-        sort_pks_(sort_pks) {}
+                    adm::Value lo, adm::Value hi)
+      : part_(part), op_(op), lo_(std::move(lo)), hi_(std::move(hi)) {}
 
   Status Open() override {
     it_.reset();
@@ -121,7 +120,7 @@ class IndexSearchSource : public hyracks::TupleStream {
     }
     // The [26] trick: sort PKs so the primary fetch sweeps the B+tree in
     // key order instead of random-probing it.
-    if (sort_pks_) std::sort(pks_.begin(), pks_.end());
+    if (op_->sort_pks_before_fetch) std::sort(pks_.begin(), pks_.end());
     return Status::OK();
   }
 
@@ -158,7 +157,6 @@ class IndexSearchSource : public hyracks::TupleStream {
   const DatasetPartition* part_;
   const LogicalOp* op_;
   adm::Value lo_, hi_;
-  bool sort_pks_;
   // Primary range: the snapshot iterator and its encoded upper bound.
   std::unique_ptr<storage::LsmBTree::Iterator> it_;
   std::string hi_key_;
@@ -331,19 +329,18 @@ Result<Executor::Lowered> Executor::BuildIndexSearch(const LogicalOp& op) {
   }
   std::string label = "INDEX-SEARCH " + op.dataset;
   if (!op.index_name.empty()) label += "." + op.index_name;
-  bool sort_pks = op.sort_pks_before_fetch && !force_unsorted_fetch_;
   if (op.access_path == AccessPathKind::kPrimaryLookup) {
     // Pk equality: only the partition that writes route the key to can
     // hold it, so search that one alone.
     AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo));
     size_t p = DatasetPartition::PartitionOf(pk, parts.size());
     out.streams.push_back(
-        std::make_unique<IndexSearchSource>(parts[p], &op, lo, hi, sort_pks));
+        std::make_unique<IndexSearchSource>(parts[p], &op, lo, hi));
     label += " (partition " + std::to_string(p) + ")";
   } else {
     for (DatasetPartition* part : parts) {
       out.streams.push_back(
-          std::make_unique<IndexSearchSource>(part, &op, lo, hi, sort_pks));
+          std::make_unique<IndexSearchSource>(part, &op, lo, hi));
     }
   }
   ProfileWrap(&out, std::move(label), {});
@@ -716,9 +713,6 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       mid.schema = out_schema;
       return mid;
     }
-    case LogicalOpKind::kInsert:
-    case LogicalOpKind::kDelete:
-      return Status::Internal("DML plans are executed by the Instance layer");
   }
   return Status::Internal("unhandled logical operator");
 }
@@ -740,10 +734,6 @@ Result<std::vector<adm::Value>> Executor::Run(const LogicalOpPtr& plan,
   if (profiling_) profile = std::make_shared<hyracks::PlanProfile>();
   profile_ = profile.get();  // Build/Repartition add nodes while set
   AX_ASSIGN_OR_RETURN(Lowered lowered, Build(plan, &job));
-  if (lowered.schema.size() != 1 && plan->kind != LogicalOpKind::kEmptySource) {
-    // Root should be the final Project[result]; tolerate wider roots by
-    // returning the first field.
-  }
   if (profile_ != nullptr && lowered.profile_node >= 0) {
     profile_->set_root(lowered.profile_node);
   }

@@ -58,9 +58,6 @@ class Executor {
   Result<std::vector<adm::Value>> Run(const algebricks::LogicalOpPtr& plan,
                                       ExecStats* stats = nullptr);
 
-  /// Ablation knob for EXP-PKSORT: honor/ignore sort_pks_before_fetch.
-  void set_force_unsorted_fetch(bool v) { force_unsorted_fetch_ = v; }
-
   /// Collect a per-operator PlanProfile into ExecStats on the next Run.
   /// Off by default: when off, no profiling wrappers are created at all.
   void set_profiling(bool v) { profiling_ = v; }
@@ -111,7 +108,6 @@ class Executor {
   hyracks::WorkerPool* pool_;
   resource::MemoryGovernor* governor_;
   resource::QueryContext* ctx_;
-  bool force_unsorted_fetch_ = false;
   bool profiling_ = false;
   hyracks::PlanProfile* profile_ = nullptr;  // set for the duration of Run()
 };

@@ -145,18 +145,15 @@ Status Instance::RecoverFromWal() {
   return Status::OK();
 }
 
-Executor Instance::MakeExecutor(const algebricks::OptimizerOptions& opts,
-                                resource::QueryContext* ctx) {
+Executor Instance::MakeExecutor(resource::QueryContext* ctx) {
   Executor::PartitionMap map;
   for (auto& [name, parts] : datasets_) {
     for (auto& p : parts) map[name].push_back(p.get());
   }
-  Executor ex(metadata_.get(), std::move(map), options_.num_partitions,
-              tmp_.get(), options_.op_memory_budget_bytes,
-              &algebricks::FunctionRegistry::Instance(), &workers_,
-              governor_.get(), ctx);
-  ex.set_force_unsorted_fetch(!opts.sort_pks_before_fetch);
-  return ex;
+  return Executor(metadata_.get(), std::move(map), options_.num_partitions,
+                  tmp_.get(), options_.op_memory_budget_bytes,
+                  &algebricks::FunctionRegistry::Instance(), &workers_,
+                  governor_.get(), ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,17 +193,6 @@ Status Instance::CancelQuery(const std::string& client_context_id) {
   // locks rank above queries_mu_ in DESIGN.md §4a.
   ctx->Cancel();
   return Status::OK();
-}
-
-Result<DatasetPartition*> Instance::RouteToPartition(const std::string& dataset,
-                                                     const Value& pk) {
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no internal dataset '" + dataset + "'");
-  }
-  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  return it->second[DatasetPartition::PartitionOf(key, it->second.size())]
-      .get();
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +285,7 @@ Result<QueryResult> Instance::RunQuery(const PlanProducer& translate,
         auto optimized,
         algebricks::Optimize(std::move(plan), *metadata_, opts,
                              algebricks::FunctionRegistry::Instance()));
-    Executor ex = MakeExecutor(opts, ctx.get());
+    Executor ex = MakeExecutor(ctx.get());
     ex.set_profiling(options_.profile_queries);
     ExecStats stats;
     AX_ASSIGN_OR_RETURN(auto rows, ex.Run(optimized, &stats));
@@ -338,46 +324,22 @@ Result<QueryResult> Instance::RunDml(const Statement& st) {
     }
     return out;
   }
-  // DELETE FROM ds [alias] WHERE cond: scan, evaluate, delete matches.
+  // DELETE is a query for the primary keys of the doomed records, then the
+  // keyed, pk-locked delete that feeds and the direct API use.
   AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(st.target));
   if (def.external) {
     return Status::InvalidArgument("cannot DELETE from external dataset");
   }
-  std::string alias = st.delete_alias.empty() ? st.target : st.delete_alias;
-  hyracks::TupleEval pred;
-  if (st.where) {
-    sqlpp::Translator translator(metadata_.get());
-    AX_ASSIGN_OR_RETURN(auto cond, translator.TranslateScalar(st.where, alias,
-                                                              /*self_var=*/0));
-    algebricks::VarPositions pos{{0, 0}};
-    AX_ASSIGN_OR_RETURN(
-        pred, algebricks::CompileExpr(
-                  cond, pos, algebricks::FunctionRegistry::Instance()));
-  }
-  auto it = datasets_.find(st.target);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset '" + st.target + "'");
-  }
-  for (auto& part : it->second) {
-    std::vector<Value> doomed_pks;
-    AX_ASSIGN_OR_RETURN(auto scan, part->ScanIterator());
-    AX_RETURN_NOT_OK(scan.SeekToFirst());
-    while (scan.Valid()) {
-      AX_ASSIGN_OR_RETURN(Value record, adm::Deserialize(scan.value()));
-      bool matches = true;
-      if (pred) {
-        hyracks::Tuple t;
-        t.fields.push_back(record);
-        AX_ASSIGN_OR_RETURN(Value pass, pred(t));
-        matches = pass.is_boolean() && pass.AsBool();
-      }
-      if (matches) doomed_pks.push_back(record.GetField(def.primary_key));
-      AX_RETURN_NOT_OK(scan.Next());
-    }
-    for (const auto& pk : doomed_pks) {
-      AX_ASSIGN_OR_RETURN(bool existed, part->DeleteByKey(pk));
-      if (existed) out.mutated++;
-    }
+  sqlpp::ast::SelectQuery keys = *st.query;
+  keys.select_value = true;
+  keys.value_expr = sqlpp::ast::ExprNode::Field(
+      sqlpp::ast::ExprNode::Ident(keys.froms[0].alias), def.primary_key);
+  AX_ASSIGN_OR_RETURN(out, RunQuery(SqlppPlan(keys), options_.optimizer));
+  std::vector<Value> pks = std::move(out.rows);
+  out.rows.clear();
+  for (const auto& pk : pks) {
+    AX_ASSIGN_OR_RETURN(bool existed, DeleteByKey(st.target, pk));
+    if (existed) out.mutated++;
   }
   return out;
 }
@@ -503,45 +465,58 @@ Result<QueryResult> Instance::RunDdl(const Statement& st) {
 // Direct API
 // ---------------------------------------------------------------------------
 
+Result<DatasetPartition*> Instance::RouteAndLock(const std::string& dataset,
+                                                 const Value& value,
+                                                 bool is_record,
+                                                 txn::LockMode mode,
+                                                 txn::TxnScope* scope) {
+  auto it = datasets_.find(dataset);
+  if (it == datasets_.end()) {
+    return Status::NotFound("no internal dataset '" + dataset + "'");
+  }
+  const auto& parts = it->second;
+  const meta::DatasetDef& def = parts.front()->def();
+  const Value* pk = &value;
+  if (is_record) {
+    AX_ASSIGN_OR_RETURN(auto type, metadata_->GetType(def.type_name));
+    AX_RETURN_NOT_OK(type->Validate(value));
+    pk = &value.GetField(def.primary_key);
+  }
+  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(*pk));
+  AX_RETURN_NOT_OK(scope->Lock(dataset + "/" + key, mode));
+  return parts[DatasetPartition::PartitionOf(key, parts.size())].get();
+}
+
 Status Instance::UpsertValue(const std::string& dataset, const Value& record) {
-  AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(dataset));
-  AX_ASSIGN_OR_RETURN(auto type, metadata_->GetType(def.type_name));
-  AX_RETURN_NOT_OK(type->Validate(record));
-  const Value& pk = record.GetField(def.primary_key);
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part, RouteToPartition(dataset, pk));
-  // Record-level transactional upsert: exclusive PK lock for the statement.
   txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  AX_RETURN_NOT_OK(scope.Lock(dataset + "/" + key, txn::LockMode::kExclusive));
+  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
+                      RouteAndLock(dataset, record, /*is_record=*/true,
+                                   txn::LockMode::kExclusive, &scope));
   return part->Upsert(record);
 }
 
 Status Instance::InsertValue(const std::string& dataset, const Value& record) {
-  AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(dataset));
-  AX_ASSIGN_OR_RETURN(auto type, metadata_->GetType(def.type_name));
-  AX_RETURN_NOT_OK(type->Validate(record));
-  const Value& pk = record.GetField(def.primary_key);
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part, RouteToPartition(dataset, pk));
   txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  AX_RETURN_NOT_OK(scope.Lock(dataset + "/" + key, txn::LockMode::kExclusive));
+  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
+                      RouteAndLock(dataset, record, /*is_record=*/true,
+                                   txn::LockMode::kExclusive, &scope));
   return part->Insert(record);
 }
 
 Result<bool> Instance::DeleteByKey(const std::string& dataset, const Value& pk) {
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part, RouteToPartition(dataset, pk));
   txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  AX_RETURN_NOT_OK(scope.Lock(dataset + "/" + key, txn::LockMode::kExclusive));
+  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
+                      RouteAndLock(dataset, pk, /*is_record=*/false,
+                                   txn::LockMode::kExclusive, &scope));
   return part->DeleteByKey(pk);
 }
 
 Result<bool> Instance::GetByKey(const std::string& dataset, const Value& pk,
                                 Value* record) {
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part, RouteToPartition(dataset, pk));
   txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(pk));
-  AX_RETURN_NOT_OK(scope.Lock(dataset + "/" + key, txn::LockMode::kShared));
+  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
+                      RouteAndLock(dataset, pk, /*is_record=*/false,
+                                   txn::LockMode::kShared, &scope));
   return part->Get(pk, record);
 }
 

@@ -164,10 +164,18 @@ class Instance : public feeds::FeedSink {
   explicit Instance(InstanceOptions options);
   Status OpenDatasetPartitions(const meta::DatasetDef& def);
   Status RecoverFromWal();
-  Result<DatasetPartition*> RouteToPartition(const std::string& dataset,
-                                             const adm::Value& pk);
-  Executor MakeExecutor(const algebricks::OptimizerOptions& opts,
-                        resource::QueryContext* ctx = nullptr);
+  /// The prologue of every keyed write and of GetByKey: find the partition
+  /// of internal `dataset` that owns the key and lock `dataset/<key>` in
+  /// `mode` for `scope`'s lifetime. One encoding of the key serves both.
+  /// `value` is the key, or with `is_record` a whole record: it is then
+  /// validated against the dataset's type and keyed by its primary-key
+  /// field, both read from the partition's def(). NotFound for unknown and
+  /// external datasets.
+  Result<DatasetPartition*> RouteAndLock(const std::string& dataset,
+                                         const adm::Value& value,
+                                         bool is_record, txn::LockMode mode,
+                                         txn::TxnScope* scope);
+  Executor MakeExecutor(resource::QueryContext* ctx);
   /// Produces a query's logical plan. RunQuery calls it after admission,
   /// so a shed or queued query costs no translation.
   using PlanProducer = std::function<Result<algebricks::LogicalOpPtr>()>;

@@ -61,6 +61,13 @@ struct ExprNode {
     e->ident = std::move(name);
     return e;
   }
+  static ExprNodePtr Field(ExprNodePtr base, std::string field) {
+    auto e = std::make_shared<ExprNode>();
+    e->kind = ExprNodeKind::kFieldAccess;
+    e->base = std::move(base);
+    e->field = std::move(field);
+    return e;
+  }
   static ExprNodePtr Call(std::string fn, std::vector<ExprNodePtr> args) {
     auto e = std::make_shared<ExprNode>();
     e->kind = ExprNodeKind::kCall;
@@ -135,7 +142,9 @@ struct Statement {
     kDisconnectFeed,  // DISCONNECT FEED f
   } kind = kQuery;
 
-  SelectQueryPtr query;  // kQuery
+  /// kQuery: the whole query. kDelete: `FROM target [alias] [WHERE cond]`
+  /// only; the Instance adds the SELECT VALUE of the primary key.
+  SelectQueryPtr query;
 
   // CREATE TYPE
   std::string type_name;
@@ -164,9 +173,7 @@ struct Statement {
 
   // INSERT / UPSERT / DELETE
   std::string target;
-  ExprNodePtr payload;      // record (or array of records) to insert
-  std::string delete_alias;
-  ExprNodePtr where;        // DELETE ... WHERE
+  ExprNodePtr payload;  // record (or array of records) to insert
 };
 
 }  // namespace asterix::sqlpp::ast

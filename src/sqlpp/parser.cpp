@@ -348,20 +348,25 @@ class Parser {
     return st;
   }
 
+  /// DELETE FROM ds [[AS] alias] [WHERE cond], kept as the query's FROM
+  /// and WHERE clauses.
   Result<Statement> ParseDelete() {
     AX_RETURN_NOT_OK(ExpectKw("DELETE"));
     AX_RETURN_NOT_OK(ExpectKw("FROM"));
     Statement st;
     st.kind = Statement::kDelete;
     AX_ASSIGN_OR_RETURN(st.target, ExpectIdent());
-    if (Cur().kind == TokenKind::kIdent && !Cur().IsKeyword("WHERE")) {
-      (void)AcceptKw("AS");
-      if (Cur().kind == TokenKind::kIdent && !Cur().IsKeyword("WHERE")) {
-        AX_ASSIGN_OR_RETURN(st.delete_alias, ExpectIdent());
-      }
+    FromClause fc;
+    fc.expr = ExprNode::Ident(st.target);
+    fc.alias = st.target;
+    if (AcceptKw("AS") ||
+        (Cur().kind == TokenKind::kIdent && !Cur().IsKeyword("WHERE"))) {
+      AX_ASSIGN_OR_RETURN(fc.alias, ExpectIdent());
     }
+    st.query = std::make_shared<SelectQuery>();
+    st.query->froms.push_back(std::move(fc));
     if (AcceptKw("WHERE")) {
-      AX_ASSIGN_OR_RETURN(st.where, ParseExpr());
+      AX_ASSIGN_OR_RETURN(st.query->where, ParseExpr());
     }
     return st;
   }
@@ -710,11 +715,7 @@ class Parser {
     while (true) {
       if (Accept(".")) {
         AX_ASSIGN_OR_RETURN(std::string field, ExpectIdent());
-        auto fa = std::make_shared<ExprNode>();
-        fa->kind = ExprNodeKind::kFieldAccess;
-        fa->base = e;
-        fa->field = std::move(field);
-        e = fa;
+        e = ExprNode::Field(e, std::move(field));
         continue;
       }
       if (Accept("[")) {

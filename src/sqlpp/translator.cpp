@@ -186,11 +186,8 @@ Result<ExprPtr> Translator::TranslateExpr(const ExprNodePtr& e,
 }
 
 Result<algebricks::ExprPtr> Translator::TranslateScalar(
-    const ast::ExprNodePtr& e, const std::string& self_alias,
-    algebricks::VarId self_var) {
-  Scope scope;
-  if (!self_alias.empty()) scope.Bind(self_alias, self_var);
-  return TranslateExpr(e, scope);
+    const ast::ExprNodePtr& e) {
+  return TranslateExpr(e, Scope());
 }
 
 Result<algebricks::ExprPtr> Translator::TranslateWithBindings(

@@ -1,7 +1,9 @@
 // SQL++ -> Algebricks translation. Produces the same logical algebra the
 // AQL front end produces (paper §IV-A: "sharing the Algebricks query
 // algebra and many optimizer rules"), which is what makes the Fig. 4
-// stack-reuse experiment meaningful.
+// stack-reuse experiment meaningful. Statements other than queries reach
+// it two ways: DELETE's FROM/WHERE is translated as a query for primary
+// keys, and an INSERT/UPSERT payload as a constant scalar expression.
 #pragma once
 
 #include <string>
@@ -27,12 +29,9 @@ class Translator {
 
   Result<TranslatedQuery> TranslateQuery(const ast::SelectQuery& q);
 
-  /// Translate a standalone expression (INSERT payloads, DELETE conditions).
-  /// `self_alias`/`self_var`, when given, bind the alias to a variable
-  /// (DELETE FROM ds v WHERE v.x = 1).
-  Result<algebricks::ExprPtr> TranslateScalar(
-      const ast::ExprNodePtr& e, const std::string& self_alias = "",
-      algebricks::VarId self_var = -1);
+  /// Translate a standalone expression with no variables in scope (the
+  /// constant INSERT/UPSERT payload).
+  Result<algebricks::ExprPtr> TranslateScalar(const ast::ExprNodePtr& e);
 
   /// Translate an expression with multiple variable bindings in scope.
   /// Used by the AQL front end, which shares this translator's expression

@@ -2,6 +2,7 @@
 // record-level locking semantics the paper's item 9 promises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -101,6 +102,67 @@ TEST_F(ConcurrencyTest, ContendedUpsertsOnSameKeys) {
     total += rv.rows[0].GetField("n").AsInt();
   }
   EXPECT_EQ(total, kKeys);
+}
+
+// SQL++ DELETE takes the same pk lock as UpsertValue, so deletes by pk,
+// by the indexed field and by pk range may race upserts of the same keys.
+// Afterwards the B-tree index and a full scan answer alike for every
+// indexed value.
+TEST_F(ConcurrencyTest, SqlDeletesRaceUpsertsOnSameKeys) {
+  const int kKeys = 40, kValues = 5;
+  std::vector<std::thread> threads;
+  std::atomic<bool> failed{false};
+  for (int t = 0; t < 2; t++) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < 600; i++) {
+        int id = static_cast<int>(rng.Uniform(kKeys));
+        int v = static_cast<int>(rng.Uniform(kValues));
+        if (!instance_->UpsertValue("D", Rec(id, v)).ok()) failed = true;
+      }
+    });
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 101);
+      for (int i = 0; i < 120; i++) {
+        std::string k = std::to_string(rng.Uniform(kKeys));
+        std::string stmt =
+            i % 3 == 0   ? "DELETE FROM D d WHERE d.id = " + k
+            : i % 3 == 1 ? "DELETE FROM D d WHERE d.v = " +
+                               std::to_string(rng.Uniform(kValues))
+                         : "DELETE FROM D d WHERE d.id >= " + k +
+                               " AND d.id < " + k + " + 3";
+        auto r = instance_->Execute(stmt);
+        if (!r.ok()) {
+          ADD_FAILURE() << stmt << ": " << r.status().ToString();
+          failed = true;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_FALSE(failed.load());
+  algebricks::OptimizerOptions scan_only;
+  scan_only.index_selection = false;
+  auto sorted = [](std::vector<Value> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Value& a, const Value& b) {
+      return a.Compare(b) < 0;
+    });
+    return rows;
+  };
+  int64_t indexed_total = 0;
+  for (int v = 0; v < kValues; v++) {
+    std::string q =
+        "SELECT VALUE d.id FROM D d WHERE d.v = " + std::to_string(v);
+    auto indexed = instance_->Execute(q);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    ASSERT_NE(indexed->plan.find("btree-search"), std::string::npos);
+    auto scanned = instance_->QueryWithOptions(q, scan_only);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_EQ(sorted(indexed->rows), sorted(scanned->rows)) << q;
+    indexed_total += static_cast<int64_t>(indexed->rows.size());
+  }
+  auto n = instance_->Execute("SELECT COUNT(*) AS n FROM D d").value();
+  EXPECT_EQ(n.rows[0].GetField("n").AsInt(), indexed_total);
 }
 
 TEST_F(ConcurrencyTest, ReadersDuringWrites) {

@@ -236,6 +236,80 @@ TEST_F(E2ETest, DeleteStatement) {
   EXPECT_EQ(r.rows[0].GetField("n").AsInt(), 6);
 }
 
+// DELETE is a query for keys plus a keyed delete, so it gets the query's
+// access paths: a pk equality searches one partition.
+TEST_F(E2ETest, DeleteByPrimaryKeyUsesPrimaryLookup) {
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  for (int i = 0; i < 10; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": " +
+         std::to_string(i % 3) + "})");
+  }
+  auto del = Exec("DELETE FROM D d WHERE d.id = 3");
+  EXPECT_EQ(del.mutated, 1);
+  EXPECT_TRUE(del.rows.empty());
+  EXPECT_NE(del.plan.find("index-search[primary-lookup]"), std::string::npos)
+      << del.plan;
+  // Deleting it again finds nothing.
+  EXPECT_EQ(Exec("DELETE FROM D d WHERE d.id = 3").mutated, 0);
+  auto r = Exec("SELECT VALUE d.id FROM D d ORDER BY d.id");
+  ASSERT_EQ(r.rows.size(), 9u);
+  for (const auto& id : r.rows) EXPECT_NE(id.AsInt(), 3);
+}
+
+TEST_F(E2ETest, DeleteWithoutAliasOrWhere) {
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  for (int i = 0; i < 12; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": " +
+         std::to_string(i % 3) + "})");
+  }
+  // No alias: the dataset name binds the record.
+  EXPECT_EQ(Exec("DELETE FROM D WHERE D.v = 1").mutated, 4);
+  EXPECT_EQ(Exec("DELETE FROM D AS x WHERE x.v = 2").mutated, 4);
+  auto r = Exec("SELECT VALUE d.v FROM D d");
+  ASSERT_EQ(r.rows.size(), 4u);
+  for (const auto& v : r.rows) EXPECT_EQ(v.AsInt(), 0);
+  // No WHERE: every record goes.
+  EXPECT_EQ(Exec("DELETE FROM D").mutated, 4);
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS n FROM D d").rows[0].GetField("n").AsInt(),
+            0);
+  EXPECT_EQ(Exec("DELETE FROM D").mutated, 0);
+}
+
+TEST_F(E2ETest, DeleteThroughSecondaryIndex) {
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  Exec("CREATE INDEX vIdx ON D (v) TYPE BTREE");
+  for (int i = 0; i < 100; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": " +
+         std::to_string(i % 10) + "})");
+  }
+  auto del = Exec("DELETE FROM D d WHERE d.v = 7");
+  EXPECT_EQ(del.mutated, 10);
+  EXPECT_NE(del.plan.find("btree-search"), std::string::npos) << del.plan;
+  // Both the index and a full scan agree the records are gone.
+  EXPECT_TRUE(Exec("SELECT VALUE d.id FROM D d WHERE d.v = 7").rows.empty());
+  algebricks::OptimizerOptions no_index;
+  no_index.index_selection = false;
+  auto scan = instance_->QueryWithOptions(
+      "SELECT VALUE d.id FROM D d WHERE d.v = 7", no_index);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_TRUE(scan->rows.empty());
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS n FROM D d").rows[0].GetField("n").AsInt(),
+            90);
+}
+
+TEST_F(E2ETest, DeleteErrors) {
+  auto r = instance_->Execute("DELETE FROM Nope n WHERE n.id = 1");
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  Exec("CREATE TYPE L AS CLOSED { a: string }");
+  Exec("CREATE EXTERNAL DATASET E(L) USING localfs "
+       "((\"path\"=\"/no/such/file.txt\"))");
+  r = instance_->Execute("DELETE FROM E e");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(E2ETest, SecondaryIndexUsedAndCorrect) {
   Exec("CREATE TYPE T AS { id: int, v: int }");
   Exec("CREATE DATASET D(T) PRIMARY KEY id");

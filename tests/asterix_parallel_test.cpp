@@ -27,91 +27,108 @@ class PartitionInvariance : public ::testing::TestWithParam<size_t> {
     dir_ = ::testing::TempDir() + "axpar_" + std::to_string(GetParam()) + "_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
+    instance_ = Load(dir_, GetParam());
+  }
+  void TearDown() override {
+    instance_.reset();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(dir_ + "_ref");
+  }
+  // An instance over `partitions` partitions holding the generator's
+  // (deterministic) Gleambook data.
+  static std::unique_ptr<Instance> Load(const std::string& dir,
+                                        size_t partitions) {
     InstanceOptions opts;
-    opts.base_dir = dir_;
-    opts.num_partitions = GetParam();
-    instance_ = Instance::Open(opts).value();
-    ASSERT_TRUE(instance_->ExecuteScript(gleambook::Generator::Ddl(true)).ok());
+    opts.base_dir = dir;
+    opts.num_partitions = partitions;
+    auto inst = Instance::Open(opts).value();
+    EXPECT_TRUE(inst->ExecuteScript(gleambook::Generator::Ddl(true)).ok());
     gleambook::GeneratorOptions gen_opts;
     gen_opts.num_users = 300;
     gen_opts.num_messages = 900;
     gleambook::Generator gen(gen_opts);
     for (const auto& u : gen.Users()) {
-      ASSERT_TRUE(instance_->UpsertValue("GleambookUsers", u).ok());
+      EXPECT_TRUE(inst->UpsertValue("GleambookUsers", u).ok());
     }
     for (const auto& m : gen.Messages()) {
-      ASSERT_TRUE(instance_->UpsertValue("GleambookMessages", m).ok());
+      EXPECT_TRUE(inst->UpsertValue("GleambookMessages", m).ok());
     }
+    return inst;
   }
-  void TearDown() override {
-    instance_.reset();
-    std::filesystem::remove_all(dir_);
+  // The reference results come from a single-partition instance; every
+  // other partition count must match them exactly. (Sharing one reference
+  // across params is not possible with TEST_P fixtures, so each test
+  // rebuilds it.)
+  std::unique_ptr<Instance> LoadReference() { return Load(dir_ + "_ref", 1); }
+  void ExpectSameAnswers(Instance* reference) {
+    const char* queries[] = {
+        "SELECT VALUE u.id FROM GleambookUsers u WHERE u.id < 20 ORDER BY u.id",
+        "SELECT g AS author, COUNT(m.messageId) AS n FROM GleambookMessages m "
+        "GROUP BY m.authorId AS g ORDER BY n DESC, author LIMIT 15",
+        "SELECT COUNT(*) AS n, MIN(m.messageId) AS lo, MAX(m.messageId) AS hi "
+        "FROM GleambookMessages m",
+        "SELECT u.id AS uid, COUNT(m.messageId) AS cnt FROM GleambookUsers u "
+        "JOIN GleambookMessages m ON m.authorId = u.id "
+        "GROUP BY u.id AS uid ORDER BY cnt DESC, uid LIMIT 10",
+        "SELECT DISTINCT COLL_COUNT(u.friendIds) AS nf FROM GleambookUsers u "
+        "ORDER BY nf",
+        "SELECT VALUE m.messageId FROM GleambookMessages m "
+        "WHERE ftcontains(m.message, \"word1\") ",
+        // Primary-key lookups, which search only the owning partition.
+        "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 417",
+        "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 90417",
+        "SELECT VALUE m.authorId FROM GleambookMessages m "
+        "WHERE m.messageId = 250 AND m.authorId >= 0",
+        "SELECT VALUE m.authorId FROM GleambookMessages m "
+        "WHERE m.messageId = 250 AND m.authorId < 0",
+        "SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0",
+        "SELECT VALUE m.messageId FROM GleambookMessages m "
+        "WHERE m.authorId = 7",
+    };
+    for (const char* q : queries) {
+      auto got = instance_->Execute(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      auto want = reference->Execute(q);
+      ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+      auto g = Canon(got->rows);
+      auto w = Canon(want->rows);
+      ASSERT_EQ(g.size(), w.size()) << q;
+      for (size_t i = 0; i < g.size(); i++) {
+        EXPECT_EQ(g[i], w[i]) << q << " row " << i << ": " << g[i].ToString()
+                              << " vs " << w[i].ToString();
+      }
+    }
   }
   std::string dir_;
   std::unique_ptr<Instance> instance_;
 };
 
-// The reference results come from a single-partition instance; every other
-// partition count must match them exactly.
 TEST_P(PartitionInvariance, QuerySuiteMatchesSinglePartition) {
-  const char* queries[] = {
-      "SELECT VALUE u.id FROM GleambookUsers u WHERE u.id < 20 ORDER BY u.id",
-      "SELECT g AS author, COUNT(m.messageId) AS n FROM GleambookMessages m "
-      "GROUP BY m.authorId AS g ORDER BY n DESC, author LIMIT 15",
-      "SELECT COUNT(*) AS n, MIN(m.messageId) AS lo, MAX(m.messageId) AS hi "
-      "FROM GleambookMessages m",
-      "SELECT u.id AS uid, COUNT(m.messageId) AS cnt FROM GleambookUsers u "
-      "JOIN GleambookMessages m ON m.authorId = u.id "
-      "GROUP BY u.id AS uid ORDER BY cnt DESC, uid LIMIT 10",
-      "SELECT DISTINCT COLL_COUNT(u.friendIds) AS nf FROM GleambookUsers u "
-      "ORDER BY nf",
-      "SELECT VALUE m.messageId FROM GleambookMessages m "
-      "WHERE ftcontains(m.message, \"word1\") ",
-      // Primary-key lookups, which search only the owning partition.
-      "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 417",
-      "SELECT VALUE m FROM GleambookMessages m WHERE m.messageId = 90417",
-      "SELECT VALUE m.authorId FROM GleambookMessages m "
-      "WHERE m.messageId = 250 AND m.authorId >= 0",
-      "SELECT VALUE m.authorId FROM GleambookMessages m "
-      "WHERE m.messageId = 250 AND m.authorId < 0",
-      "SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0",
-  };
-  // Build the single-partition reference lazily (shared across params is
-  // not possible with TEST_P fixtures, so recompute; data is identical
-  // because the generator is deterministic).
-  std::string ref_dir = dir_ + "_ref";
-  std::filesystem::remove_all(ref_dir);
-  InstanceOptions ref_opts;
-  ref_opts.base_dir = ref_dir;
-  ref_opts.num_partitions = 1;
-  auto reference = Instance::Open(ref_opts).value();
-  ASSERT_TRUE(reference->ExecuteScript(gleambook::Generator::Ddl(true)).ok());
-  gleambook::GeneratorOptions gen_opts;
-  gen_opts.num_users = 300;
-  gen_opts.num_messages = 900;
-  gleambook::Generator gen(gen_opts);
-  for (const auto& u : gen.Users()) {
-    ASSERT_TRUE(reference->UpsertValue("GleambookUsers", u).ok());
-  }
-  for (const auto& m : gen.Messages()) {
-    ASSERT_TRUE(reference->UpsertValue("GleambookMessages", m).ok());
-  }
+  ExpectSameAnswers(LoadReference().get());
+}
 
-  for (const char* q : queries) {
-    auto got = instance_->Execute(q);
-    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
-    auto want = reference->Execute(q);
-    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
-    auto g = Canon(got->rows);
-    auto w = Canon(want->rows);
-    ASSERT_EQ(g.size(), w.size()) << q;
-    for (size_t i = 0; i < g.size(); i++) {
-      EXPECT_EQ(g[i], w[i]) << q << " row " << i << ": " << g[i].ToString()
-                            << " vs " << w[i].ToString();
-    }
+// A DELETE's key search takes the same access paths as a query; what it
+// removes must not depend on the partition count either.
+TEST_P(PartitionInvariance, DeletesMatchSinglePartition) {
+  auto reference = LoadReference();
+  const std::pair<const char*, const char*> deletes[] = {
+      {"DELETE FROM GleambookMessages m WHERE m.messageId = 417",
+       "index-search[primary-lookup]"},
+      {"DELETE FROM GleambookUsers u WHERE u.id >= 5 AND u.id < 15",
+       "index-search[primary-range]"},
+      {"DELETE FROM GleambookMessages m WHERE m.authorId = 7",
+       "index-search[btree-search] GleambookMessages.gbAuthorIdx"},
+  };
+  for (const auto& [d, path] : deletes) {
+    auto got = instance_->Execute(d);
+    ASSERT_TRUE(got.ok()) << d << ": " << got.status().ToString();
+    auto want = reference->Execute(d);
+    ASSERT_TRUE(want.ok()) << d << ": " << want.status().ToString();
+    EXPECT_GT(want->mutated, 0) << d;
+    EXPECT_EQ(got->mutated, want->mutated) << d;
+    EXPECT_NE(got->plan.find(path), std::string::npos) << d << "\n" << got->plan;
   }
-  reference.reset();
-  std::filesystem::remove_all(ref_dir);
+  ExpectSameAnswers(reference.get());
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, PartitionInvariance,

@@ -140,6 +140,19 @@ TEST(SqlppParser, StatementKinds) {
             sqlpp::ast::Statement::kDelete);
 }
 
+// DELETE keeps its FROM/WHERE as a query; the alias defaults to the dataset.
+TEST(SqlppParser, DeleteIsAQuery) {
+  auto st = ParseStatement("DELETE FROM D d WHERE d.a = 1").value();
+  EXPECT_EQ(st.target, "D");
+  ASSERT_EQ(st.query->froms.size(), 1u);
+  EXPECT_EQ(st.query->froms[0].alias, "d");
+  EXPECT_NE(st.query->where, nullptr);
+  st = ParseStatement("DELETE FROM D").value();
+  EXPECT_EQ(st.query->froms[0].alias, "D");
+  EXPECT_EQ(st.query->where, nullptr);
+  EXPECT_EQ(ParseStatement("DELETE FROM D AS x")->query->froms[0].alias, "x");
+}
+
 TEST(SqlppParser, RejectsBadInput) {
   EXPECT_FALSE(ParseStatement("SELEC x").ok());
   EXPECT_FALSE(ParseStatement("SELECT VALUE").ok());
@@ -255,6 +268,8 @@ TEST_F(OptimizerTest, PkSortFetchToggle) {
       "SELECT VALUE d.id FROM D d WHERE d.v = 7", unsorted).value();
   // Same result set, with/without the [26] sorted-fetch trick.
   EXPECT_EQ(r1.rows.size(), r2.rows.size());
+  EXPECT_EQ(r1.plan.find("(unsorted-fetch)"), std::string::npos) << r1.plan;
+  EXPECT_NE(r2.plan.find("(unsorted-fetch)"), std::string::npos) << r2.plan;
 }
 
 // ---- AQL as a peer of SQL++ (Fig. 4's layer-sharing claim) -----------------
