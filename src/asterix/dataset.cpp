@@ -1,25 +1,31 @@
 #include "asterix/dataset.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
+#include "common/io.h"
 
 namespace asterix {
 
 using adm::Value;
 
-Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
-    const meta::DatasetDef& def, const PartitionOptions& options) {
+std::string DatasetPartition::TreeDir(uint64_t id, bool index) {
+  return (index ? "ix" : "ds") + std::to_string(id);
+}
+
+Result<std::shared_ptr<DatasetPartition>> DatasetPartition::Open(
+    const meta::DatasetDef& def, const PartitionOptions& options,
+    bool create) {
   if (def.external) {
     return Status::InvalidArgument(
         "external datasets have no storage partitions");
   }
-  auto part = std::unique_ptr<DatasetPartition>(
-      new DatasetPartition(def, options));
-  AX_RETURN_NOT_OK(fs::CreateDirs(options.dir));
+  auto part =
+      std::shared_ptr<DatasetPartition>(new DatasetPartition(def, options));
   storage::LsmOptions lsm;
-  lsm.dir = options.dir;
+  lsm.dir = options.dir + "/" + TreeDir(def.id, /*index=*/false);
   lsm.name = "primary";
   lsm.cache = options.cache;
   lsm.mem_budget_bytes = options.mem_budget_bytes;
@@ -27,39 +33,105 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.storage_format = options.storage_format;
   lsm.scheduler = options.scheduler;
   lsm.max_pending_immutables = options.max_pending_immutables;
+  if (create) AX_RETURN_NOT_OK(fs::RemoveAll(lsm.dir));
   AX_ASSIGN_OR_RETURN(part->primary_, storage::LsmBTree::Open(lsm));
   for (const auto& ix : def.indexes) {
-    switch (ix.kind) {
-      case meta::IndexKind::kBTree: {
-        storage::LsmOptions o = lsm;
-        o.name = "ix_" + ix.name;
-        // Secondary entries are key->PK pairs, not records: always row.
-        o.storage_format = storage::StorageFormat::kRow;
-        AX_ASSIGN_OR_RETURN(auto tree, storage::LsmBTree::Open(o));
-        part->btree_indexes_[ix.name] = std::move(tree);
-        break;
-      }
-      case meta::IndexKind::kRTree: {
-        storage::LsmTreeOptions o = lsm;
-        o.name = "ix_" + ix.name;
-        AX_ASSIGN_OR_RETURN(auto tree, storage::LsmRTree::Open(o));
-        part->rtree_indexes_[ix.name] = std::move(tree);
-        break;
-      }
-      case meta::IndexKind::kKeyword: {
-        storage::InvertedIndexOptions o;
-        o.dir = options.dir;
-        o.name = "ix_" + ix.name;
-        o.cache = options.cache;
-        o.mem_budget_bytes = options.mem_budget_bytes;
-        o.scheduler = options.scheduler;
-        AX_ASSIGN_OR_RETURN(auto idx, storage::LsmInvertedIndex::Open(o));
-        part->keyword_indexes_[ix.name] = std::move(idx);
-        break;
-      }
-    }
+    AX_ASSIGN_OR_RETURN(Secondary sec, part->OpenSecondary(ix, create));
+    part->secondaries_.push_back(std::move(sec));
   }
   return part;
+}
+
+Result<DatasetPartition::Secondary> DatasetPartition::OpenSecondary(
+    const meta::IndexDef& ix, bool create) const {
+  Secondary sec;
+  sec.def = ix;
+  storage::LsmOptions o;
+  o.dir = options_.dir + "/" + TreeDir(ix.id, /*index=*/true);
+  o.name = "index";
+  o.cache = options_.cache;
+  o.mem_budget_bytes = options_.mem_budget_bytes;
+  o.merge_policy = options_.merge_policy;
+  o.scheduler = options_.scheduler;
+  o.max_pending_immutables = options_.max_pending_immutables;
+  if (create) AX_RETURN_NOT_OK(fs::RemoveAll(o.dir));
+  switch (ix.kind) {
+    case meta::IndexKind::kBTree: {
+      // Secondary entries are key->PK pairs, not records: always row.
+      AX_ASSIGN_OR_RETURN(sec.btree, storage::LsmBTree::Open(o));
+      break;
+    }
+    case meta::IndexKind::kRTree: {
+      AX_ASSIGN_OR_RETURN(sec.rtree, storage::LsmRTree::Open(o));
+      break;
+    }
+    case meta::IndexKind::kKeyword: {
+      storage::InvertedIndexOptions io;
+      io.dir = o.dir;
+      io.name = o.name;
+      io.cache = o.cache;
+      io.mem_budget_bytes = o.mem_budget_bytes;
+      io.scheduler = o.scheduler;
+      AX_ASSIGN_OR_RETURN(sec.keyword, storage::LsmInvertedIndex::Open(io));
+      break;
+    }
+  }
+  return sec;
+}
+
+Result<std::shared_ptr<DatasetPartition>> DatasetPartition::Reshape(
+    const meta::DatasetDef& def) const {
+  auto part =
+      std::shared_ptr<DatasetPartition>(new DatasetPartition(def, options_));
+  part->primary_ = primary_;
+  for (const auto& ix : def.indexes) {
+    auto have = std::find_if(
+        secondaries_.begin(), secondaries_.end(),
+        [&](const Secondary& s) { return s.def.id == ix.id; });
+    if (have != secondaries_.end()) {
+      part->secondaries_.push_back(*have);
+      continue;
+    }
+    AX_ASSIGN_OR_RETURN(Secondary sec, OpenSecondary(ix, /*create=*/true));
+    part->secondaries_.push_back(std::move(sec));
+  }
+  return part;
+}
+
+Status DatasetPartition::Backfill(const meta::IndexDef& index) {
+  AX_ASSIGN_OR_RETURN(const Secondary* ix,
+                      FindSecondary(index.name, index.kind));
+  AX_ASSIGN_OR_RETURN(auto scan, primary_->NewIterator());
+  AX_RETURN_NOT_OK(scan.SeekToFirst());
+  while (scan.Valid()) {
+    AX_ASSIGN_OR_RETURN(Value record, adm::Deserialize(scan.value()));
+    AX_RETURN_NOT_OK(ApplyToIndex(*ix, record, scan.key(), /*remove=*/false));
+    AX_RETURN_NOT_OK(scan.Next());
+  }
+  return ix->Flush();
+}
+
+void DatasetPartition::Secondary::MarkDropped() const {
+  if (btree) btree->MarkDropped();
+  if (rtree) rtree->MarkDropped();
+  if (keyword) keyword->MarkDropped();
+}
+
+Status DatasetPartition::Secondary::Flush() const {
+  if (btree) return btree->Flush();
+  if (rtree) return rtree->Flush();
+  return keyword->Flush();
+}
+
+void DatasetPartition::MarkDropped() {
+  primary_->MarkDropped();
+  for (const auto& sec : secondaries_) sec.MarkDropped();
+}
+
+void DatasetPartition::MarkIndexDropped(const std::string& index_name) {
+  for (const auto& sec : secondaries_) {
+    if (sec.def.name == index_name) sec.MarkDropped();
+  }
 }
 
 Result<std::string> DatasetPartition::EncodePk(const adm::Value& pk) {
@@ -90,7 +162,7 @@ Status DatasetPartition::LogMutation(txn::LogRecordType type,
   if (options_.wal == nullptr) return Status::OK();
   txn::LogRecord rec;
   rec.type = type;
-  rec.dataset = def_.name;
+  rec.dataset_id = def_.id;
   rec.partition = options_.partition_id;
   rec.key = pk_key;
   if (record) rec.value = adm::Serialize(*record);
@@ -99,60 +171,37 @@ Status DatasetPartition::LogMutation(txn::LogRecordType type,
              : Status::IOError("WAL append failed for dataset " + def_.name);
 }
 
-Status DatasetPartition::AddToIndexes(const Value& record,
-                                      const std::string& pk_key) {
-  for (const auto& ix : def_.indexes) {
-    const Value& field = record.GetField(ix.field);
-    if (field.is_unknown()) continue;  // unindexed when absent
-    switch (ix.kind) {
-      case meta::IndexKind::kBTree: {
-        std::string key;
-        AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
-        key += pk_key;
-        AX_RETURN_NOT_OK(btree_indexes_.at(ix.name)->Put(key, ""));
-        break;
-      }
-      case meta::IndexKind::kRTree: {
-        if (!field.is_point() && !field.is_rectangle()) continue;
-        AX_RETURN_NOT_OK(rtree_indexes_.at(ix.name)->Insert(field.Mbr(), pk_key));
-        break;
-      }
-      case meta::IndexKind::kKeyword: {
-        if (!field.is_string()) continue;
-        AX_RETURN_NOT_OK(
-            keyword_indexes_.at(ix.name)->InsertText(field.AsString(), pk_key));
-        break;
-      }
+Status DatasetPartition::ApplyToIndex(const Secondary& ix, const Value& record,
+                                      const std::string& pk_key,
+                                      bool remove) {
+  const Value& field = record.GetField(ix.def.field);
+  if (field.is_unknown()) return Status::OK();  // unindexed when absent
+  switch (ix.def.kind) {
+    case meta::IndexKind::kBTree: {
+      std::string key;
+      AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
+      key += pk_key;
+      return remove ? ix.btree->Delete(key) : ix.btree->Put(key, "");
+    }
+    case meta::IndexKind::kRTree: {
+      if (!field.is_point() && !field.is_rectangle()) return Status::OK();
+      return remove ? ix.rtree->Remove(field.Mbr(), pk_key)
+                    : ix.rtree->Insert(field.Mbr(), pk_key);
+    }
+    case meta::IndexKind::kKeyword: {
+      if (!field.is_string()) return Status::OK();
+      return remove ? ix.keyword->RemoveText(field.AsString(), pk_key)
+                    : ix.keyword->InsertText(field.AsString(), pk_key);
     }
   }
   return Status::OK();
 }
 
-Status DatasetPartition::RemoveFromIndexes(const Value& record,
-                                           const std::string& pk_key) {
-  for (const auto& ix : def_.indexes) {
-    const Value& field = record.GetField(ix.field);
-    if (field.is_unknown()) continue;
-    switch (ix.kind) {
-      case meta::IndexKind::kBTree: {
-        std::string key;
-        AX_RETURN_NOT_OK(adm::EncodeKeyPart(field, &key));
-        key += pk_key;
-        AX_RETURN_NOT_OK(btree_indexes_.at(ix.name)->Delete(key));
-        break;
-      }
-      case meta::IndexKind::kRTree: {
-        if (!field.is_point() && !field.is_rectangle()) continue;
-        AX_RETURN_NOT_OK(rtree_indexes_.at(ix.name)->Remove(field.Mbr(), pk_key));
-        break;
-      }
-      case meta::IndexKind::kKeyword: {
-        if (!field.is_string()) continue;
-        AX_RETURN_NOT_OK(
-            keyword_indexes_.at(ix.name)->RemoveText(field.AsString(), pk_key));
-        break;
-      }
-    }
+Status DatasetPartition::ApplyToIndexes(const Value& record,
+                                        const std::string& pk_key,
+                                        bool remove) {
+  for (const auto& ix : secondaries_) {
+    AX_RETURN_NOT_OK(ApplyToIndex(ix, record, pk_key, remove));
   }
   return Status::OK();
 }
@@ -164,16 +213,16 @@ Status DatasetPartition::Upsert(const Value& record, bool log) {
     AX_RETURN_NOT_OK(LogMutation(txn::LogRecordType::kUpsert, pk_key, &record));
   }
   // Read the prior version to unhook its index entries.
-  if (!def_.indexes.empty()) {
+  if (!secondaries_.empty()) {
     std::string old_raw;
     AX_ASSIGN_OR_RETURN(bool existed, primary_->Get(pk_key, &old_raw));
     if (existed) {
       AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
-      AX_RETURN_NOT_OK(RemoveFromIndexes(old_record, pk_key));
+      AX_RETURN_NOT_OK(ApplyToIndexes(old_record, pk_key, /*remove=*/true));
     }
   }
   AX_RETURN_NOT_OK(primary_->Put(pk_key, adm::Serialize(record)));
-  return AddToIndexes(record, pk_key);
+  return ApplyToIndexes(record, pk_key, /*remove=*/false);
 }
 
 Status DatasetPartition::Insert(const Value& record, bool log) {
@@ -196,7 +245,7 @@ Result<bool> DatasetPartition::DeleteByKey(const Value& pk, bool log) {
     AX_RETURN_NOT_OK(LogMutation(txn::LogRecordType::kDelete, pk_key, nullptr));
   }
   AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
-  AX_RETURN_NOT_OK(RemoveFromIndexes(old_record, pk_key));
+  AX_RETURN_NOT_OK(ApplyToIndexes(old_record, pk_key, /*remove=*/true));
   AX_RETURN_NOT_OK(primary_->Delete(pk_key));
   return true;
 }
@@ -223,10 +272,8 @@ Result<storage::LsmBTree::Iterator> DatasetPartition::ScanIterator() const {
 
 Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
     const std::string& index_name, const Value& lo, const Value& hi) const {
-  auto it_tree = btree_indexes_.find(index_name);
-  if (it_tree == btree_indexes_.end()) {
-    return Status::NotFound("no B+tree index '" + index_name + "'");
-  }
+  AX_ASSIGN_OR_RETURN(const Secondary* ix,
+                      FindSecondary(index_name, meta::IndexKind::kBTree));
   std::string lo_key = adm::MinKey();
   if (!lo.is_unknown()) {
     lo_key.clear();
@@ -240,7 +287,7 @@ Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
     hi_bound += '\xff';  // include every (hi, pk) composite
   }
   std::vector<std::string> pks;
-  AX_ASSIGN_OR_RETURN(auto it, it_tree->second->NewIterator());
+  AX_ASSIGN_OR_RETURN(auto it, ix->btree->NewIterator());
   AX_RETURN_NOT_OK(it.Seek(lo_key));
   while (it.Valid() && it.key() <= hi_bound) {
     // Composite key: secondary part then pk part; decode to split.
@@ -255,11 +302,9 @@ Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
 
 Result<std::vector<std::string>> DatasetPartition::RTreeSearch(
     const std::string& index_name, const adm::Rectangle& query) const {
-  auto it = rtree_indexes_.find(index_name);
-  if (it == rtree_indexes_.end()) {
-    return Status::NotFound("no R-tree index '" + index_name + "'");
-  }
-  AX_ASSIGN_OR_RETURN(auto entries, it->second->Query(query));
+  AX_ASSIGN_OR_RETURN(const Secondary* ix,
+                      FindSecondary(index_name, meta::IndexKind::kRTree));
+  AX_ASSIGN_OR_RETURN(auto entries, ix->rtree->Query(query));
   std::vector<std::string> pks;
   pks.reserve(entries.size());
   for (auto& e : entries) pks.push_back(std::move(e.payload));
@@ -268,19 +313,22 @@ Result<std::vector<std::string>> DatasetPartition::RTreeSearch(
 
 Result<std::vector<std::string>> DatasetPartition::KeywordSearch(
     const std::string& index_name, const std::string& term) const {
-  auto it = keyword_indexes_.find(index_name);
-  if (it == keyword_indexes_.end()) {
-    return Status::NotFound("no keyword index '" + index_name + "'");
+  AX_ASSIGN_OR_RETURN(const Secondary* ix,
+                      FindSecondary(index_name, meta::IndexKind::kKeyword));
+  return ix->keyword->SearchAll(storage::TokenizeKeywords(term));
+}
+
+Result<const DatasetPartition::Secondary*> DatasetPartition::FindSecondary(
+    const std::string& name, meta::IndexKind kind) const {
+  for (const auto& sec : secondaries_) {
+    if (sec.def.name == name && sec.def.kind == kind) return &sec;
   }
-  auto terms = storage::TokenizeKeywords(term);
-  return it->second->SearchAll(terms);
+  return Status::NotFound("no such index '" + name + "' on " + def_.name);
 }
 
 Status DatasetPartition::Flush() {
   AX_RETURN_NOT_OK(primary_->Flush());
-  for (auto& [n, t] : btree_indexes_) AX_RETURN_NOT_OK(t->Flush());
-  for (auto& [n, t] : rtree_indexes_) AX_RETURN_NOT_OK(t->Flush());
-  for (auto& [n, t] : keyword_indexes_) AX_RETURN_NOT_OK(t->Flush());
+  for (const auto& sec : secondaries_) AX_RETURN_NOT_OK(sec.Flush());
   return Status::OK();
 }
 

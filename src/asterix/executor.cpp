@@ -263,11 +263,11 @@ int Executor::ProfileWrap(
 Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
   Lowered out;
   out.schema = {op.scan_var};
-  AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(op.dataset));
-  if (def.external) {
-    AX_ASSIGN_OR_RETURN(auto type, metadata_->GetType(def.type_name));
+  AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                      catalog_->GetDataset(op.dataset));
+  if (ds->def.external) {
     AX_ASSIGN_OR_RETURN(auto records,
-                        external::ReadExternalDataset(def, type));
+                        external::ReadExternalDataset(ds->def, ds->type));
     // Round-robin external rows across partitions for parallel processing.
     std::vector<std::vector<Tuple>> split(num_partitions_);
     for (size_t i = 0; i < records.size(); i++) {
@@ -281,11 +281,7 @@ Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
     }
     return out;
   }
-  auto it = partitions_.find(op.dataset);
-  if (it == partitions_.end()) {
-    return Status::Internal("no partitions opened for dataset " + op.dataset);
-  }
-  if (def.storage_format == "columnar") {
+  if (ds->def.storage_format == "columnar") {
     // Batch-native scan straight off the LSM component stack, honoring the
     // optimizer's pushed projection and predicates.
     std::vector<hyracks::ScanPredicate> preds;
@@ -300,14 +296,14 @@ Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
       sp.constant = p.constant;
       preds.push_back(std::move(sp));
     }
-    for (DatasetPartition* part : it->second) {
+    for (const auto& part : ds->partitions) {
       out.streams.push_back(std::make_unique<hyracks::ColumnarScanSource>(
           part->primary(), op.scan_fields, op.scan_fields_pushed, preds));
     }
     return out;
   }
-  for (DatasetPartition* part : it->second) {
-    out.streams.push_back(std::make_unique<PartitionScanSource>(part));
+  for (const auto& part : ds->partitions) {
+    out.streams.push_back(std::make_unique<PartitionScanSource>(part.get()));
   }
   return out;
 }
@@ -315,11 +311,9 @@ Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
 Result<Executor::Lowered> Executor::BuildIndexSearch(const LogicalOp& op) {
   Lowered out;
   out.schema = {op.scan_var};
-  auto it = partitions_.find(op.dataset);
-  if (it == partitions_.end()) {
-    return Status::Internal("no partitions opened for dataset " + op.dataset);
-  }
-  const std::vector<DatasetPartition*>& parts = it->second;
+  AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                      catalog_->GetDataset(op.dataset));
+  const auto& parts = ds->partitions;
   adm::Value lo = adm::Value::Missing(), hi = adm::Value::Missing();
   if (op.search_lo) {
     AX_ASSIGN_OR_RETURN(lo, algebricks::EvaluateConst(op.search_lo, *fns_));
@@ -335,12 +329,12 @@ Result<Executor::Lowered> Executor::BuildIndexSearch(const LogicalOp& op) {
     AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo));
     size_t p = DatasetPartition::PartitionOf(pk, parts.size());
     out.streams.push_back(
-        std::make_unique<IndexSearchSource>(parts[p], &op, lo, hi));
+        std::make_unique<IndexSearchSource>(parts[p].get(), &op, lo, hi));
     label += " (partition " + std::to_string(p) + ")";
   } else {
-    for (DatasetPartition* part : parts) {
+    for (const auto& part : parts) {
       out.streams.push_back(
-          std::make_unique<IndexSearchSource>(part, &op, lo, hi));
+          std::make_unique<IndexSearchSource>(part.get(), &op, lo, hi));
     }
   }
   ProfileWrap(&out, std::move(label), {});

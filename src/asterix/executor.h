@@ -4,7 +4,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,27 +29,23 @@ struct ExecStats {
   std::shared_ptr<hyracks::PlanProfile> profile;
 };
 
-/// Runs plans against the instance's dataset partitions.
+/// Runs plans against the dataset partitions of one pinned catalog.
 class Executor {
  public:
-  /// `partitions[dataset][p]` is partition p of that dataset.
-  using PartitionMap =
-      std::map<std::string, std::vector<DatasetPartition*>>;
-
+  /// `catalog` is the statement's pinned catalog: plans are lowered onto
+  /// its partitions, which the caller's pin keeps alive through Run.
   /// `pool` runs the job's producer tasks, its roots after the first and
   /// the parallel sorts under an ordered merge.
   /// `governor` (optional) brokers per-operator memory grants; without one
   /// every blocking operator uses `op_memory_budget` directly, as before.
   /// `ctx` (optional) is the query's cancellation/deadline token, threaded
   /// into the operator tree and the job's exchanges.
-  Executor(const meta::MetadataManager* metadata, PartitionMap partitions,
-           size_t num_partitions, TempFileManager* tmp,
-           size_t op_memory_budget, const algebricks::FunctionRegistry* fns,
-           hyracks::WorkerPool* pool,
+  Executor(const meta::Catalog* catalog, size_t num_partitions,
+           TempFileManager* tmp, size_t op_memory_budget,
+           const algebricks::FunctionRegistry* fns, hyracks::WorkerPool* pool,
            resource::MemoryGovernor* governor = nullptr,
            resource::QueryContext* ctx = nullptr)
-      : metadata_(metadata), partitions_(std::move(partitions)),
-        num_partitions_(num_partitions), tmp_(tmp),
+      : catalog_(catalog), num_partitions_(num_partitions), tmp_(tmp),
         op_budget_(op_memory_budget), fns_(fns), pool_(pool),
         governor_(governor), ctx_(ctx) {}
 
@@ -99,8 +94,7 @@ class Executor {
     return algebricks::CompileExpr(e, algebricks::PositionsOf(s), *fns_);
   }
 
-  const meta::MetadataManager* metadata_;
-  PartitionMap partitions_;
+  const meta::Catalog* catalog_;
   size_t num_partitions_;
   TempFileManager* tmp_;
   size_t op_budget_;

@@ -34,7 +34,7 @@ Status FeedManager::CreateFeed(const std::string& name,
   def.name = name;
   def.adapter = adapter;
   def.props = std::move(props);
-  return metadata_->CreateFeed(std::move(def));
+  return metadata_->Update([&](meta::Catalog* c) { return c->AddFeed(def); });
 }
 
 Status FeedManager::DropFeed(const std::string& name) {
@@ -45,7 +45,8 @@ Status FeedManager::DropFeed(const std::string& name) {
                                      "' is connected; disconnect it first");
     }
   }
-  AX_RETURN_NOT_OK(metadata_->DropFeed(name));
+  AX_RETURN_NOT_OK(
+      metadata_->Update([&](meta::Catalog* c) { return c->RemoveFeed(name); }));
   const std::string progress = ProgressPathFor(name);
   if (fs::Exists(progress)) {
     AX_RETURN_NOT_OK(fs::RemoveFile(progress));
@@ -60,7 +61,9 @@ Status FeedManager::ConnectFeed(const std::string& name,
       FeedPolicy policy,
       FeedPolicy::Named(policy_name.empty() ? "BASIC" : policy_name));
   AX_RETURN_NOT_OK(Connect(name, dataset, policy));
-  return metadata_->SetFeedConnection(name, dataset, policy.name());
+  return metadata_->Update([&](meta::Catalog* c) {
+    return c->SetFeedConnection(name, dataset, policy.name());
+  });
 }
 
 Status FeedManager::DisconnectFeed(const std::string& name) {
@@ -77,8 +80,10 @@ Status FeedManager::DisconnectFeed(const std::string& name) {
   // Graceful stop persists the drained watermark; the progress file is kept
   // so a later CONNECT resumes after the last applied record.
   Status stop_status = runtime->Stop();
-  AX_ASSIGN_OR_RETURN(meta::FeedDef def, metadata_->GetFeed(name));
-  AX_RETURN_NOT_OK(metadata_->SetFeedConnection(name, "", def.policy));
+  AX_RETURN_NOT_OK(metadata_->Update([&](meta::Catalog* c) -> Status {
+    AX_ASSIGN_OR_RETURN(meta::FeedDef def, c->GetFeed(name));
+    return c->SetFeedConnection(name, "", def.policy);
+  }));
   return stop_status;
 }
 
@@ -90,16 +95,15 @@ Status FeedManager::Connect(const std::string& name, const std::string& dataset,
       return Status::AlreadyExists("feed '" + name + "' is already connected");
     }
   }
-  AX_ASSIGN_OR_RETURN(meta::FeedDef def, metadata_->GetFeed(name));
-  AX_ASSIGN_OR_RETURN(meta::DatasetDef ds, metadata_->GetDataset(dataset));
-  if (ds.external) {
+  meta::CatalogPtr catalog = metadata_->Snapshot();
+  AX_ASSIGN_OR_RETURN(meta::FeedDef def, catalog->GetFeed(name));
+  AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                      catalog->GetDataset(dataset));
+  if (ds->def.external) {
     return Status::InvalidArgument(
         "cannot connect a feed to external dataset '" + dataset + "'");
   }
-  adm::TypePtr type;
-  auto type_result = metadata_->GetType(ds.type_name);
-  if (type_result.ok()) type = type_result.value();
-  AX_ASSIGN_OR_RETURN(ParseSpec parse, BuildParseSpec(def.props, type));
+  AX_ASSIGN_OR_RETURN(ParseSpec parse, BuildParseSpec(def.props, ds->type));
   AX_ASSIGN_OR_RETURN(std::unique_ptr<FeedAdapter> adapter,
                       MakeAdapter(def.adapter, def.props));
   AX_RETURN_NOT_OK(fs::CreateDirs(feeds_dir_));

@@ -3,7 +3,7 @@
 // FeedRuntime (how it is ingested: policy + pipeline) and owns the durable
 // per-feed progress files used for at-least-once resume after a crash.
 // DDL-facing entry points (CreateFeed/ConnectFeed/...) are called by
-// Instance::RunDdl under its DDL lock; the programmatic Connect() overload
+// Instance::RunDdl; the programmatic Connect() overload
 // lets tests and benches supply an explicit policy and fault injector.
 #pragma once
 
@@ -58,8 +58,7 @@ class FeedManager {
       AX_EXCLUDES(mu_);
 
   /// Running runtime for a connected feed, or nullptr. The pointer stays
-  /// valid until the feed is disconnected (DDL is single-threaded through
-  /// Instance::RunDdl, so callers hold no lock).
+  /// valid until the feed is disconnected.
   FeedRuntime* runtime(const std::string& name) AX_EXCLUDES(mu_);
   /// The in-process channel endpoint of a connected "channel" feed, or
   /// nullptr for other adapters / unconnected feeds.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <set>
 
 #include "adm/key_encoder.h"
 #include "aql/aql.h"
@@ -19,25 +20,47 @@ using sqlpp::ast::Statement;
 
 namespace {
 Result<adm::TypePtr> ResolveTypeSpec(const sqlpp::ast::TypeSpec& spec,
-                                     const meta::MetadataManager& metadata) {
+                                     const meta::Catalog& catalog) {
   using sqlpp::ast::TypeSpec;
   switch (spec.kind) {
     case TypeSpec::kArray: {
-      AX_ASSIGN_OR_RETURN(auto item, ResolveTypeSpec(*spec.item, metadata));
+      AX_ASSIGN_OR_RETURN(auto item, ResolveTypeSpec(*spec.item, catalog));
       return adm::Type::MakeArray(item);
     }
     case TypeSpec::kMultiset: {
-      AX_ASSIGN_OR_RETURN(auto item, ResolveTypeSpec(*spec.item, metadata));
+      AX_ASSIGN_OR_RETURN(auto item, ResolveTypeSpec(*spec.item, catalog));
       return adm::Type::MakeMultiset(item);
     }
     case TypeSpec::kNamed: {
       auto primitive = adm::PrimitiveTagFromName(spec.name);
       if (primitive.ok()) return adm::Type::Primitive(primitive.value());
-      return metadata.GetType(spec.name);
+      return catalog.GetType(spec.name);
     }
   }
   return Status::Internal("bad type spec");
 }
+
+Result<const meta::Catalog::Dataset*> InternalDataset(
+    const meta::Catalog& catalog, const std::string& name) {
+  auto ds = catalog.GetDataset(name);
+  if (!ds.ok() || ds.value()->def.external) {
+    return Status::NotFound("no internal dataset '" + name + "'");
+  }
+  return ds;
+}
+
+// Leaves a write gate when the keyed write ends.
+class GateExit {
+ public:
+  explicit GateExit(meta::WriteGate* gate) : gate_(gate) {}
+  ~GateExit() { gate_->Exit(); }
+  GateExit(const GateExit&) = delete;
+  GateExit& operator=(const GateExit&) = delete;
+
+ private:
+  meta::WriteGate* gate_;
+};
+
 }  // namespace
 
 Result<std::unique_ptr<Instance>> Instance::Open(
@@ -67,8 +90,6 @@ Result<std::unique_ptr<Instance>> Instance::Open(
     adm.queue_timeout_ms = options.admission_timeout_ms;
     inst->admission_ = std::make_unique<resource::AdmissionController>(adm);
   }
-  AX_ASSIGN_OR_RETURN(inst->metadata_, meta::MetadataManager::Open(
-                                           options.base_dir + "/metadata.adm"));
   for (size_t p = 0; p < options.num_partitions; p++) {
     std::string pdir = options.base_dir + "/p" + std::to_string(p);
     AX_RETURN_NOT_OK(fs::CreateDirs(pdir));
@@ -76,10 +97,21 @@ Result<std::unique_ptr<Instance>> Instance::Open(
         auto wal, txn::LogManager::Open(pdir + "/wal.log", options.wal_sync));
     inst->wals_.push_back(std::move(wal));
   }
-  // Reopen existing datasets, then replay WALs.
-  for (const auto& def : inst->metadata_->AllDatasets()) {
-    if (!def.external) AX_RETURN_NOT_OK(inst->OpenDatasetPartitions(def));
-  }
+  // Reopen existing datasets before the first catalog is published, then
+  // replay the WALs into them.
+  auto attach = [&inst](meta::Catalog* c) -> Status {
+    AX_RETURN_NOT_OK(inst->SweepDroppedStorage(*c));
+    for (auto& [name, entry] : c->datasets) {
+      if (entry->def.external) continue;
+      auto ds = std::make_shared<meta::Catalog::Dataset>(*entry);
+      AX_RETURN_NOT_OK(inst->OpenPartitions(ds.get(), /*create=*/false));
+      entry = std::move(ds);
+    }
+    return Status::OK();
+  };
+  AX_ASSIGN_OR_RETURN(inst->metadata_,
+                      meta::MetadataManager::Open(
+                          options.base_dir + "/metadata.adm", attach));
   AX_RETURN_NOT_OK(inst->RecoverFromWal());
   inst->feeds_ = std::make_unique<feeds::FeedManager>(
       inst.get(), inst->metadata_.get(), options.base_dir + "/feeds");
@@ -90,12 +122,11 @@ Instance::Instance(InstanceOptions options) : options_(std::move(options)) {}
 
 Instance::~Instance() = default;
 
-Status Instance::OpenDatasetPartitions(const meta::DatasetDef& def) {
-  auto& parts = datasets_[def.name];
-  parts.clear();
+Status Instance::OpenPartitions(meta::Catalog::Dataset* ds,
+                                bool create) const {
   for (size_t p = 0; p < options_.num_partitions; p++) {
     PartitionOptions po;
-    po.dir = options_.base_dir + "/p" + std::to_string(p) + "/" + def.name;
+    po.dir = options_.base_dir + "/p" + std::to_string(p);
     po.cache = cache_.get();
     po.mem_budget_bytes = options_.lsm_mem_budget_bytes;
     po.merge_policy = options_.merge_policy;
@@ -103,23 +134,51 @@ Status Instance::OpenDatasetPartitions(const meta::DatasetDef& def) {
     po.partition_id = static_cast<uint32_t>(p);
     po.scheduler = maintenance_.get();
     po.max_pending_immutables = options_.max_pending_immutables;
-    po.storage_format = def.storage_format == "columnar"
+    po.storage_format = ds->def.storage_format == "columnar"
                             ? storage::StorageFormat::kColumnar
                             : storage::StorageFormat::kRow;
-    AX_ASSIGN_OR_RETURN(auto part, DatasetPartition::Open(def, po));
-    parts.push_back(std::move(part));
+    AX_ASSIGN_OR_RETURN(auto part, DatasetPartition::Open(ds->def, po, create));
+    ds->partitions.push_back(std::move(part));
+  }
+  return Status::OK();
+}
+
+Status Instance::SweepDroppedStorage(const meta::Catalog& catalog) {
+  std::set<std::string> live;
+  for (const auto& [name, ds] : catalog.datasets) {
+    if (ds->def.external) continue;
+    live.insert(DatasetPartition::TreeDir(ds->def.id, /*index=*/false));
+    for (const auto& ix : ds->def.indexes) {
+      live.insert(DatasetPartition::TreeDir(ix.id, /*index=*/true));
+    }
+  }
+  for (size_t p = 0; p < options_.num_partitions; p++) {
+    const std::string pdir = options_.base_dir + "/p" + std::to_string(p) + "/";
+    AX_ASSIGN_OR_RETURN(auto names, fs::ListDir(pdir));
+    for (const auto& n : names) {
+      if (n != "wal.log" && live.count(n) == 0) {
+        AX_RETURN_NOT_OK(fs::RemoveAll(pdir + n));
+      }
+    }
   }
   return Status::OK();
 }
 
 Status Instance::RecoverFromWal() {
+  meta::CatalogPtr catalog = metadata_->Snapshot();
+  // WAL records name datasets by id: a record of a dropped dataset, or of
+  // an earlier dataset of the same name, matches nothing and is skipped.
+  std::map<uint64_t, const meta::Catalog::Dataset*> by_id;
+  for (const auto& [name, ds] : catalog->datasets) by_id[ds->def.id] = ds.get();
   for (size_t p = 0; p < wals_.size(); p++) {
     txn::ReplayStats stats;
     AX_RETURN_NOT_OK(wals_[p]->Replay(
         [&](const txn::LogRecord& rec) -> Status {
-          auto it = datasets_.find(rec.dataset);
-          if (it == datasets_.end()) return Status::OK();  // dataset dropped
-          DatasetPartition* part = it->second[rec.partition].get();
+          auto it = by_id.find(rec.dataset_id);
+          if (it == by_id.end() || it->second->def.external) {
+            return Status::OK();
+          }
+          DatasetPartition* part = it->second->partitions[rec.partition].get();
           if (rec.type == txn::LogRecordType::kUpsert) {
             AX_ASSIGN_OR_RETURN(Value record, adm::Deserialize(rec.value));
             return part->Upsert(record, /*log=*/false);
@@ -143,17 +202,6 @@ Status Instance::RecoverFromWal() {
     }
   }
   return Status::OK();
-}
-
-Executor Instance::MakeExecutor(resource::QueryContext* ctx) {
-  Executor::PartitionMap map;
-  for (auto& [name, parts] : datasets_) {
-    for (auto& p : parts) map[name].push_back(p.get());
-  }
-  return Executor(metadata_.get(), std::move(map), options_.num_partitions,
-                  tmp_.get(), options_.op_memory_budget_bytes,
-                  &algebricks::FunctionRegistry::Instance(), &workers_,
-                  governor_.get(), ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +270,8 @@ Result<QueryResult> Instance::ExecuteParsed(const Statement& st) {
     case Statement::kDelete:
       return RunDml(st);
     default:
-      return RunDdl(st);
+      AX_RETURN_NOT_OK(RunDdl(st));
+      return QueryResult{};
   }
 }
 
@@ -246,17 +295,18 @@ Result<QueryResult> Instance::Query(const std::string& query,
 
 Result<QueryResult> Instance::QueryAql(const std::string& query,
                                        const QueryRunOptions& run) {
-  auto translate = [&]() -> Result<algebricks::LogicalOpPtr> {
-    AX_ASSIGN_OR_RETURN(auto translated, aql::TranslateAql(query, *metadata_));
+  auto translate =
+      [&](const meta::Catalog& catalog) -> Result<algebricks::LogicalOpPtr> {
+    AX_ASSIGN_OR_RETURN(auto translated, aql::TranslateAql(query, catalog));
     return translated.plan;
   };
   return RunQuery(translate, options_.optimizer, run);
 }
 
-Instance::PlanProducer Instance::SqlppPlan(
-    const sqlpp::ast::SelectQuery& q) const {
-  return [this, &q]() -> Result<algebricks::LogicalOpPtr> {
-    sqlpp::Translator translator(metadata_.get());
+Instance::PlanProducer Instance::SqlppPlan(const sqlpp::ast::SelectQuery& q) {
+  return [&q](const meta::Catalog& catalog)
+             -> Result<algebricks::LogicalOpPtr> {
+    sqlpp::Translator translator(&catalog);
     AX_ASSIGN_OR_RETURN(auto translated, translator.TranslateQuery(q));
     return translated.plan;
   };
@@ -280,12 +330,19 @@ Result<QueryResult> Instance::RunQuery(const PlanProducer& translate,
     if (admission_ != nullptr) {
       AX_ASSIGN_OR_RETURN(slot, admission_->Admit(ctx.get()));
     }
-    AX_ASSIGN_OR_RETURN(algebricks::LogicalOpPtr plan, translate());
+    // The query's one catalog version: translation, optimization and the
+    // executor all read it, and it keeps the partitions alive until the
+    // job is done.
+    meta::CatalogPtr catalog = metadata_->Snapshot();
+    AX_ASSIGN_OR_RETURN(algebricks::LogicalOpPtr plan, translate(*catalog));
     AX_ASSIGN_OR_RETURN(
         auto optimized,
-        algebricks::Optimize(std::move(plan), *metadata_, opts,
+        algebricks::Optimize(std::move(plan), *catalog, opts,
                              algebricks::FunctionRegistry::Instance()));
-    Executor ex = MakeExecutor(ctx.get());
+    Executor ex(catalog.get(), options_.num_partitions, tmp_.get(),
+                options_.op_memory_budget_bytes,
+                &algebricks::FunctionRegistry::Instance(), &workers_,
+                governor_.get(), ctx.get());
     ex.set_profiling(options_.profile_queries);
     ExecStats stats;
     AX_ASSIGN_OR_RETURN(auto rows, ex.Run(optimized, &stats));
@@ -304,7 +361,8 @@ Result<QueryResult> Instance::RunQuery(const PlanProducer& translate,
 Result<QueryResult> Instance::RunDml(const Statement& st) {
   QueryResult out;
   if (st.kind == Statement::kInsert || st.kind == Statement::kUpsert) {
-    sqlpp::Translator translator(metadata_.get());
+    meta::CatalogPtr catalog = metadata_->Snapshot();
+    sqlpp::Translator translator(catalog.get());
     AX_ASSIGN_OR_RETURN(auto expr, translator.TranslateScalar(st.payload));
     AX_ASSIGN_OR_RETURN(
         Value payload,
@@ -326,50 +384,68 @@ Result<QueryResult> Instance::RunDml(const Statement& st) {
   }
   // DELETE is a query for the primary keys of the doomed records, then the
   // keyed, pk-locked delete that feeds and the direct API use.
-  AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(st.target));
-  if (def.external) {
-    return Status::InvalidArgument("cannot DELETE from external dataset");
-  }
-  sqlpp::ast::SelectQuery keys = *st.query;
-  keys.select_value = true;
-  keys.value_expr = sqlpp::ast::ExprNode::Field(
-      sqlpp::ast::ExprNode::Ident(keys.froms[0].alias), def.primary_key);
-  AX_ASSIGN_OR_RETURN(out, RunQuery(SqlppPlan(keys), options_.optimizer));
+  uint64_t target_id = 0;
+  auto keys = [&st, &target_id](const meta::Catalog& catalog)
+      -> Result<algebricks::LogicalOpPtr> {
+    AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                        catalog.GetDataset(st.target));
+    if (ds->def.external) {
+      return Status::InvalidArgument("cannot DELETE from external dataset");
+    }
+    target_id = ds->def.id;
+    sqlpp::ast::SelectQuery q = *st.query;
+    q.select_value = true;
+    q.value_expr = sqlpp::ast::ExprNode::Field(
+        sqlpp::ast::ExprNode::Ident(q.froms[0].alias), ds->def.primary_key);
+    return SqlppPlan(q)(catalog);
+  };
+  AX_ASSIGN_OR_RETURN(out, RunQuery(keys, options_.optimizer));
   std::vector<Value> pks = std::move(out.rows);
   out.rows.clear();
+  // The keys belong to the dataset the key query pinned. If it has been
+  // dropped since, the drop removed the rest of them; a dataset re-created
+  // under its name must not lose records with the same keys.
   for (const auto& pk : pks) {
-    AX_ASSIGN_OR_RETURN(bool existed, DeleteByKey(st.target, pk));
-    if (existed) out.mutated++;
+    auto existed = KeyedWrite(
+        st.target, target_id, pk, /*is_record=*/false,
+        [&](DatasetPartition* p) { return p->DeleteByKey(pk); });
+    if (existed.status().IsNotFound()) break;
+    AX_RETURN_NOT_OK(existed.status());
+    if (existed.value()) out.mutated++;
   }
   return out;
 }
 
-Result<QueryResult> Instance::RunDdl(const Statement& st) {
-  std::lock_guard<std::mutex> lock(ddl_mu_);
-  QueryResult out;
+Status Instance::RunDdl(const Statement& st) {
   switch (st.kind) {
-    case Statement::kCreateType: {
-      std::vector<adm::FieldDef> fields;
-      for (const auto& f : st.type_fields) {
-        adm::FieldDef fd;
-        fd.name = f.name;
-        fd.optional = f.optional;
-        AX_ASSIGN_OR_RETURN(fd.type, ResolveTypeSpec(f.type, *metadata_));
-        fields.push_back(std::move(fd));
-      }
-      auto type = adm::Type::MakeObject(st.type_name, std::move(fields),
-                                        /*open=*/!st.closed);
-      AX_RETURN_NOT_OK(metadata_->CreateType(st.type_name, type));
-      return out;
-    }
+    case Statement::kCreateType:
+      return metadata_->Update([&](meta::Catalog* c) -> Status {
+        std::vector<adm::FieldDef> fields;
+        for (const auto& f : st.type_fields) {
+          adm::FieldDef fd;
+          fd.name = f.name;
+          fd.optional = f.optional;
+          AX_ASSIGN_OR_RETURN(fd.type, ResolveTypeSpec(f.type, *c));
+          fields.push_back(std::move(fd));
+        }
+        return c->AddType(st.type_name,
+                          adm::Type::MakeObject(st.type_name, std::move(fields),
+                                                /*open=*/!st.closed));
+      });
     case Statement::kDropType:
-      AX_RETURN_NOT_OK(metadata_->DropType(st.type_name));
-      return out;
-    case Statement::kCreateDataset: {
+      return metadata_->Update(
+          [&](meta::Catalog* c) { return c->RemoveType(st.type_name); });
+    case Statement::kCreateDataset:
+    case Statement::kCreateExternalDataset: {
       meta::DatasetDef def;
       def.name = st.dataset_name;
       def.type_name = st.dataset_type;
-      def.primary_key = st.primary_key;
+      if (st.kind == Statement::kCreateExternalDataset) {
+        def.external = true;
+        def.external_props = st.external_props;
+      } else {
+        def.primary_key = st.primary_key;
+      }
       for (const auto& [k, v] : st.with_props) {
         if (k != "storage-format") {
           return Status::InvalidArgument("unknown WITH property '" + k + "'");
@@ -380,185 +456,201 @@ Result<QueryResult> Instance::RunDdl(const Statement& st) {
         }
         def.storage_format = v;
       }
-      AX_RETURN_NOT_OK(metadata_->CreateDataset(def));
-      AX_RETURN_NOT_OK(OpenDatasetPartitions(def));
-      return out;
-    }
-    case Statement::kCreateExternalDataset: {
-      meta::DatasetDef def;
-      def.name = st.dataset_name;
-      def.type_name = st.dataset_type;
-      def.external = true;
-      def.external_props = st.external_props;
-      AX_RETURN_NOT_OK(metadata_->CreateDataset(def));
-      return out;
+      return metadata_->Update([&](meta::Catalog* c) -> Status {
+        AX_ASSIGN_OR_RETURN(meta::Catalog::Dataset* ds, c->AddDataset(def));
+        if (def.external) return Status::OK();
+        return OpenPartitions(ds, /*create=*/true);
+      });
     }
     case Statement::kDropDataset: {
-      AX_RETURN_NOT_OK(metadata_->DropDataset(st.dataset_name));
-      datasets_.erase(st.dataset_name);
-      return out;
+      std::shared_ptr<const meta::Catalog::Dataset> dropped;
+      AX_RETURN_NOT_OK(metadata_->Update([&](meta::Catalog* c) -> Status {
+        AX_ASSIGN_OR_RETURN(dropped, c->RemoveDataset(st.dataset_name));
+        return Status::OK();
+      }));
+      // Committed: each tree's files go when the last statement pinning an
+      // older catalog lets go of it.
+      for (const auto& part : dropped->partitions) part->MarkDropped();
+      return Status::OK();
     }
-    case Statement::kCreateIndex: {
-      meta::IndexDef ix;
-      ix.name = st.index_name;
-      ix.field = st.on_field;
-      ix.kind = st.index_type == "RTREE"     ? meta::IndexKind::kRTree
-                : st.index_type == "KEYWORD" ? meta::IndexKind::kKeyword
-                                             : meta::IndexKind::kBTree;
-      AX_RETURN_NOT_OK(metadata_->CreateIndex(st.on_dataset, ix));
-      // Rebuild partitions with the new index, backfilling existing data.
-      AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(st.on_dataset));
-      // Collect current records before reopening.
-      std::vector<std::vector<Value>> existing(options_.num_partitions);
-      auto dit = datasets_.find(st.on_dataset);
-      if (dit != datasets_.end()) {
-        for (size_t p = 0; p < dit->second.size(); p++) {
-          AX_ASSIGN_OR_RETURN(auto scan, dit->second[p]->ScanIterator());
-          AX_RETURN_NOT_OK(scan.SeekToFirst());
-          while (scan.Valid()) {
-            AX_ASSIGN_OR_RETURN(Value rec, adm::Deserialize(scan.value()));
-            existing[p].push_back(std::move(rec));
-            AX_RETURN_NOT_OK(scan.Next());
-          }
-        }
-      }
-      AX_RETURN_NOT_OK(OpenDatasetPartitions(def));
-      auto& parts = datasets_[st.on_dataset];
-      for (size_t p = 0; p < parts.size(); p++) {
-        for (const auto& rec : existing[p]) {
-          // axlint: allow(blocking-under-lock): DDL quiesces under ddl_mu_
-          // by design — the index backfill must not race concurrent DDL,
-          // and queries never take ddl_mu_.
-          AX_RETURN_NOT_OK(parts[p]->Upsert(rec, /*log=*/false));
-        }
-      }
-      return out;
-    }
+    case Statement::kCreateIndex:
+      return CreateIndex(st);
     case Statement::kDropIndex: {
-      AX_RETURN_NOT_OK(metadata_->DropIndex(st.on_dataset, st.index_name));
-      AX_ASSIGN_OR_RETURN(auto def, metadata_->GetDataset(st.on_dataset));
-      AX_RETURN_NOT_OK(OpenDatasetPartitions(def));
-      return out;
+      std::vector<std::shared_ptr<DatasetPartition>> before;
+      AX_RETURN_NOT_OK(metadata_->Update([&](meta::Catalog* c) -> Status {
+        AX_ASSIGN_OR_RETURN(meta::Catalog::Dataset* ds,
+                            c->RemoveIndex(st.on_dataset, st.index_name));
+        before = ds->partitions;
+        for (auto& part : ds->partitions) {
+          AX_ASSIGN_OR_RETURN(part, part->Reshape(ds->def));
+        }
+        return Status::OK();
+      }));
+      for (const auto& part : before) part->MarkIndexDropped(st.index_name);
+      return Status::OK();
     }
     case Statement::kCreateFeed:
-      AX_RETURN_NOT_OK(feeds_->CreateFeed(st.feed_name, st.feed_adapter,
-                                          st.external_props));
-      return out;
+      return feeds_->CreateFeed(st.feed_name, st.feed_adapter,
+                                st.external_props);
     case Statement::kDropFeed:
-      AX_RETURN_NOT_OK(feeds_->DropFeed(st.feed_name));
-      return out;
+      return feeds_->DropFeed(st.feed_name);
     case Statement::kConnectFeed:
-      // Safe under ddl_mu_: the feed pipeline's storage stage goes through
-      // UpsertValue/DeleteByKey, which never take the DDL latch.
-      AX_RETURN_NOT_OK(
-          feeds_->ConnectFeed(st.feed_name, st.dataset_name, st.feed_policy));
-      return out;
+      // The feed pipeline's storage stage writes through UpsertValue and
+      // DeleteByKey, like any other writer.
+      return feeds_->ConnectFeed(st.feed_name, st.dataset_name,
+                                 st.feed_policy);
     case Statement::kDisconnectFeed:
-      AX_RETURN_NOT_OK(feeds_->DisconnectFeed(st.feed_name));
-      return out;
+      return feeds_->DisconnectFeed(st.feed_name);
     default:
       return Status::Internal("unhandled DDL statement");
   }
+}
+
+Status Instance::CreateIndex(const Statement& st) {
+  meta::IndexDef ix;
+  ix.name = st.index_name;
+  ix.field = st.on_field;
+  ix.kind = st.index_type == "RTREE"     ? meta::IndexKind::kRTree
+            : st.index_type == "KEYWORD" ? meta::IndexKind::kKeyword
+                                         : meta::IndexKind::kBTree;
+  std::shared_ptr<meta::WriteGate> gate;
+  std::vector<std::shared_ptr<DatasetPartition>> built;
+  auto build = [&](meta::Catalog* c) -> Status {
+    AX_ASSIGN_OR_RETURN(meta::Catalog::Dataset* ds,
+                        c->AddIndex(st.on_dataset, ix));
+    // From here until the catalog naming the index is published, the
+    // dataset's writers wait, so none writes a record the backfill misses.
+    gate = ds->gate;
+    gate->Close();
+    for (auto& part : ds->partitions) {
+      AX_ASSIGN_OR_RETURN(part, part->Reshape(ds->def));
+      built.push_back(part);
+      // Backfill flushes the new index, so it is durable before the
+      // persist that commits its definition.
+      AX_RETURN_NOT_OK(part->Backfill(ix));
+    }
+    return Status::OK();
+  };
+  // Reopened before the update ends, so the next index DDL on the dataset
+  // closes a gate this one has finished with. Writers holding an older
+  // catalog re-pin the new one.
+  auto reopen = [&](const meta::Catalog& published) {
+    if (gate != nullptr) gate->Open(published.version);
+  };
+  Status s = metadata_->Update(build, reopen);
+  if (!s.ok()) {
+    for (const auto& part : built) part->MarkIndexDropped(ix.name);
+  }
+  return s;
 }
 
 // ---------------------------------------------------------------------------
 // Direct API
 // ---------------------------------------------------------------------------
 
-Result<DatasetPartition*> Instance::RouteAndLock(const std::string& dataset,
-                                                 const Value& value,
-                                                 bool is_record,
-                                                 txn::LockMode mode,
-                                                 txn::TxnScope* scope) {
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no internal dataset '" + dataset + "'");
-  }
-  const auto& parts = it->second;
-  const meta::DatasetDef& def = parts.front()->def();
+Result<DatasetPartition*> Instance::RouteAndLock(
+    const meta::Catalog::Dataset& ds, const Value& value, bool is_record,
+    txn::LockMode mode, txn::TxnScope* scope) {
   const Value* pk = &value;
   if (is_record) {
-    AX_ASSIGN_OR_RETURN(auto type, metadata_->GetType(def.type_name));
-    AX_RETURN_NOT_OK(type->Validate(value));
-    pk = &value.GetField(def.primary_key);
+    AX_RETURN_NOT_OK(ds.type->Validate(value));
+    pk = &value.GetField(ds.def.primary_key);
   }
   AX_ASSIGN_OR_RETURN(std::string key, DatasetPartition::EncodePk(*pk));
-  AX_RETURN_NOT_OK(scope->Lock(dataset + "/" + key, mode));
-  return parts[DatasetPartition::PartitionOf(key, parts.size())].get();
+  AX_RETURN_NOT_OK(scope->Lock(ds.def.name + "/" + key, mode));
+  return ds.partitions[DatasetPartition::PartitionOf(key, ds.partitions.size())]
+      .get();
+}
+
+template <typename Write>
+auto Instance::KeyedWrite(const std::string& dataset, uint64_t dataset_id,
+                          const Value& value, bool is_record,
+                          const Write& write)
+    -> decltype(write(static_cast<DatasetPartition*>(nullptr))) {
+  for (;;) {
+    meta::CatalogPtr catalog = metadata_->Snapshot();
+    AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                        InternalDataset(*catalog, dataset));
+    if (dataset_id != 0 && ds->def.id != dataset_id) {
+      return Status::NotFound("dataset '" + dataset + "' was dropped");
+    }
+    // False: index DDL published a newer catalog while this one was held.
+    if (!ds->gate->Enter(catalog->version)) continue;
+    GateExit leave(ds->gate.get());
+    txn::TxnScope scope(&locks_);
+    AX_ASSIGN_OR_RETURN(DatasetPartition* part,
+                        RouteAndLock(*ds, value, is_record,
+                                     txn::LockMode::kExclusive, &scope));
+    return write(part);
+  }
 }
 
 Status Instance::UpsertValue(const std::string& dataset, const Value& record) {
-  txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
-                      RouteAndLock(dataset, record, /*is_record=*/true,
-                                   txn::LockMode::kExclusive, &scope));
-  return part->Upsert(record);
+  return KeyedWrite(dataset, /*dataset_id=*/0, record, /*is_record=*/true,
+                    [&](DatasetPartition* p) { return p->Upsert(record); });
 }
 
 Status Instance::InsertValue(const std::string& dataset, const Value& record) {
-  txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
-                      RouteAndLock(dataset, record, /*is_record=*/true,
-                                   txn::LockMode::kExclusive, &scope));
-  return part->Insert(record);
+  return KeyedWrite(dataset, /*dataset_id=*/0, record, /*is_record=*/true,
+                    [&](DatasetPartition* p) { return p->Insert(record); });
 }
 
 Result<bool> Instance::DeleteByKey(const std::string& dataset, const Value& pk) {
-  txn::TxnScope scope(&locks_);
-  AX_ASSIGN_OR_RETURN(DatasetPartition* part,
-                      RouteAndLock(dataset, pk, /*is_record=*/false,
-                                   txn::LockMode::kExclusive, &scope));
-  return part->DeleteByKey(pk);
+  return KeyedWrite(dataset, /*dataset_id=*/0, pk, /*is_record=*/false,
+                    [&](DatasetPartition* p) { return p->DeleteByKey(pk); });
 }
 
 Result<bool> Instance::GetByKey(const std::string& dataset, const Value& pk,
                                 Value* record) {
+  meta::CatalogPtr catalog = metadata_->Snapshot();
+  AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                      InternalDataset(*catalog, dataset));
   txn::TxnScope scope(&locks_);
   AX_ASSIGN_OR_RETURN(DatasetPartition* part,
-                      RouteAndLock(dataset, pk, /*is_record=*/false,
+                      RouteAndLock(*ds, pk, /*is_record=*/false,
                                    txn::LockMode::kShared, &scope));
   return part->Get(pk, record);
 }
 
 Status Instance::Checkpoint() {
-  std::lock_guard<std::mutex> lock(ddl_mu_);
   // Persist feed watermarks BEFORE flushing/truncating: a watermark read
   // here only covers records already applied (and thus WAL'd), so whether
   // the crash lands before or after the truncate below, every record at or
   // below the persisted watermark is recoverable.
   if (feeds_ != nullptr) AX_RETURN_NOT_OK(feeds_->PersistProgress());
-  if (maintenance_ != nullptr) {
-    // Fan the per-partition flushes out to the maintenance pool instead of
-    // draining them serially. Each Flush() is a cooperative barrier (the
-    // running task does the component builds itself), so the bounded pool
-    // cannot deadlock on this batch.
-    std::vector<std::function<Status()>> jobs;
-    for (auto& [name, parts] : datasets_) {
-      for (auto& p : parts) {
-        DatasetPartition* part = p.get();
-        jobs.push_back([part] { return part->Flush(); });
+  // With DDL held off: a dataset created after the flushes could have
+  // records in the WALs that the truncate drops.
+  return metadata_->WithUpdatesBlocked([&](const meta::Catalog& catalog) {
+    if (maintenance_ != nullptr) {
+      // Fan the per-partition flushes out to the maintenance pool instead
+      // of draining them serially. Each Flush() is a cooperative barrier
+      // (the running task does the component builds itself), so the
+      // bounded pool cannot deadlock on this batch.
+      std::vector<std::function<Status()>> jobs;
+      for (const auto& [name, ds] : catalog.datasets) {
+        for (const auto& p : ds->partitions) {
+          DatasetPartition* part = p.get();
+          jobs.push_back([part] { return part->Flush(); });
+        }
+      }
+      AX_RETURN_NOT_OK(maintenance_->RunBatch(std::move(jobs)));
+    } else {
+      for (const auto& [name, ds] : catalog.datasets) {
+        for (const auto& p : ds->partitions) AX_RETURN_NOT_OK(p->Flush());
       }
     }
-    // axlint: allow(blocking-under-lock): checkpoint quiesces DDL under
-    // ddl_mu_ by design while flushes drain; only other DDL waits on it.
-    AX_RETURN_NOT_OK(maintenance_->RunBatch(std::move(jobs)));
-  } else {
-    for (auto& [name, parts] : datasets_) {
-      for (auto& p : parts) AX_RETURN_NOT_OK(p->Flush());
-    }
-  }
-  for (auto& wal : wals_) AX_RETURN_NOT_OK(wal->Truncate());
-  return Status::OK();
+    for (auto& wal : wals_) AX_RETURN_NOT_OK(wal->Truncate());
+    return Status::OK();
+  });
 }
 
 Result<storage::LsmStats> Instance::DatasetStats(
     const std::string& dataset) const {
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset '" + dataset + "'");
-  }
+  meta::CatalogPtr catalog = metadata_->Snapshot();
+  AX_ASSIGN_OR_RETURN(const meta::Catalog::Dataset* ds,
+                      InternalDataset(*catalog, dataset));
   storage::LsmStats total;
-  for (const auto& p : it->second) {
+  for (const auto& p : ds->partitions) {
     auto s = p->primary_stats();
     total.mem_entries += s.mem_entries;
     total.mem_bytes += s.mem_bytes;

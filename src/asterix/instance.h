@@ -85,8 +85,10 @@ struct QueryResult {
   std::shared_ptr<hyracks::PlanProfile> profile;
 };
 
-/// The embedded BDMS. Thread-compatible: individual statements are
-/// internally synchronized; DDL takes an exclusive latch. Implements
+/// The embedded BDMS. Thread-safe: each statement pins one immutable
+/// catalog snapshot and reads only it. DDL publishes new snapshots; readers
+/// never wait for it, and writers wait only while CREATE INDEX backfills
+/// their dataset (DESIGN.md §4j). Implements
 /// feeds::FeedSink so the feed pipeline can apply records without a
 /// dependency on this facade (layering: feeds must not include asterix).
 class Instance : public feeds::FeedSink {
@@ -132,7 +134,7 @@ class Instance : public feeds::FeedSink {
                         adm::Value* record);
 
   /// Flush every dataset partition and truncate the WALs.
-  Status Checkpoint() AX_EXCLUDES(ddl_mu_);
+  Status Checkpoint();
 
   meta::MetadataManager* metadata() { return metadata_.get(); }
   storage::BufferCache* buffer_cache() { return cache_.get(); }
@@ -162,30 +164,43 @@ class Instance : public feeds::FeedSink {
   // Out of line: inline member-cleanup instantiation would require the
   // forward-declared FeedManager to be complete in every includer.
   explicit Instance(InstanceOptions options);
-  Status OpenDatasetPartitions(const meta::DatasetDef& def);
+  /// Open the partitions of internal dataset `ds`; with `create`, from
+  /// empty storage.
+  Status OpenPartitions(meta::Catalog::Dataset* ds, bool create) const;
+  /// Remove from each partition directory every tree the catalog does not
+  /// name: drops and CREATEs that a crash interrupted leave them behind.
+  Status SweepDroppedStorage(const meta::Catalog& catalog);
   Status RecoverFromWal();
-  /// The prologue of every keyed write and of GetByKey: find the partition
-  /// of internal `dataset` that owns the key and lock `dataset/<key>` in
-  /// `mode` for `scope`'s lifetime. One encoding of the key serves both.
-  /// `value` is the key, or with `is_record` a whole record: it is then
-  /// validated against the dataset's type and keyed by its primary-key
-  /// field, both read from the partition's def(). NotFound for unknown and
-  /// external datasets.
-  Result<DatasetPartition*> RouteAndLock(const std::string& dataset,
+  /// Find the partition of internal dataset `ds` that owns the key and
+  /// lock `dataset/<key>` in `mode` for `scope`'s lifetime. One encoding of
+  /// the key serves both. `value` is the key, or with `is_record` a whole
+  /// record: it is then validated against the dataset's type and keyed by
+  /// its primary-key field.
+  Result<DatasetPartition*> RouteAndLock(const meta::Catalog::Dataset& ds,
                                          const adm::Value& value,
                                          bool is_record, txn::LockMode mode,
                                          txn::TxnScope* scope);
-  Executor MakeExecutor(resource::QueryContext* ctx);
-  /// Produces a query's logical plan. RunQuery calls it after admission,
-  /// so a shed or queued query costs no translation.
-  using PlanProducer = std::function<Result<algebricks::LogicalOpPtr>()>;
+  /// The prologue of every keyed write: pin the catalog, pass the
+  /// dataset's write gate, route and lock exclusively, then run `write` on
+  /// the owning partition. NotFound for unknown and external datasets, and
+  /// when `dataset_id` is not 0 and the dataset now named `dataset` has
+  /// another id (the one that had it was dropped).
+  template <typename Write>
+  auto KeyedWrite(const std::string& dataset, uint64_t dataset_id,
+                  const adm::Value& value, bool is_record, const Write& write)
+      -> decltype(write(static_cast<DatasetPartition*>(nullptr)));
+  /// Produces a query's logical plan from the query's pinned catalog.
+  /// RunQuery calls it after admission, so a shed or queued query costs no
+  /// translation.
+  using PlanProducer = std::function<Result<algebricks::LogicalOpPtr>(
+      const meta::Catalog&)>;
   /// The one query path for both languages: register the query, admit it,
-  /// translate, optimize and execute.
+  /// pin the catalog, translate, optimize and execute.
   Result<QueryResult> RunQuery(const PlanProducer& translate,
                                const algebricks::OptimizerOptions& opts,
                                const QueryRunOptions& run = {});
   /// The SQL++ plan producer for a parsed SELECT (`q` must outlive it).
-  PlanProducer SqlppPlan(const sqlpp::ast::SelectQuery& q) const;
+  static PlanProducer SqlppPlan(const sqlpp::ast::SelectQuery& q);
   /// Make the query visible to CancelQuery. `*out_id` is the registered id
   /// (generated when `wanted_id` is empty); AlreadyExists on a duplicate.
   Status RegisterQuery(const std::string& wanted_id,
@@ -193,28 +208,22 @@ class Instance : public feeds::FeedSink {
                        std::string* out_id) AX_EXCLUDES(queries_mu_);
   void UnregisterQuery(const std::string& id) AX_EXCLUDES(queries_mu_);
   Result<QueryResult> RunDml(const sqlpp::ast::Statement& st);
-  Result<QueryResult> RunDdl(const sqlpp::ast::Statement& st)
-      AX_EXCLUDES(ddl_mu_);
+  Status RunDdl(const sqlpp::ast::Statement& st);
+  /// CREATE INDEX: keep the dataset's writers out, build partitions with
+  /// the new index, backfill and flush it, then commit and publish.
+  Status CreateIndex(const sqlpp::ast::Statement& st);
 
   InstanceOptions options_;
-  std::unique_ptr<meta::MetadataManager> metadata_;
   std::unique_ptr<storage::BufferCache> cache_;
-  // Declared before datasets_ so it outlives the partitions during
-  // destruction: each LSM tree's destructor waits for its in-flight
-  // maintenance tasks, which run on this pool. Null when
-  // options_.maintenance_threads == 0 (inline maintenance).
   std::unique_ptr<storage::MaintenanceScheduler> maintenance_;
   std::unique_ptr<TempFileManager> tmp_;
   std::vector<std::unique_ptr<txn::LogManager>> wals_;  // one per partition
+  // The catalog, which owns the dataset partitions. Declared after the
+  // buffer cache, maintenance pool and WALs, so it is destroyed before
+  // them: each LSM tree's destructor waits for its in-flight maintenance
+  // tasks, which run on maintenance_ (null for inline maintenance).
+  std::unique_ptr<meta::MetadataManager> metadata_;
   txn::LockManager locks_;
-  // Partition map. Structurally mutated only under ddl_mu_ (DDL is exclusive
-  // with concurrent DML/queries per the class contract above); read without
-  // the latch on every statement path, so it is deliberately NOT
-  // AX_GUARDED_BY(ddl_mu_) — the guard documents writers, not readers.
-  std::map<std::string, std::vector<std::unique_ptr<DatasetPartition>>>
-      datasets_;
-  // axlint: allow(lock-order): guards datasets_ for writers only (see above)
-  std::mutex ddl_mu_;
   std::unique_ptr<resource::MemoryGovernor> governor_;
   std::unique_ptr<resource::AdmissionController> admission_;
   // Persistent query workers (Hyracks node-controller threads); parked
@@ -228,9 +237,9 @@ class Instance : public feeds::FeedSink {
       AX_GUARDED_BY(queries_mu_);
   uint64_t next_query_id_ AX_GUARDED_BY(queries_mu_) = 1;
   std::vector<std::string> recovery_warnings_;  // written only during Open
-  // Declared last: feed pipelines upsert into datasets_ through this
-  // Instance, so the manager (which joins those threads) must be destroyed
-  // before any of the members above.
+  // Declared last: feed pipelines upsert through this Instance, so the
+  // manager (which joins those threads) must be destroyed before any of
+  // the members above.
   std::unique_ptr<feeds::FeedManager> feeds_;
 };
 

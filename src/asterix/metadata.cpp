@@ -1,5 +1,7 @@
 #include "asterix/metadata.h"
 
+#include <algorithm>
+
 #include "adm/json.h"
 #include "common/io.h"
 
@@ -13,6 +15,7 @@ Value IndexToDoc(const IndexDef& ix) {
       .Add("name", Value::String(ix.name))
       .Add("field", Value::String(ix.field))
       .Add("kind", Value::Int(static_cast<int64_t>(ix.kind)))
+      .Add("id", Value::Int(static_cast<int64_t>(ix.id)))
       .Build();
 }
 
@@ -31,6 +34,7 @@ Value DatasetToDoc(const DatasetDef& ds) {
       .Add("props", Value::Object(std::move(props)))
       .Add("indexes", Value::Array(std::move(indexes)))
       .Add("storage_format", Value::String(ds.storage_format))
+      .Add("id", Value::Int(static_cast<int64_t>(ds.id)))
       .Build();
 }
 Value FeedToDoc(const FeedDef& fd) {
@@ -45,6 +49,15 @@ Value FeedToDoc(const FeedDef& fd) {
       .Add("dataset", Value::String(fd.connected_dataset))
       .Add("policy", Value::String(fd.policy))
       .Build();
+}
+
+// Catalogs written before storage ids existed lack them and cannot reopen:
+// their storage directories are named differently.
+Result<uint64_t> IdField(const Value& id) {
+  if (!id.is_int() || id.AsInt() <= 0) {
+    return Status::Corruption("catalog entry without a storage id");
+  }
+  return static_cast<uint64_t>(id.AsInt());
 }
 }  // namespace
 
@@ -120,247 +133,195 @@ Result<adm::TypePtr> MetadataManager::TypeFromDoc(
   return Status::Corruption("bad type document kind '" + kind + "'");
 }
 
-Result<std::unique_ptr<MetadataManager>> MetadataManager::Open(
-    const std::string& path) {
-  auto mgr = std::unique_ptr<MetadataManager>(new MetadataManager(path));
-  std::lock_guard<std::mutex> lock(mgr->mu_);
-  if (fs::Exists(path)) {
-    AX_RETURN_NOT_OK(mgr->LoadLocked());
-  }
-  return mgr;
+
+// ---------------------------------------------------------------------------
+// WriteGate
+// ---------------------------------------------------------------------------
+
+bool WriteGate::Enter(uint64_t version) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (closed_) cv_.wait(lock);
+  if (version < min_version_) return false;
+  writers_++;
+  return true;
 }
 
-Status MetadataManager::LoadLocked() {
-  AX_ASSIGN_OR_RETURN(std::string text, fs::ReadFileToString(path_));
-  AX_ASSIGN_OR_RETURN(Value doc, adm::ParseAdm(text));
-  for (const auto& tdoc : doc.GetField("types").items()) {
-    AX_ASSIGN_OR_RETURN(adm::TypePtr t, TypeFromDoc(tdoc, types_));
-    types_[t->name()] = t;
-    type_docs_[t->name()] = tdoc;
+void WriteGate::Exit() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--writers_ == 0) cv_.notify_all();
+}
+
+void WriteGate::Close() {
+  std::unique_lock<std::mutex> lock(mu_);
+  closed_ = true;
+  while (writers_ > 0) cv_.wait(lock);
+}
+
+void WriteGate::Open(uint64_t min_version) {
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = false;
+  min_version_ = min_version;
+  cv_.notify_all();
+}
+
+// ---------------------------------------------------------------------------
+// Catalog
+// ---------------------------------------------------------------------------
+
+Result<adm::TypePtr> Catalog::GetType(const std::string& name) const {
+  auto it = types.find(name);
+  if (it == types.end()) return Status::NotFound("no type '" + name + "'");
+  return it->second;
+}
+
+Result<const Catalog::Dataset*> Catalog::GetDataset(
+    const std::string& name) const {
+  auto it = datasets.find(name);
+  if (it == datasets.end()) {
+    return Status::NotFound("no dataset '" + name + "'");
   }
-  for (const auto& dsdoc : doc.GetField("datasets").items()) {
-    DatasetDef ds;
-    ds.name = dsdoc.GetField("name").AsString();
-    ds.type_name = dsdoc.GetField("type").AsString();
-    ds.primary_key = dsdoc.GetField("primary_key").AsString();
-    ds.external = dsdoc.GetField("external").AsBool();
-    for (const auto& [k, v] : dsdoc.GetField("props").fields()) {
-      ds.external_props[k] = v.AsString();
-    }
-    for (const auto& ixdoc : dsdoc.GetField("indexes").items()) {
-      IndexDef ix;
-      ix.name = ixdoc.GetField("name").AsString();
-      ix.field = ixdoc.GetField("field").AsString();
-      ix.kind = static_cast<IndexKind>(ixdoc.GetField("kind").AsInt());
-      ds.indexes.push_back(std::move(ix));
-    }
-    // Catalogs written before the columnar format lack this field.
-    const Value& sf = dsdoc.GetField("storage_format");
-    ds.storage_format = sf.is_string() ? sf.AsString() : "row";
-    datasets_[ds.name] = std::move(ds);
-  }
-  // Older catalog files predate feeds and lack the array entirely.
-  const Value& feeds = doc.GetField("feeds");
-  if (feeds.is_array()) {
-    for (const auto& fdoc : feeds.items()) {
-      FeedDef fd;
-      fd.name = fdoc.GetField("name").AsString();
-      fd.adapter = fdoc.GetField("adapter").AsString();
-      for (const auto& [k, v] : fdoc.GetField("props").fields()) {
-        fd.props[k] = v.AsString();
-      }
-      fd.connected_dataset = fdoc.GetField("dataset").AsString();
-      fd.policy = fdoc.GetField("policy").AsString();
-      feeds_[fd.name] = std::move(fd);
-    }
+  return it->second.get();
+}
+
+Result<FeedDef> Catalog::GetFeed(const std::string& name) const {
+  auto it = feeds.find(name);
+  if (it == feeds.end()) return Status::NotFound("no feed '" + name + "'");
+  return it->second;
+}
+
+Status Catalog::AddType(const std::string& name, adm::TypePtr type) {
+  if (!types.emplace(name, std::move(type)).second) {
+    return Status::AlreadyExists("type '" + name + "' exists");
   }
   return Status::OK();
 }
 
-Status MetadataManager::PersistLocked() {
-  std::vector<Value> types;
-  for (const auto& [name, t] : types_) types.push_back(TypeToDoc(t));
-  std::vector<Value> datasets;
-  for (const auto& [name, ds] : datasets_) datasets.push_back(DatasetToDoc(ds));
-  std::vector<Value> feeds;
-  for (const auto& [name, fd] : feeds_) feeds.push_back(FeedToDoc(fd));
-  Value doc = adm::ObjectBuilder()
-                  .Add("types", Value::Array(std::move(types)))
-                  .Add("datasets", Value::Array(std::move(datasets)))
-                  .Add("feeds", Value::Array(std::move(feeds)))
-                  .Build();
-  return fs::WriteStringToFile(path_, doc.ToString());
-}
-
-Status MetadataManager::CreateType(const std::string& name, adm::TypePtr type) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (types_.count(name)) {
-    return Status::AlreadyExists("type '" + name + "' exists");
-  }
-  types_[name] = std::move(type);
-  return PersistLocked();
-}
-
-Status MetadataManager::DropType(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [ds_name, ds] : datasets_) {
-    if (ds.type_name == name) {
+Status Catalog::RemoveType(const std::string& name) {
+  for (const auto& [ds_name, ds] : datasets) {
+    if (ds->def.type_name == name) {
       return Status::InvalidArgument("type '" + name + "' in use by dataset '" +
                                      ds_name + "'");
     }
   }
-  if (types_.erase(name) == 0) {
+  if (types.erase(name) == 0) {
     return Status::NotFound("no type '" + name + "'");
   }
-  return PersistLocked();
+  return Status::OK();
 }
 
-Result<adm::TypePtr> MetadataManager::GetType(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = types_.find(name);
-  if (it == types_.end()) return Status::NotFound("no type '" + name + "'");
-  return it->second;
-}
-
-Status MetadataManager::CreateDataset(DatasetDef def) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (datasets_.count(def.name)) {
+Result<Catalog::Dataset*> Catalog::AddDataset(DatasetDef def) {
+  if (datasets.count(def.name)) {
     return Status::AlreadyExists("dataset '" + def.name + "' exists");
   }
-  if (!types_.count(def.type_name)) {
-    return Status::NotFound("no type '" + def.type_name + "'");
-  }
-  datasets_[def.name] = std::move(def);
-  return PersistLocked();
-}
-
-Status MetadataManager::DropDataset(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (datasets_.erase(name) == 0) {
-    return Status::NotFound("no dataset '" + name + "'");
-  }
-  return PersistLocked();
-}
-
-Result<DatasetDef> MetadataManager::GetDataset(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset '" + name + "'");
-  }
-  return it->second;
-}
-
-std::vector<DatasetDef> MetadataManager::AllDatasets() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DatasetDef> out;
-  for (const auto& [n, ds] : datasets_) out.push_back(ds);
+  auto ds = std::make_shared<Dataset>();
+  AX_ASSIGN_OR_RETURN(ds->type, GetType(def.type_name));
+  def.id = next_id++;
+  ds->def = std::move(def);
+  ds->gate = std::make_shared<WriteGate>();
+  Dataset* out = ds.get();
+  datasets[out->def.name] = std::move(ds);
   return out;
 }
 
-Status MetadataManager::CreateIndex(const std::string& dataset, IndexDef index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset '" + dataset + "'");
+Result<std::shared_ptr<const Catalog::Dataset>> Catalog::RemoveDataset(
+    const std::string& name) {
+  auto it = datasets.find(name);
+  if (it == datasets.end()) {
+    return Status::NotFound("no dataset '" + name + "'");
   }
-  if (it->second.external) {
-    return Status::InvalidArgument("cannot index external dataset '" + dataset +
-                                   "'");
+  std::shared_ptr<const Dataset> out = std::move(it->second);
+  datasets.erase(it);
+  return out;
+}
+
+Result<Catalog::Dataset*> Catalog::MutableDataset(const std::string& name) {
+  auto it = datasets.find(name);
+  if (it == datasets.end()) {
+    return Status::NotFound("no dataset '" + name + "'");
   }
-  for (const auto& ix : it->second.indexes) {
+  auto copy = std::make_shared<Dataset>(*it->second);
+  Dataset* out = copy.get();
+  it->second = std::move(copy);
+  return out;
+}
+
+Result<Catalog::Dataset*> Catalog::AddIndex(const std::string& dataset,
+                                            IndexDef index) {
+  AX_ASSIGN_OR_RETURN(Dataset* ds, MutableDataset(dataset));
+  if (ds->def.external) {
+    return Status::InvalidArgument("cannot index external dataset '" +
+                                   dataset + "'");
+  }
+  for (const auto& ix : ds->def.indexes) {
     if (ix.name == index.name) {
       return Status::AlreadyExists("index '" + index.name + "' exists on '" +
                                    dataset + "'");
     }
   }
-  it->second.indexes.push_back(std::move(index));
-  return PersistLocked();
+  index.id = next_id++;
+  ds->def.indexes.push_back(std::move(index));
+  return ds;
 }
 
-Status MetadataManager::DropIndex(const std::string& dataset,
-                                  const std::string& index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(dataset);
-  if (it == datasets_.end()) {
-    return Status::NotFound("no dataset '" + dataset + "'");
+Result<Catalog::Dataset*> Catalog::RemoveIndex(const std::string& dataset,
+                                               const std::string& index) {
+  AX_ASSIGN_OR_RETURN(Dataset* ds, MutableDataset(dataset));
+  auto& ixs = ds->def.indexes;
+  auto pos = std::find_if(ixs.begin(), ixs.end(),
+                          [&](const IndexDef& ix) { return ix.name == index; });
+  if (pos == ixs.end()) {
+    return Status::NotFound("no index '" + index + "' on '" + dataset + "'");
   }
-  auto& ixs = it->second.indexes;
-  for (auto iit = ixs.begin(); iit != ixs.end(); ++iit) {
-    if (iit->name == index) {
-      ixs.erase(iit);
-      return PersistLocked();
-    }
-  }
-  return Status::NotFound("no index '" + index + "' on '" + dataset + "'");
+  ixs.erase(pos);
+  return ds;
 }
 
-Status MetadataManager::CreateFeed(FeedDef def) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (feeds_.count(def.name)) {
+Status Catalog::AddFeed(FeedDef def) {
+  if (feeds.count(def.name)) {
     return Status::AlreadyExists("feed '" + def.name + "' exists");
   }
-  feeds_[def.name] = std::move(def);
-  return PersistLocked();
+  std::string name = def.name;
+  feeds.emplace(std::move(name), std::move(def));
+  return Status::OK();
 }
 
-Status MetadataManager::DropFeed(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (feeds_.erase(name) == 0) {
+Status Catalog::RemoveFeed(const std::string& name) {
+  if (feeds.erase(name) == 0) {
     return Status::NotFound("no feed '" + name + "'");
   }
-  return PersistLocked();
+  return Status::OK();
 }
 
-Result<FeedDef> MetadataManager::GetFeed(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = feeds_.find(name);
-  if (it == feeds_.end()) return Status::NotFound("no feed '" + name + "'");
-  return it->second;
-}
-
-std::vector<FeedDef> MetadataManager::AllFeeds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FeedDef> out;
-  for (const auto& [n, fd] : feeds_) out.push_back(fd);
-  return out;
-}
-
-Status MetadataManager::SetFeedConnection(const std::string& feed,
-                                          const std::string& dataset,
-                                          const std::string& policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = feeds_.find(feed);
-  if (it == feeds_.end()) return Status::NotFound("no feed '" + feed + "'");
+Status Catalog::SetFeedConnection(const std::string& feed,
+                                  const std::string& dataset,
+                                  const std::string& policy) {
+  auto it = feeds.find(feed);
+  if (it == feeds.end()) return Status::NotFound("no feed '" + feed + "'");
   it->second.connected_dataset = dataset;
   it->second.policy = policy;
-  return PersistLocked();
+  return Status::OK();
 }
 
-bool MetadataManager::HasDataset(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return datasets_.count(name) > 0;
+bool Catalog::HasDataset(const std::string& name) const {
+  return datasets.count(name) > 0;
 }
 
-std::string MetadataManager::PrimaryKeyField(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  return it == datasets_.end() ? "" : it->second.primary_key;
+std::string Catalog::PrimaryKeyField(const std::string& name) const {
+  auto it = datasets.find(name);
+  return it == datasets.end() ? "" : it->second->def.primary_key;
 }
 
-std::string MetadataManager::StorageFormat(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = datasets_.find(name);
-  return it == datasets_.end() ? "row" : it->second.storage_format;
+std::string Catalog::StorageFormat(const std::string& name) const {
+  auto it = datasets.find(name);
+  return it == datasets.end() ? "row" : it->second->def.storage_format;
 }
 
-std::vector<algebricks::Catalog::IndexInfo> MetadataManager::SecondaryIndexes(
+std::vector<algebricks::Catalog::IndexInfo> Catalog::SecondaryIndexes(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<IndexInfo> out;
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) return out;
-  for (const auto& ix : it->second.indexes) {
+  auto it = datasets.find(name);
+  if (it == datasets.end()) return out;
+  for (const auto& ix : it->second->def.indexes) {
     IndexInfo info;
     info.name = ix.name;
     info.field = ix.field;
@@ -370,6 +331,137 @@ std::vector<algebricks::Catalog::IndexInfo> MetadataManager::SecondaryIndexes(
     out.push_back(std::move(info));
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// MetadataManager
+// ---------------------------------------------------------------------------
+
+Result<std::unique_ptr<MetadataManager>> MetadataManager::Open(
+    const std::string& path, const Edit& attach) {
+  auto mgr = std::unique_ptr<MetadataManager>(new MetadataManager(path));
+  auto catalog = std::make_shared<meta::Catalog>();
+  if (fs::Exists(path)) {
+    AX_ASSIGN_OR_RETURN(*catalog, Load(path));
+  }
+  if (attach) AX_RETURN_NOT_OK(attach(catalog.get()));
+  mgr->Publish(std::move(catalog));
+  return mgr;
+}
+
+CatalogPtr MetadataManager::Snapshot() const {
+  std::lock_guard<std::mutex> lock(published_mu_);
+  return published_;
+}
+
+void MetadataManager::Publish(CatalogPtr catalog) {
+  std::lock_guard<std::mutex> lock(published_mu_);
+  published_ = std::move(catalog);
+}
+
+Result<meta::Catalog> MetadataManager::Load(const std::string& path) {
+  AX_ASSIGN_OR_RETURN(std::string text, fs::ReadFileToString(path));
+  AX_ASSIGN_OR_RETURN(Value doc, adm::ParseAdm(text));
+  meta::Catalog c;
+  AX_ASSIGN_OR_RETURN(c.next_id, IdField(doc.GetField("next_id")));
+  for (const auto& tdoc : doc.GetField("types").items()) {
+    AX_ASSIGN_OR_RETURN(adm::TypePtr t, TypeFromDoc(tdoc, c.types));
+    c.types[t->name()] = t;
+  }
+  for (const auto& dsdoc : doc.GetField("datasets").items()) {
+    auto ds = std::make_shared<meta::Catalog::Dataset>();
+    DatasetDef& def = ds->def;
+    def.name = dsdoc.GetField("name").AsString();
+    def.type_name = dsdoc.GetField("type").AsString();
+    def.primary_key = dsdoc.GetField("primary_key").AsString();
+    def.external = dsdoc.GetField("external").AsBool();
+    for (const auto& [k, v] : dsdoc.GetField("props").fields()) {
+      def.external_props[k] = v.AsString();
+    }
+    for (const auto& ixdoc : dsdoc.GetField("indexes").items()) {
+      IndexDef ix;
+      ix.name = ixdoc.GetField("name").AsString();
+      ix.field = ixdoc.GetField("field").AsString();
+      ix.kind = static_cast<IndexKind>(ixdoc.GetField("kind").AsInt());
+      AX_ASSIGN_OR_RETURN(ix.id, IdField(ixdoc.GetField("id")));
+      def.indexes.push_back(std::move(ix));
+    }
+    def.storage_format = dsdoc.GetField("storage_format").AsString();
+    AX_ASSIGN_OR_RETURN(def.id, IdField(dsdoc.GetField("id")));
+    AX_ASSIGN_OR_RETURN(ds->type, c.GetType(def.type_name));
+    ds->gate = std::make_shared<WriteGate>();
+    c.datasets[def.name] = std::move(ds);
+  }
+  for (const auto& fdoc : doc.GetField("feeds").items()) {
+    FeedDef fd;
+    fd.name = fdoc.GetField("name").AsString();
+    fd.adapter = fdoc.GetField("adapter").AsString();
+    for (const auto& [k, v] : fdoc.GetField("props").fields()) {
+      fd.props[k] = v.AsString();
+    }
+    fd.connected_dataset = fdoc.GetField("dataset").AsString();
+    fd.policy = fdoc.GetField("policy").AsString();
+    c.feeds[fd.name] = std::move(fd);
+  }
+  return c;
+}
+
+Status MetadataManager::Persist(const meta::Catalog& catalog) const {
+  std::vector<Value> types;
+  for (const auto& [name, t] : catalog.types) types.push_back(TypeToDoc(t));
+  std::vector<Value> datasets;
+  for (const auto& [name, ds] : catalog.datasets) {
+    datasets.push_back(DatasetToDoc(ds->def));
+  }
+  std::vector<Value> feeds;
+  for (const auto& [name, fd] : catalog.feeds) feeds.push_back(FeedToDoc(fd));
+  Value doc =
+      adm::ObjectBuilder()
+          .Add("next_id", Value::Int(static_cast<int64_t>(catalog.next_id)))
+          .Add("types", Value::Array(std::move(types)))
+          .Add("datasets", Value::Array(std::move(datasets)))
+          .Add("feeds", Value::Array(std::move(feeds)))
+          .Build();
+  const std::string tmp = path_ + ".tmp";
+  AX_RETURN_NOT_OK(fs::WriteStringToFile(tmp, doc.ToString()));
+  return fs::RenameFile(tmp, path_);
+}
+
+Status MetadataManager::Update(
+    const Edit& edit,
+    const std::function<void(const meta::Catalog&)>& finish) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Only updates publish, so the snapshot stays current while mu_ is held.
+  auto next = std::make_shared<meta::Catalog>(*Snapshot());
+  next->version++;
+  Status s = edit(next.get());
+  if (s.ok()) s = Persist(*next);
+  if (s.ok()) Publish(std::move(next));
+  if (finish) finish(*Snapshot());
+  return s;
+}
+
+Status MetadataManager::WithUpdatesBlocked(
+    const std::function<Status(const meta::Catalog&)>& fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fn(*Snapshot());
+}
+
+bool MetadataManager::HasDataset(const std::string& name) const {
+  return Snapshot()->HasDataset(name);
+}
+
+std::string MetadataManager::PrimaryKeyField(const std::string& name) const {
+  return Snapshot()->PrimaryKeyField(name);
+}
+
+std::vector<algebricks::Catalog::IndexInfo> MetadataManager::SecondaryIndexes(
+    const std::string& name) const {
+  return Snapshot()->SecondaryIndexes(name);
+}
+
+std::string MetadataManager::StorageFormat(const std::string& name) const {
+  return Snapshot()->StorageFormat(name);
 }
 
 }  // namespace asterix::meta

@@ -253,6 +253,10 @@ Result<TranslatedQuery> Translator::TranslateQueryScoped(const SelectQuery& q,
         plan = join;
       }
     } else {
+      if (fc.expr->kind == ExprNodeKind::kIdent &&
+          scope.Find(fc.expr->ident) == nullptr) {
+        return Status::NotFound("no dataset '" + fc.expr->ident + "'");
+      }
       // Collection expression (possibly correlated): unnest.
       AX_ASSIGN_OR_RETURN(ExprPtr coll, TranslateExpr(fc.expr, scope));
       auto unnest = LogicalOp::Make(LogicalOpKind::kUnnest);

@@ -49,6 +49,7 @@ class LsmInvertedIndex {
 
   Status Flush() { return tree_->Flush(); }
   Status ForceFullMerge() { return tree_->ForceFullMerge(); }
+  void MarkDropped() { tree_->MarkDropped(); }
   LsmStats stats() const { return tree_->stats(); }
 
  private:

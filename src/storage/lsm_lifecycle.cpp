@@ -110,6 +110,18 @@ void LsmLifecycle::Close() {
   while (tasks_inflight_ > 0 || flush_active_ || merge_active_) {
     maint_cv_.wait(lock);
   }
+  if (!dropped_) return;
+  std::vector<DiskPtr> components = std::move(components_);
+  components_.clear();
+  lock.unlock();
+  components.clear();  // closes their files before the directory goes
+  // axlint: allow(must-check): best-effort; Instance::Open sweeps leftovers
+  (void)fs::RemoveAll(options_.dir);
+}
+
+void LsmLifecycle::MarkDropped() {
+  std::lock_guard<std::mutex> lock(mu_);
+  dropped_ = true;
 }
 
 // ---------------------------------------------------------------------------

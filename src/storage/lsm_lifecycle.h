@@ -143,6 +143,9 @@ class LsmLifecycle {
   Result<bool> MaybeMerge() AX_EXCLUDES(mu_);
   /// Merge every disk component into one (full merge). Synchronous.
   Status ForceFullMerge() AX_EXCLUDES(mu_);
+  /// The tree was dropped: when it is destroyed, remove options.dir, which
+  /// must hold this tree's files alone.
+  void MarkDropped() AX_EXCLUDES(mu_);
 
  protected:
   using MemPtr = std::shared_ptr<const LsmMemComponent>;
@@ -161,7 +164,8 @@ class LsmLifecycle {
   Status Recover() AX_EXCLUDES(mu_);
   /// Waits for in-flight background maintenance to finish. Unflushed memory
   /// components are dropped: WAL truncation only happens after an explicit
-  /// checkpoint flush, so replay recovers them.
+  /// checkpoint flush, so replay recovers them. A dropped tree also closes
+  /// its disk components and removes its directory.
   void Close() AX_EXCLUDES(mu_);
 
   /// Post-write hook: charge `bytes` to the mutable component and rotate,
@@ -255,6 +259,7 @@ class LsmLifecycle {
   bool merge_active_ AX_GUARDED_BY(mu_) = false;
   bool merge_queued_ AX_GUARDED_BY(mu_) = false;
   bool closing_ AX_GUARDED_BY(mu_) = false;
+  bool dropped_ AX_GUARDED_BY(mu_) = false;
   int tasks_inflight_ AX_GUARDED_BY(mu_) = 0;      // scheduler tasks not
                                                    // yet finished
 };

@@ -54,8 +54,7 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(const std::string& path,
 Result<uint64_t> LogManager::Append(const LogRecord& record) {
   std::string body;
   body.push_back(static_cast<char>(record.type));
-  adm::PutVarint(record.dataset.size(), &body);
-  body += record.dataset;
+  adm::PutVarint(record.dataset_id, &body);
   adm::PutVarint(record.partition, &body);
   adm::PutVarint(record.key.size(), &body);
   body += record.key;
@@ -119,9 +118,7 @@ Status LogManager::Replay(const std::function<Status(const LogRecord&)>& fn,
     size_t p = 0;
     rec.type = static_cast<LogRecordType>(body[p]);
     p++;
-    AX_ASSIGN_OR_RETURN(uint64_t dslen, adm::GetVarint(body, &p));
-    rec.dataset = body.substr(p, dslen);
-    p += dslen;
+    AX_ASSIGN_OR_RETURN(rec.dataset_id, adm::GetVarint(body, &p));
     AX_ASSIGN_OR_RETURN(uint64_t part, adm::GetVarint(body, &p));
     rec.partition = static_cast<uint32_t>(part);
     AX_ASSIGN_OR_RETURN(uint64_t klen, adm::GetVarint(body, &p));

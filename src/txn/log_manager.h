@@ -27,7 +27,7 @@ enum class LogRecordType : uint8_t {
 /// One redo record.
 struct LogRecord {
   LogRecordType type = LogRecordType::kUpsert;
-  std::string dataset;   // dataset name
+  uint64_t dataset_id = 0;  // the dataset's catalog id (DatasetDef::id)
   uint32_t partition = 0;
   std::string key;       // encoded primary key
   std::string value;     // serialized record (empty for deletes)

@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <thread>
+#include <tuple>
 
+#include "asterix/feed_manager.h"
 #include "asterix/instance.h"
 #include "common/rng.h"
 
@@ -211,6 +215,243 @@ TEST_F(ConcurrencyTest, GetSeesLatestCommittedWrite) {
   });
   t1.join();
   t2.join();
+}
+
+// DDL under load. One thread creates and drops a B-tree, an R-tree and a
+// keyword index on D and drops and re-creates dataset E, while SQL++
+// queries (scan, index, pk, join), SQL++ UPSERT/DELETE, the direct API and
+// a connected feed run against both. Every operation answers OK or
+// NotFound (E may be gone), never crashes or reports another error; after
+// the load stops, each index answers like a full scan.
+TEST_F(ConcurrencyTest, DdlUnderLoad) {
+  auto rec = [](int id, int x) {
+    return adm::ObjectBuilder()
+        .Add("id", Value::Int(id))
+        .Add("v", Value::Int(x % 10))
+        .Add("w", Value::Int(x % 7))
+        .Add("loc", Value::MakePoint(x % 10, x % 10))
+        .Add("s", Value::String("x"))
+        .Add("msg", Value::String("t" + std::to_string(x % 5) + " common"))
+        .Build();
+  };
+  auto sql_rec = [](int id, int x) {
+    return "{\"id\": " + std::to_string(id) + ", \"v\": " +
+           std::to_string(x % 10) + ", \"w\": " + std::to_string(x % 7) +
+           ", \"loc\": create_point(" + std::to_string(x % 10) + ".0, " +
+           std::to_string(x % 10) + ".0), \"s\": \"x\", \"msg\": \"t" +
+           std::to_string(x % 5) + " common\"}";
+  };
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(instance_->UpsertValue("D", rec(i, i)).ok());
+  }
+  ASSERT_TRUE(instance_->Execute("CREATE DATASET E(T) PRIMARY KEY id").ok());
+  ASSERT_TRUE(instance_->Execute("CREATE FEED f USING channel").ok());
+  ASSERT_TRUE(instance_->Execute("CONNECT FEED f TO DATASET D").ok());
+  feeds::ChannelAdapter* channel = instance_->feeds()->channel("f");
+  ASSERT_NE(channel, nullptr);
+
+  std::mutex errors_mu;
+  std::vector<std::string> errors;
+  auto check = [&](const Status& st, const std::string& what) {
+    if (st.ok() || st.IsNotFound()) return;
+    std::lock_guard<std::mutex> lock(errors_mu);
+    errors.push_back(what + ": " + st.ToString());
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // DDL
+    const char* cycle[] = {
+        "CREATE INDEX bIdx ON D (w) TYPE BTREE",
+        "CREATE INDEX rIdx ON D (loc) TYPE RTREE",
+        "DROP DATASET E",
+        "CREATE INDEX kIdx ON D (msg) TYPE KEYWORD",
+        "CREATE DATASET E(T) PRIMARY KEY id",
+        "DROP INDEX D.bIdx",
+        "DROP INDEX D.rIdx",
+        "DROP INDEX D.kIdx",
+    };
+    for (int round = 0; round < 15; round++) {
+      for (const char* stmt : cycle) {
+        auto r = instance_->Execute(stmt);
+        if (!r.ok()) check(Status::Internal(r.status().ToString()), stmt);
+      }
+    }
+    done = true;
+  });
+  threads.emplace_back([&] {  // SQL++ queries
+    const std::string queries[] = {
+        "SELECT COUNT(*) AS n FROM D d",
+        "SELECT COUNT(*) AS n FROM D d WHERE d.v = 3",
+        "SELECT COUNT(*) AS n FROM D d WHERE d.w = 4",
+        "SELECT COUNT(*) AS n FROM D d WHERE spatial_intersect(d.loc, "
+        "create_rectangle(create_point(0.0, 0.0), create_point(2.0, 2.0)))",
+        "SELECT COUNT(*) AS n FROM D d WHERE ftcontains(d.msg, \"t2\")",
+        "SELECT VALUE d FROM D d WHERE d.id = 17",
+        "SELECT COUNT(*) AS n FROM D d, E e WHERE d.id = e.id",
+        "SELECT COUNT(*) AS n FROM E e",
+    };
+    for (size_t i = 0; !done; i++) {
+      const std::string& q = queries[i % std::size(queries)];
+      check(instance_->Execute(q).status(), q);
+    }
+  });
+  threads.emplace_back([&] {  // SQL++ DML
+    Rng rng(7);
+    for (int i = 0; !done; i++) {
+      int id = static_cast<int>(rng.Uniform(100));
+      const char* ds = i % 2 == 0 ? "D" : "E";
+      std::string stmt =
+          i % 4 < 2 ? std::string("UPSERT INTO ") + ds + " (" +
+                          sql_rec(id, i) + ")"
+                    : std::string("DELETE FROM ") + ds +
+                          " x WHERE x.id = " + std::to_string(id);
+      check(instance_->Execute(stmt).status(), stmt);
+    }
+  });
+  threads.emplace_back([&] {  // direct API
+    Rng rng(11);
+    for (int i = 0; !done; i++) {
+      int id = 100 + static_cast<int>(rng.Uniform(100));
+      const std::string ds = i % 3 == 0 ? "E" : "D";
+      Value out;
+      switch (i % 4) {
+        case 0:
+        case 1:
+          check(instance_->UpsertValue(ds, rec(id, i)), "upsert " + ds);
+          break;
+        case 2:
+          check(instance_->GetByKey(ds, Value::Int(id), &out).status(),
+                "get " + ds);
+          break;
+        default:
+          check(instance_->DeleteByKey(ds, Value::Int(id)).status(),
+                "delete " + ds);
+      }
+    }
+  });
+  // The feed writes keys no other writer touches.
+  uint64_t pushed = 0;
+  for (int i = 0; !done && i < 3000; i++) {
+    channel->Push(rec(1000 + i % 500, i));
+    pushed++;
+    std::this_thread::yield();
+  }
+  for (auto& t : threads) t.join();
+  channel->CloseChannel();
+  feeds::FeedRuntime* rt = instance_->feeds()->runtime("f");
+  ASSERT_NE(rt, nullptr);
+  ASSERT_TRUE(rt->WaitForCompletion().ok());
+  EXPECT_TRUE(rt->error().ok()) << rt->error().ToString();
+  EXPECT_EQ(rt->records_applied(), pushed);
+  for (const auto& e : errors) ADD_FAILURE() << e;
+
+  // Quiesced: with every index in place, each probed value has the same
+  // answer through its index as through a scan.
+  ASSERT_TRUE(instance_
+                  ->ExecuteScript(
+                      "CREATE INDEX bIdx ON D (w) TYPE BTREE;"
+                      "CREATE INDEX rIdx ON D (loc) TYPE RTREE;"
+                      "CREATE INDEX kIdx ON D (msg) TYPE KEYWORD")
+                  .ok());
+  algebricks::OptimizerOptions scan_only;
+  scan_only.index_selection = false;
+  std::vector<std::pair<std::string, std::string>> probes;
+  for (int x = 0; x < 10; x++) {
+    const std::string xs = std::to_string(x);
+    probes.emplace_back("SELECT COUNT(*) AS n FROM D d WHERE d.v = " + xs,
+                        "btree-search");
+    if (x < 7) {
+      probes.emplace_back("SELECT COUNT(*) AS n FROM D d WHERE d.w = " + xs,
+                          "btree-search");
+    }
+    if (x < 5) {
+      probes.emplace_back(
+          "SELECT COUNT(*) AS n FROM D d WHERE ftcontains(d.msg, \"t" + xs +
+              "\")",
+          "keyword-search");
+    }
+    probes.emplace_back(
+        "SELECT COUNT(*) AS n FROM D d WHERE spatial_intersect(d.loc, "
+        "create_rectangle(create_point(" + xs + ".0, " + xs +
+            ".0), create_point(" + xs + ".5, " + xs + ".5)))",
+        "rtree-search");
+  }
+  for (const auto& [q, path] : probes) {
+    auto indexed = instance_->Execute(q);
+    ASSERT_TRUE(indexed.ok()) << q << ": " << indexed.status().ToString();
+    EXPECT_NE(indexed->plan.find(path), std::string::npos) << q;
+    auto scanned = instance_->QueryWithOptions(q, scan_only);
+    ASSERT_TRUE(scanned.ok()) << q << ": " << scanned.status().ToString();
+    EXPECT_EQ(indexed->rows[0].GetField("n").AsInt(),
+              scanned->rows[0].GetField("n").AsInt())
+        << q;
+  }
+}
+
+// Two CREATE INDEX statements on one dataset at once, while writers run.
+// Each index must end up with every record: the second build's backfill
+// must not run while writers are let in by the first build's end.
+TEST_F(ConcurrencyTest, ConcurrentIndexBuildsUnderWrites) {
+  auto rec = [](int id, int x) {
+    return adm::ObjectBuilder()
+        .Add("id", Value::Int(id))
+        .Add("v", Value::Int(x % 10))
+        .Add("a", Value::Int(x % 7))
+        .Add("b", Value::Int(x % 5))
+        .Add("s", Value::String("x"))
+        .Build();
+  };
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(instance_->UpsertValue("D", rec(i, i)).ok());
+  }
+  algebricks::OptimizerOptions scan_only;
+  scan_only.index_selection = false;
+  for (int round = 0; round < 6; round++) {
+    std::atomic<bool> done{false};
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 2; w++) {
+      threads.emplace_back([&, w] {
+        Rng rng(round * 2 + w + 1);
+        for (int i = 0; !done; i++) {
+          int id = static_cast<int>(rng.Uniform(300));
+          ASSERT_TRUE(instance_->UpsertValue("D", rec(id, i + w)).ok());
+        }
+      });
+    }
+    std::vector<std::thread> ddl;
+    for (const char* stmt : {"CREATE INDEX aIdx ON D (a) TYPE BTREE",
+                             "CREATE INDEX bIdx ON D (b) TYPE BTREE"}) {
+      ddl.emplace_back([&, stmt] {
+        ready++;
+        while (ready < 2) std::this_thread::yield();
+        auto r = instance_->Execute(stmt);
+        EXPECT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
+      });
+    }
+    for (auto& t : ddl) t.join();
+    done = true;
+    for (auto& t : threads) t.join();
+
+    for (const auto& [field, values, index] :
+         {std::tuple<std::string, int, std::string>{"a", 7, "aIdx"},
+          {"b", 5, "bIdx"}}) {
+      for (int x = 0; x < values; x++) {
+        const std::string q = "SELECT COUNT(*) AS n FROM D d WHERE d." +
+                              field + " = " + std::to_string(x);
+        auto indexed = instance_->Execute(q);
+        ASSERT_TRUE(indexed.ok()) << q << ": " << indexed.status().ToString();
+        EXPECT_NE(indexed->plan.find(index), std::string::npos) << q;
+        auto scanned = instance_->QueryWithOptions(q, scan_only);
+        ASSERT_TRUE(scanned.ok()) << q << ": " << scanned.status().ToString();
+        EXPECT_EQ(indexed->rows[0].GetField("n").AsInt(),
+                  scanned->rows[0].GetField("n").AsInt())
+            << "round " << round << ": " << q;
+      }
+    }
+    ASSERT_TRUE(
+        instance_->ExecuteScript("DROP INDEX D.aIdx; DROP INDEX D.bIdx").ok());
+  }
 }
 
 }  // namespace

@@ -310,6 +310,19 @@ TEST_F(E2ETest, DeleteErrors) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A query on a dataset that does not exist (or was just dropped) is
+// NotFound; an unbound variable is an error in the query text.
+TEST_F(E2ETest, UnknownDatasetVersusUnboundVariable) {
+  Exec("CREATE TYPE T AS { id: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  auto r = instance_->Execute("SELECT VALUE x.a FROM Nope x");
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  r = instance_->Execute("SELECT VALUE x.a FROM D d");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  r = instance_->Execute("SELECT VALUE d FROM D d, Nope n");
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(E2ETest, SecondaryIndexUsedAndCorrect) {
   Exec("CREATE TYPE T AS { id: int, v: int }");
   Exec("CREATE DATASET D(T) PRIMARY KEY id");
@@ -405,9 +418,9 @@ TEST_F(E2ETest, RTreeIndexOnRectanglesSurvivesCheckpoint) {
   EXPECT_NE(r.plan.find("rtree-search"), std::string::npos) << r.plan;
 }
 
-// Indexes "a" and "a_1" share a partition directory (files ix_a_* and
-// ix_a_1_*). After a checkpoint and reopen each index recovers only its
-// own components, so index-path queries return each PK once.
+// Indexes whose names share a prefix ("a" and "a_1"). After a checkpoint
+// and reopen each index recovers only its own components, so index-path
+// queries return each PK once.
 TEST_F(E2ETest, IndexesWithPrefixNamesRecoverTheirOwnComponents) {
   Exec("CREATE TYPE T AS { id: int, x: int, y: int }");
   Exec("CREATE DATASET D(T) PRIMARY KEY id");
@@ -434,6 +447,105 @@ TEST_F(E2ETest, IndexesWithPrefixNamesRecoverTheirOwnComponents) {
   r = Exec("SELECT VALUE d.id FROM D d WHERE d.y = 113");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0].AsInt(), 13);
+}
+
+int64_t Count(Instance* db, const std::string& query) {
+  auto r = db->Execute(query);
+  EXPECT_TRUE(r.ok()) << query << "\n  -> " << r.status().ToString();
+  return r.ok() && r->rows.size() == 1 ? r->rows[0].GetField("n").AsInt() : -1;
+}
+
+// A re-created dataset starts empty: neither its predecessor's flushed
+// components (the checkpoint case) nor its WAL records (the other case)
+// reach it, live or after reopen.
+TEST_F(E2ETest, DropAndRecreateDatasetStartsEmpty) {
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  for (bool checkpoint : {true, false}) {
+    SCOPED_TRACE(checkpoint ? "checkpointed" : "in the WAL only");
+    Exec("CREATE DATASET D(T) PRIMARY KEY id");
+    for (int i = 0; i < 100; i++) {
+      Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": 7})");
+    }
+    if (checkpoint) {
+      ASSERT_TRUE(instance_->Checkpoint().ok());
+    }
+    Exec("DROP DATASET D");
+    Exec("CREATE DATASET D(T) PRIMARY KEY id");
+    EXPECT_EQ(Count(instance_.get(), "SELECT COUNT(*) AS n FROM D d"), 0);
+    Reopen();
+    EXPECT_EQ(Count(instance_.get(), "SELECT COUNT(*) AS n FROM D d"), 0);
+    Exec("DROP DATASET D");
+  }
+  // The dropped datasets' storage is gone: only the WALs remain.
+  for (const char* p : {"/p0", "/p1"}) {
+    for (const auto& e : std::filesystem::directory_iterator(dir_ + p)) {
+      EXPECT_EQ(e.path().filename(), "wal.log");
+    }
+  }
+}
+
+// A re-created index starts empty: entries its predecessor flushed for
+// values the records no longer hold must not come back (they would be
+// found a second time by a range search), live or after reopen.
+TEST_F(E2ETest, DropAndRecreateIndexStartsEmpty) {
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  Exec("CREATE INDEX vIdx ON D (v) TYPE BTREE");
+  for (int i = 0; i < 100; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": 1})");
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+  Exec("DROP INDEX D.vIdx");
+  for (int i = 0; i < 100; i++) {
+    Exec("UPSERT INTO D ({\"id\": " + std::to_string(i) + ", \"v\": 2})");
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+  Exec("CREATE INDEX vIdx ON D (v) TYPE BTREE");
+  const std::string q = "SELECT COUNT(*) AS n FROM D d WHERE d.v >= 0";
+  EXPECT_NE(Exec(q).plan.find("btree-search"), std::string::npos);
+  EXPECT_EQ(Count(instance_.get(), q), 100);
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+  Reopen();
+  EXPECT_EQ(Count(instance_.get(), q), 100);
+}
+
+// CREATE INDEX commits only a durable index: after a crash right after it
+// (the instance is destroyed without a checkpoint), the index path and a
+// scan agree, for every index kind.
+TEST_F(E2ETest, CreatedIndexSurvivesCrash) {
+  Exec("CREATE TYPE T AS { id: int, v: int, loc: point, msg: string }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  for (int i = 0; i < 100; i++) {
+    Exec("INSERT INTO D ({\"id\": " + std::to_string(i) +
+         ", \"v\": 7, \"loc\": create_point(1.0, 1.0), "
+         "\"msg\": \"hello world\"})");
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+  Exec("CREATE INDEX vIdx ON D (v) TYPE BTREE");
+  Exec("CREATE INDEX locIdx ON D (loc) TYPE RTREE");
+  Exec("CREATE INDEX msgIdx ON D (msg) TYPE KEYWORD");
+  instance_.reset();  // crash: nothing flushed on the way out
+  Reopen();
+  algebricks::OptimizerOptions no_index;
+  no_index.index_selection = false;
+  const std::pair<const char*, const char*> probes[] = {
+      {"SELECT COUNT(*) AS n FROM D d WHERE d.v = 7", "btree-search"},
+      {"SELECT COUNT(*) AS n FROM D d WHERE spatial_intersect(d.loc, "
+       "create_rectangle(create_point(0.0, 0.0), create_point(2.0, 2.0)))",
+       "rtree-search"},
+      {"SELECT COUNT(*) AS n FROM D d WHERE ftcontains(d.msg, \"hello\")",
+       "keyword-search"},
+  };
+  for (const auto& [q, path] : probes) {
+    SCOPED_TRACE(q);
+    auto indexed = Exec(q);
+    EXPECT_NE(indexed.plan.find(path), std::string::npos) << indexed.plan;
+    auto scanned = instance_->QueryWithOptions(q, no_index);
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(scanned->rows[0].GetField("n").AsInt(), 100);
+    ASSERT_EQ(indexed.rows.size(), 1u);
+    EXPECT_EQ(indexed.rows[0].GetField("n").AsInt(), 100);
+  }
 }
 
 TEST_F(E2ETest, KeywordIndexTextSearch) {

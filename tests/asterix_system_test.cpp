@@ -41,26 +41,32 @@ TEST_F(SystemTest, MetadataPersistsAcrossReopen) {
          {"tags", adm::Type::MakeMultiset(adm::Type::Primitive(
                       adm::TypeTag::kString)), true}},
         /*open=*/false);
-    ASSERT_TRUE(meta->CreateType("UserType", t).ok());
-    meta::DatasetDef ds;
-    ds.name = "Users";
-    ds.type_name = "UserType";
-    ds.primary_key = "id";
-    ASSERT_TRUE(meta->CreateDataset(ds).ok());
-    ASSERT_TRUE(meta->CreateIndex("Users", {"tagIdx", "tags",
-                                            meta::IndexKind::kKeyword})
-                    .ok());
+    Status s = meta->Update([&](meta::Catalog* c) -> Status {
+      AX_RETURN_NOT_OK(c->AddType("UserType", t));
+      meta::DatasetDef ds;
+      ds.name = "Users";
+      ds.type_name = "UserType";
+      ds.primary_key = "id";
+      AX_RETURN_NOT_OK(c->AddDataset(ds).status());
+      return c->AddIndex("Users", {"tagIdx", "tags", meta::IndexKind::kKeyword})
+          .status();
+    });
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
   auto meta = meta::MetadataManager::Open(path).value();
-  auto t = meta->GetType("UserType").value();
+  meta::CatalogPtr c = meta->Snapshot();
+  auto t = c->GetType("UserType").value();
   EXPECT_FALSE(t->open());
   EXPECT_EQ(t->object_fields().size(), 2u);
   EXPECT_TRUE(t->object_fields()[1].optional);
   EXPECT_EQ(t->object_fields()[1].type->kind(), adm::TypeKind::kMultiset);
-  auto ds = meta->GetDataset("Users").value();
+  const meta::DatasetDef& ds = c->GetDataset("Users").value()->def;
   EXPECT_EQ(ds.primary_key, "id");
   ASSERT_EQ(ds.indexes.size(), 1u);
   EXPECT_EQ(ds.indexes[0].kind, meta::IndexKind::kKeyword);
+  // Storage ids are persisted, and a fresh one is never reused.
+  EXPECT_NE(ds.id, ds.indexes[0].id);
+  EXPECT_GT(c->next_id, ds.indexes[0].id);
   // Catalog interface.
   EXPECT_TRUE(meta->HasDataset("Users"));
   EXPECT_EQ(meta->PrimaryKeyField("Users"), "id");
@@ -68,25 +74,41 @@ TEST_F(SystemTest, MetadataPersistsAcrossReopen) {
 }
 
 TEST_F(SystemTest, MetadataGuardsIntegrity) {
-  auto meta = meta::MetadataManager::Open(dir_ + "/meta.adm").value();
+  meta::Catalog c;
   auto t = adm::Type::MakeObject("T", {}, true);
-  ASSERT_TRUE(meta->CreateType("T", t).ok());
-  EXPECT_TRUE(meta->CreateType("T", t).IsNotFound() == false);
-  EXPECT_EQ(meta->CreateType("T", t).code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(c.AddType("T", t).ok());
+  EXPECT_EQ(c.AddType("T", t).code(), StatusCode::kAlreadyExists);
   meta::DatasetDef ds;
   ds.name = "D";
   ds.type_name = "T";
   ds.primary_key = "id";
-  ASSERT_TRUE(meta->CreateDataset(ds).ok());
+  ASSERT_TRUE(c.AddDataset(ds).ok());
   // Type in use cannot be dropped.
-  EXPECT_FALSE(meta->DropType("T").ok());
+  EXPECT_FALSE(c.RemoveType("T").ok());
   // External datasets cannot be indexed.
   meta::DatasetDef ext;
   ext.name = "E";
   ext.type_name = "T";
   ext.external = true;
-  ASSERT_TRUE(meta->CreateDataset(ext).ok());
-  EXPECT_FALSE(meta->CreateIndex("E", {"x", "f", meta::IndexKind::kBTree}).ok());
+  ASSERT_TRUE(c.AddDataset(ext).ok());
+  EXPECT_FALSE(c.AddIndex("E", {"x", "f", meta::IndexKind::kBTree}).ok());
+}
+
+// A failed persist publishes nothing: the catalog stays as it was.
+TEST_F(SystemTest, MetadataFailedPersistPublishesNothing) {
+  std::string path = dir_ + "/meta.adm";
+  auto meta = meta::MetadataManager::Open(path).value();
+  auto t = adm::Type::MakeObject("T", {}, true);
+  ASSERT_TRUE(
+      meta->Update([&](meta::Catalog* c) { return c->AddType("T", t); }).ok());
+  meta::CatalogPtr before = meta->Snapshot();
+  // The temporary file the persist writes cannot be created.
+  std::filesystem::create_directories(path + ".tmp/blocker");
+  Status s =
+      meta->Update([&](meta::Catalog* c) { return c->AddType("U", t); });
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(meta->Snapshot(), before);
+  EXPECT_FALSE(meta->Snapshot()->GetType("U").ok());
 }
 
 TEST_F(SystemTest, ExternalDelimitedText) {

@@ -355,7 +355,11 @@ TEST_F(FeedsTest, CrashDuringIngestResumesExactly) {
   // watermark. Records between the checkpoint and the crash were already
   // recovered from the WAL, and the at-least-once replay of them upserts
   // identical versions — idempotent.
-  EXPECT_EQ(instance_->metadata()->GetFeed("ingest").value().connected_dataset,
+  EXPECT_EQ(instance_->metadata()
+                ->Snapshot()
+                ->GetFeed("ingest")
+                .value()
+                .connected_dataset,
             "D");
   ASSERT_TRUE(
       instance_->Execute("CONNECT FEED ingest TO DATASET D USING POLICY BASIC")
@@ -434,7 +438,7 @@ TEST_F(FeedsTest, FeedDdlRoundTripsThroughMetadata) {
   ASSERT_TRUE(instance_
                   ->Execute("CREATE FEED f USING channel ((\"note\"=\"x\"))")
                   .ok());
-  auto def = instance_->metadata()->GetFeed("f").value();
+  auto def = instance_->metadata()->Snapshot()->GetFeed("f").value();
   EXPECT_EQ(def.adapter, "channel");
   EXPECT_EQ(def.props.at("note"), "x");
   EXPECT_TRUE(def.connected_dataset.empty());
@@ -445,7 +449,7 @@ TEST_F(FeedsTest, FeedDdlRoundTripsThroughMetadata) {
   ASSERT_TRUE(
       instance_->Execute("CONNECT FEED f TO DATASET D USING POLICY DISCARD")
           .ok());
-  def = instance_->metadata()->GetFeed("f").value();
+  def = instance_->metadata()->Snapshot()->GetFeed("f").value();
   EXPECT_EQ(def.connected_dataset, "D");
   EXPECT_EQ(def.policy, "DISCARD");
   // Connected feeds can't be dropped or double-connected.
@@ -454,18 +458,18 @@ TEST_F(FeedsTest, FeedDdlRoundTripsThroughMetadata) {
       instance_->Execute("CONNECT FEED f TO DATASET D USING POLICY BASIC")
           .ok());
   ASSERT_TRUE(instance_->Execute("DISCONNECT FEED f").ok());
-  def = instance_->metadata()->GetFeed("f").value();
+  def = instance_->metadata()->Snapshot()->GetFeed("f").value();
   EXPECT_TRUE(def.connected_dataset.empty());
   EXPECT_EQ(def.policy, "DISCARD");  // remembered for the next connect
 
   // The catalog object survives restart.
   instance_.reset();
   instance_ = OpenInstance();
-  def = instance_->metadata()->GetFeed("f").value();
+  def = instance_->metadata()->Snapshot()->GetFeed("f").value();
   EXPECT_EQ(def.adapter, "channel");
   EXPECT_EQ(def.props.at("note"), "x");
   ASSERT_TRUE(instance_->Execute("DROP FEED f").ok());
-  EXPECT_FALSE(instance_->metadata()->GetFeed("f").ok());
+  EXPECT_FALSE(instance_->metadata()->Snapshot()->GetFeed("f").ok());
   EXPECT_FALSE(instance_->Execute("DISCONNECT FEED f").ok());
 }
 

@@ -28,8 +28,8 @@ class TxnTest : public ::testing::Test {
 
 TEST_F(TxnTest, LogAppendAndReplay) {
   auto log = LogManager::Open(dir_ + "/wal", SyncMode::kNoSync).value();
-  LogRecord r1{LogRecordType::kUpsert, "users", 0, "k1", "v1"};
-  LogRecord r2{LogRecordType::kDelete, "users", 1, "k2", ""};
+  LogRecord r1{LogRecordType::kUpsert, 7, 0, "k1", "v1"};
+  LogRecord r2{LogRecordType::kDelete, 7, 1, "k2", ""};
   uint64_t lsn1 = log->Append(r1).value();
   uint64_t lsn2 = log->Append(r2).value();
   EXPECT_LT(lsn1, lsn2);
@@ -41,7 +41,7 @@ TEST_F(TxnTest, LogAppendAndReplay) {
                  })
                   .ok());
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].dataset, "users");
+  EXPECT_EQ(seen[0].dataset_id, 7u);
   EXPECT_EQ(seen[0].key, "k1");
   EXPECT_EQ(seen[0].value, "v1");
   EXPECT_EQ(seen[1].type, LogRecordType::kDelete);
@@ -51,7 +51,7 @@ TEST_F(TxnTest, LogAppendAndReplay) {
 TEST_F(TxnTest, LogSurvivesReopen) {
   {
     auto log = LogManager::Open(dir_ + "/wal", SyncMode::kSync).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k", "v"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k", "v"}).value();
   }
   auto log = LogManager::Open(dir_ + "/wal", SyncMode::kSync).value();
   int count = 0;
@@ -62,7 +62,8 @@ TEST_F(TxnTest, LogSurvivesReopen) {
                   .ok());
   EXPECT_EQ(count, 1);
   // New appends land after the recovered tail.
-  uint64_t lsn = log->Append({LogRecordType::kUpsert, "ds", 0, "k2", "v2"}).value();
+  uint64_t lsn =
+      log->Append({LogRecordType::kUpsert, 1, 0, "k2", "v2"}).value();
   EXPECT_GT(lsn, 0u);
 }
 
@@ -70,8 +71,8 @@ TEST_F(TxnTest, LogToleratesTornTail) {
   std::string path = dir_ + "/wal";
   {
     auto log = LogManager::Open(path, SyncMode::kSync).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k1", "v1"}).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k2", "v2"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k1", "v1"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k2", "v2"}).value();
   }
   // Simulate a crash mid-write: append garbage that looks like a header.
   {
@@ -94,9 +95,9 @@ TEST_F(TxnTest, LogReportsTornTailInStats) {
   uint64_t full_tail;
   {
     auto log = LogManager::Open(path, SyncMode::kSync).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k1", "v1"}).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k2", "v2"}).value();
-    (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k3", "v3"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k1", "v1"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k2", "v2"}).value();
+    (void)log->Append({LogRecordType::kUpsert, 1, 0, "k3", "v3"}).value();
     full_tail = log->tail_lsn();
   }
   // Crash mid-append: chop a few bytes off the last record's body.
@@ -125,7 +126,7 @@ TEST_F(TxnTest, LogReportsTornTailInStats) {
   ReplayStats clean;
   std::string path2 = dir_ + "/wal2";
   auto log2 = LogManager::Open(path2, SyncMode::kSync).value();
-  (void)log2->Append({LogRecordType::kUpsert, "ds", 0, "k", "v"}).value();
+  (void)log2->Append({LogRecordType::kUpsert, 1, 0, "k", "v"}).value();
   ASSERT_TRUE(
       log2->Replay([&](const LogRecord&) { return Status::OK(); }, &clean)
           .ok());
@@ -136,7 +137,7 @@ TEST_F(TxnTest, LogReportsTornTailInStats) {
 
 TEST_F(TxnTest, LogTruncateAfterCheckpoint) {
   auto log = LogManager::Open(dir_ + "/wal", SyncMode::kNoSync).value();
-  (void)log->Append({LogRecordType::kUpsert, "ds", 0, "k", "v"}).value();
+  (void)log->Append({LogRecordType::kUpsert, 1, 0, "k", "v"}).value();
   ASSERT_TRUE(log->Truncate().ok());
   EXPECT_EQ(log->tail_lsn(), 0u);
   int count = 0;
