@@ -66,13 +66,7 @@ Result<DatasetPartition::Secondary> DatasetPartition::OpenSecondary(
       break;
     }
     case meta::IndexKind::kKeyword: {
-      storage::InvertedIndexOptions io;
-      io.dir = o.dir;
-      io.name = o.name;
-      io.cache = o.cache;
-      io.mem_budget_bytes = o.mem_budget_bytes;
-      io.scheduler = o.scheduler;
-      AX_ASSIGN_OR_RETURN(sec.keyword, storage::LsmInvertedIndex::Open(io));
+      AX_ASSIGN_OR_RETURN(sec.keyword, storage::LsmInvertedIndex::Open(o));
       break;
     }
   }

@@ -61,6 +61,25 @@ class GateExit {
   meta::WriteGate* gate_;
 };
 
+// Closes every dataset's write gate, waiting for the writers inside to
+// leave, and reopens them at the catalog's version when it goes.
+class WritersHeld {
+ public:
+  explicit WritersHeld(const meta::Catalog& catalog) : catalog_(catalog) {
+    for (const auto& [name, ds] : catalog_.datasets) ds->gate->Close();
+  }
+  ~WritersHeld() {
+    for (const auto& [name, ds] : catalog_.datasets) {
+      ds->gate->Open(catalog_.version);
+    }
+  }
+  WritersHeld(const WritersHeld&) = delete;
+  WritersHeld& operator=(const WritersHeld&) = delete;
+
+ private:
+  const meta::Catalog& catalog_;
+};
+
 }  // namespace
 
 Result<std::unique_ptr<Instance>> Instance::Open(
@@ -90,16 +109,24 @@ Result<std::unique_ptr<Instance>> Instance::Open(
     adm.queue_timeout_ms = options.admission_timeout_ms;
     inst->admission_ = std::make_unique<resource::AdmissionController>(adm);
   }
-  for (size_t p = 0; p < options.num_partitions; p++) {
-    std::string pdir = options.base_dir + "/p" + std::to_string(p);
-    AX_RETURN_NOT_OK(fs::CreateDirs(pdir));
-    AX_ASSIGN_OR_RETURN(
-        auto wal, txn::LogManager::Open(pdir + "/wal.log", options.wal_sync));
-    inst->wals_.push_back(std::move(wal));
-  }
   // Reopen existing datasets before the first catalog is published, then
-  // replay the WALs into them.
-  auto attach = [&inst](meta::Catalog* c) -> Status {
+  // replay the WALs into them. Records were routed by the partition count
+  // the catalog recorded, so no other count may open them.
+  auto attach = [&inst, &options](meta::Catalog* c) -> Status {
+    if (c->num_partitions != 0 && c->num_partitions != options.num_partitions) {
+      return Status::InvalidArgument(
+          "instance at '" + options.base_dir + "' has " +
+          std::to_string(c->num_partitions) + " partitions, not " +
+          std::to_string(options.num_partitions));
+    }
+    c->num_partitions = options.num_partitions;
+    for (size_t p = 0; p < options.num_partitions; p++) {
+      std::string pdir = options.base_dir + "/p" + std::to_string(p);
+      AX_RETURN_NOT_OK(fs::CreateDirs(pdir));
+      AX_ASSIGN_OR_RETURN(auto wal, txn::LogManager::Open(pdir + "/wal.log",
+                                                          options.wal_sync));
+      inst->wals_.push_back(std::move(wal));
+    }
     AX_RETURN_NOT_OK(inst->SweepDroppedStorage(*c));
     for (auto& [name, entry] : c->datasets) {
       if (entry->def.external) continue;
@@ -178,7 +205,13 @@ Status Instance::RecoverFromWal() {
           if (it == by_id.end() || it->second->def.external) {
             return Status::OK();
           }
-          DatasetPartition* part = it->second->partitions[rec.partition].get();
+          const auto& parts = it->second->partitions;
+          if (rec.partition >= parts.size()) {
+            return Status::Corruption(
+                "WAL record for partition " + std::to_string(rec.partition) +
+                " of " + std::to_string(parts.size()));
+          }
+          DatasetPartition* part = parts[rec.partition].get();
           if (rec.type == txn::LogRecordType::kUpsert) {
             AX_ASSIGN_OR_RETURN(Value record, adm::Deserialize(rec.value));
             return part->Upsert(record, /*log=*/false);
@@ -619,8 +652,11 @@ Status Instance::Checkpoint() {
   // below the persisted watermark is recoverable.
   if (feeds_ != nullptr) AX_RETURN_NOT_OK(feeds_->PersistProgress());
   // With DDL held off: a dataset created after the flushes could have
-  // records in the WALs that the truncate drops.
+  // records in the WALs that the truncate drops. With writers held off
+  // too: a record logged after its partition's flush would be dropped
+  // unflushed.
   return metadata_->WithUpdatesBlocked([&](const meta::Catalog& catalog) {
+    WritersHeld held(catalog);
     if (maintenance_ != nullptr) {
       // Fan the per-partition flushes out to the maintenance pool instead
       // of draining them serially. Each Flush() is a cooperative barrier

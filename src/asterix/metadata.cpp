@@ -364,6 +364,10 @@ Result<meta::Catalog> MetadataManager::Load(const std::string& path) {
   AX_ASSIGN_OR_RETURN(Value doc, adm::ParseAdm(text));
   meta::Catalog c;
   AX_ASSIGN_OR_RETURN(c.next_id, IdField(doc.GetField("next_id")));
+  const Value& partitions = doc.GetField("num_partitions");
+  if (partitions.is_int()) {
+    c.num_partitions = static_cast<size_t>(partitions.AsInt());
+  }
   for (const auto& tdoc : doc.GetField("types").items()) {
     AX_ASSIGN_OR_RETURN(adm::TypePtr t, TypeFromDoc(tdoc, c.types));
     c.types[t->name()] = t;
@@ -418,6 +422,8 @@ Status MetadataManager::Persist(const meta::Catalog& catalog) const {
   Value doc =
       adm::ObjectBuilder()
           .Add("next_id", Value::Int(static_cast<int64_t>(catalog.next_id)))
+          .Add("num_partitions",
+               Value::Int(static_cast<int64_t>(catalog.num_partitions)))
           .Add("types", Value::Array(std::move(types)))
           .Add("datasets", Value::Array(std::move(datasets)))
           .Add("feeds", Value::Array(std::move(feeds)))

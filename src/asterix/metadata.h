@@ -140,6 +140,10 @@ class Catalog : public algebricks::Catalog {
   uint64_t version = 0;
   /// The next dataset or index id; persisted, so ids are never reused.
   uint64_t next_id = 1;
+  /// The partition count the instance's data is routed by; persisted, so
+  /// a reopen at another count is refused. 0 in a catalog persisted before
+  /// the count was recorded.
+  size_t num_partitions = 0;
   std::map<std::string, adm::TypePtr> types;
   std::map<std::string, std::shared_ptr<const Dataset>> datasets;
   std::map<std::string, FeedDef> feeds;

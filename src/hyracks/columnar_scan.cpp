@@ -31,73 +31,31 @@ bool PassesCmp(int c, ScanCmp cmp) {
 }
 }  // namespace
 
-// One merge-input cursor: the memory snapshot, a row (.cmp) component, or a
-// columnar (.col) component with its needed columns preloaded.
-struct ColumnarScanSource::Source {
-  int rank = 0;  // lower = newer
-
-  // Memory snapshot:
-  bool is_mem = false;
-  const std::vector<storage::LsmBTree::SnapshotEntry>* mem = nullptr;
-  size_t idx = 0;
-
-  // Row component:
-  const storage::BTree* tree = nullptr;
-  std::unique_ptr<storage::BTree::Iterator> iter;
-
-  // Columnar component:
-  const storage::ColumnarReader* col = nullptr;
-  uint64_t row = 0;
-  // Loaded columns, parallel to reader column indexes in `col_idx`. When
-  // the projection was not pushed this is every column (in reader order,
-  // so MaterializeRow applies); otherwise only the needed subset.
+// The columns one columnar component supplies to this scan. When the
+// projection was not pushed this is every column (in reader order, so
+// MaterializeRow applies); otherwise only the needed subset.
+struct ColumnarScanSource::Columns {
+  const storage::ColumnarReader* reader = nullptr;
   std::vector<storage::ColumnData> cols;
-  std::vector<int> col_idx;
+  std::vector<int> col_idx;  // reader column index of each of cols
 
   /// Loaded column for `name`, or nullptr (absent column == MISSING field).
   const storage::ColumnData* Find(const std::string& name) const {
-    int want = col->FindColumn(name);
+    int want = reader->FindColumn(name);
     if (want < 0) return nullptr;
     auto it = std::lower_bound(col_idx.begin(), col_idx.end(), want);
     if (it == col_idx.end() || *it != want) return nullptr;
     return &cols[static_cast<size_t>(it - col_idx.begin())];
   }
-
-  bool valid() const {
-    if (is_mem) return idx < mem->size();
-    if (col) return row < col->row_count();
-    return iter->Valid();
-  }
-  const std::string& key() const {
-    if (is_mem) return (*mem)[idx].key;
-    if (col) return col->key(row);
-    return iter->key();
-  }
-  bool antimatter() const {
-    if (is_mem) return (*mem)[idx].antimatter;
-    if (col) return col->antimatter(row);
-    return storage::DiskEntryIsAntimatter(iter->value());
-  }
-  Status Next() {
-    if (is_mem) {
-      idx++;
-      return Status::OK();
-    }
-    if (col) {
-      row++;
-      return Status::OK();
-    }
-    return iter->Next();
-  }
 };
 
 // One row that won the newest-version merge for its key. Columnar rows are
-// addressed by (source, row) — cells decode straight from columns; other
+// addressed by (columns, row) — cells decode straight from columns; other
 // rows carry their serialized record, deserialized lazily at most once.
 struct ColumnarScanSource::Candidate {
-  Source* src = nullptr;
-  uint64_t row = 0;       // columnar: row index in src
-  std::string raw;        // mem/row: serialized record
+  const Columns* cols = nullptr;  // columnar winner's component
+  uint64_t row = 0;               // columnar: row index in the component
+  std::string raw;                // mem/row: serialized record
   bool keep = true;
   bool decoded = false;
   adm::Value record = adm::Value::Missing();
@@ -116,65 +74,54 @@ ColumnarScanSource::ColumnarScanSource(const storage::LsmBTree* tree,
                                        bool fields_pushed,
                                        std::vector<ScanPredicate> predicates)
     : tree_(tree), fields_(std::move(fields)), fields_pushed_(fields_pushed),
-      predicates_(std::move(predicates)) {}
+      predicates_(std::move(predicates)) {
+  // Columns a columnar component must load: the projected fields plus every
+  // predicate field (predicates may reference non-projected fields).
+  needed_ = fields_;
+  for (const auto& p : predicates_) needed_.push_back(p.field);
+  std::sort(needed_.begin(), needed_.end());
+  needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
+}
 
 ColumnarScanSource::~ColumnarScanSource() = default;
 
 Status ColumnarScanSource::Open() {
-  snap_ = tree_->GetScanSnapshot();
-  sources_.clear();
+  loaded_.clear();
   rows_.clear();
   pos_ = 0;
-  exhausted_ = false;
-
-  // Columns a columnar component must load: the projected fields plus every
-  // predicate field (predicates may reference non-projected fields).
-  std::vector<std::string> needed = fields_;
-  for (const auto& p : predicates_) needed.push_back(p.field);
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-
-  int rank = 0;
-  if (!snap_.mem.empty()) {
-    auto src = std::make_unique<Source>();
-    src->is_mem = true;
-    src->mem = &snap_.mem;
-    src->rank = rank;
-    sources_.push_back(std::move(src));
-  }
-  rank++;
-  for (const auto& comp : snap_.components) {
-    auto src = std::make_unique<Source>();
-    src->rank = rank++;
-    if (comp.columnar != nullptr) {
-      src->col = comp.columnar;
-      if (fields_pushed_) {
-        for (const auto& name : needed) {
-          int c = src->col->FindColumn(name);
-          if (c < 0) continue;
-          AX_ASSIGN_OR_RETURN(auto data,
-                              src->col->ReadColumn(static_cast<size_t>(c)));
-          src->cols.push_back(std::move(data));
-          src->col_idx.push_back(c);
-        }
-        ColumnsSkippedCounter()->Add(src->col->num_columns() -
-                                     src->cols.size());
-      } else {
-        AX_ASSIGN_OR_RETURN(src->cols, src->col->ReadAllColumns());
-        src->col_idx.resize(src->cols.size());
-        for (size_t c = 0; c < src->cols.size(); c++) {
-          src->col_idx[c] = static_cast<int>(c);
-        }
-      }
-    } else {
-      src->tree = comp.tree;
-      src->iter = std::make_unique<storage::BTree::Iterator>(
-          comp.tree->NewIterator());
-      AX_RETURN_NOT_OK(src->iter->SeekToFirst());
-    }
-    sources_.push_back(std::move(src));
-  }
+  AX_ASSIGN_OR_RETURN(it_, tree_->NewIterator());
+  AX_RETURN_NOT_OK(it_->SeekToFirst());
+  exhausted_ = !it_->Valid();
   return Status::OK();
+}
+
+Result<const ColumnarScanSource::Columns*> ColumnarScanSource::ColumnsFor(
+    const storage::ColumnarReader* reader) {
+  // A stack holds a few components: a linear search will do.
+  for (const auto& c : loaded_) {
+    if (c->reader == reader) return c.get();
+  }
+  auto c = std::make_unique<Columns>();
+  c->reader = reader;
+  if (fields_pushed_) {
+    for (const auto& name : needed_) {
+      int col = reader->FindColumn(name);
+      if (col < 0) continue;
+      AX_ASSIGN_OR_RETURN(auto data,
+                          reader->ReadColumn(static_cast<size_t>(col)));
+      c->cols.push_back(std::move(data));
+      c->col_idx.push_back(col);
+    }
+    ColumnsSkippedCounter()->Add(reader->num_columns() - c->cols.size());
+  } else {
+    AX_ASSIGN_OR_RETURN(c->cols, reader->ReadAllColumns());
+    c->col_idx.resize(c->cols.size());
+    for (size_t col = 0; col < c->cols.size(); col++) {
+      c->col_idx[col] = static_cast<int>(col);
+    }
+  }
+  loaded_.push_back(std::move(c));
+  return loaded_.back().get();
 }
 
 Status ColumnarScanSource::Refill() {
@@ -185,57 +132,22 @@ Status ColumnarScanSource::Refill() {
   // Phase 1: gather up to kFrameTuples newest-version live candidates.
   std::vector<Candidate> cands;
   cands.reserve(kFrameTuples);
-  const bool single_col = sources_.size() == 1 && sources_[0]->col != nullptr;
-  while (cands.size() < kFrameTuples) {
-    if (single_col) {
-      // Fast path: one columnar component, no key comparisons at all.
-      Source* s = sources_[0].get();
-      if (!s->valid()) {
-        exhausted_ = true;
-        break;
+  const Columns* last = nullptr;  // winners come in runs from one component
+  while (cands.size() < kFrameTuples && it_->Valid()) {
+    Candidate c;
+    if (const storage::ColumnarReader* reader = it_->columnar_reader()) {
+      if (last == nullptr || last->reader != reader) {
+        AX_ASSIGN_OR_RETURN(last, ColumnsFor(reader));
       }
-      if (!s->antimatter()) {
-        Candidate c;
-        c.src = s;
-        c.row = s->row;
-        cands.push_back(std::move(c));
-      }
-      AX_RETURN_NOT_OK(s->Next());
-      continue;
+      c.cols = last;
+      c.row = it_->columnar_row();
+    } else {
+      c.raw = it_->value();
     }
-    Source* winner = nullptr;
-    const std::string* min_key = nullptr;
-    for (auto& s : sources_) {
-      if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
-        winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
-        winner = s.get();
-      }
-    }
-    if (winner == nullptr) {
-      exhausted_ = true;
-      break;
-    }
-    std::string k = *min_key;
-    if (!winner->antimatter()) {
-      Candidate c;
-      c.src = winner;
-      if (winner->col != nullptr) {
-        c.row = winner->row;
-      } else if (winner->is_mem) {
-        c.raw = (*winner->mem)[winner->idx].value;
-      } else {
-        AX_ASSIGN_OR_RETURN(c.raw, storage::DecodeDiskEntry(
-                                       winner->iter->value()));
-      }
-      cands.push_back(std::move(c));
-    }
-    for (auto& s : sources_) {
-      while (s->valid() && s->key() == k) AX_RETURN_NOT_OK(s->Next());
-    }
+    cands.push_back(std::move(c));
+    AX_RETURN_NOT_OK(it_->Next());
   }
+  exhausted_ = !it_->Valid();
   if (cands.empty()) return Status::OK();
 
   // Phase 2: predicates, column-at-a-time over the batch. For candidates
@@ -250,8 +162,8 @@ Status ColumnarScanSource::Refill() {
     }
     for (auto& c : cands) {
       if (!c.keep) continue;
-      if (c.src->col != nullptr) {
-        const storage::ColumnData* col = c.src->Find(pred.field);
+      if (c.cols != nullptr) {
+        const storage::ColumnData* col = c.cols->Find(pred.field);
         if (col == nullptr || col->IsUnknown(c.row)) {
           c.keep = false;
           continue;
@@ -281,9 +193,9 @@ Status ColumnarScanSource::Refill() {
     if (fields_pushed_) {
       adm::FieldVec fv;
       fv.reserve(fields_.size());
-      if (c.src->col != nullptr) {
+      if (c.cols != nullptr) {
         for (const auto& name : fields_) {
-          const storage::ColumnData* col = c.src->Find(name);
+          const storage::ColumnData* col = c.cols->Find(name);
           if (col == nullptr || col->IsMissing(c.row)) continue;
           AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
           fv.emplace_back(name, std::move(v));
@@ -297,8 +209,9 @@ Status ColumnarScanSource::Refill() {
         }
       }
       out = adm::Value::Object(std::move(fv));
-    } else if (c.src->col != nullptr) {
-      AX_ASSIGN_OR_RETURN(out, c.src->col->MaterializeRow(c.src->cols, c.row));
+    } else if (c.cols != nullptr) {
+      AX_ASSIGN_OR_RETURN(out, c.cols->reader->MaterializeRow(c.cols->cols,
+                                                              c.row));
     } else {
       AX_ASSIGN_OR_RETURN(const adm::Value* rec, c.Record());
       out = *rec;
@@ -327,7 +240,8 @@ Result<bool> ColumnarScanSource::NextBatch(Batch* out) {
 }
 
 Status ColumnarScanSource::Close() {
-  sources_.clear();
+  it_.reset();
+  loaded_.clear();
   rows_.clear();
   return Status::OK();
 }

@@ -1,25 +1,28 @@
-// ColumnarScan: a batch-native TupleStream over an LSM tree's scan snapshot
-// (paper §VII: columnar storage + the batch execution model of batch.h).
-// Where PartitionScanSource deserializes every full record out of the
-// merged row iterator, this source works a component stack directly:
+// ColumnarScan: a batch-native TupleStream over one LSM partition (paper
+// §VII: columnar storage + the batch execution model of batch.h). Like
+// PartitionScanSource it walks the tree's merged iterator
+// (storage::LsmBTree::Iterator), the one newest-wins merge of the memory,
+// row and columnar components; unlike it, it reads a winner that is a row
+// of a columnar component straight from that component's columns:
 //
 //  * Projection pushdown — when the Algebricks lowering proves only a field
-//    subset is touched, only those columns are read and decoded from
-//    columnar components (the rest are never paged in; the skip count is
+//    subset is touched, a columnar component loads only those columns, on
+//    the first row it wins (the rest are never paged in; the skip count is
 //    exported as storage.columnar.columns_skipped).
 //  * Predicate pushdown — comparison conjuncts against constants are
 //    evaluated column-at-a-time over each gathered batch (fixed-width
 //    columns compare raw 8-byte payloads) and only surviving rows are
 //    materialized into tuples.
-//  * Mixed stacks — memory-component entries and row (.cmp) components
-//    participate in the same newest-wins merge, decoding full records only
-//    for rows that reach the predicate/materialize phases.
+//  * Mixed stacks — winners from memory and row (.cmp) components arrive
+//    as serialized records, decoded only for rows that reach the
+//    predicate/materialize phases.
 //
 // Output shape matches the row scan source: 1-field tuples holding the
 // record (pruned to the projected fields when the projection was pushed).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,8 +59,11 @@ class ColumnarScanSource : public TupleStream {
   Status Close() override;
 
  private:
-  struct Source;
+  struct Columns;
   struct Candidate;
+  /// The columns this scan needs from a columnar component, loaded on the
+  /// first call for that component.
+  Result<const Columns*> ColumnsFor(const storage::ColumnarReader* reader);
   /// Gather the next batch of newest-version candidates, run the pushed
   /// predicates column-wise, and materialize survivors into rows_.
   Status Refill();
@@ -66,9 +72,11 @@ class ColumnarScanSource : public TupleStream {
   std::vector<std::string> fields_;
   bool fields_pushed_ = false;
   std::vector<ScanPredicate> predicates_;
+  /// Projected plus predicate fields: what a pushed scan loads.
+  std::vector<std::string> needed_;
 
-  storage::LsmBTree::ScanSnapshot snap_;
-  std::vector<std::unique_ptr<Source>> sources_;
+  std::optional<storage::LsmBTree::Iterator> it_;
+  std::vector<std::unique_ptr<Columns>> loaded_;
   bool exhausted_ = false;
   std::vector<Tuple> rows_;  // materialized survivors awaiting hand-off
   size_t pos_ = 0;

@@ -55,34 +55,22 @@ std::string EncodeDiskValue(const std::string& value, bool antimatter,
   return out;
 }
 
-// True (and fills `records`, antimatter slots left Missing) iff every live
-// row decodes to an ADM value the columnar layout can represent.
-bool DecodeColumnarRecords(const std::vector<LsmBTree::SnapshotEntry>& rows,
-                           std::vector<adm::Value>* records) {
-  records->clear();
-  records->reserve(rows.size());
-  for (const auto& row : rows) {
-    if (row.antimatter) {
-      records->push_back(adm::Value::Missing());
-      continue;
-    }
-    auto decoded = adm::Deserialize(row.value);
-    if (!decoded.ok() || !RecordIsColumnar(decoded.value())) return false;
-    records->push_back(std::move(decoded).value());
-  }
-  return true;
-}
-}  // namespace
-
 bool DiskEntryIsAntimatter(const std::string& raw) {
   return !raw.empty() && raw[0] == kAntimatter;
 }
 
-Result<std::string> DecodeDiskEntry(const std::string& raw) {
+// The live value of a row-component entry, written into `*out` (whose
+// capacity a scan reuses from entry to entry).
+Status DecodeDiskEntry(const std::string& raw, std::string* out) {
   if (raw.empty()) return Status::Corruption("empty LSM disk entry");
-  if (raw[0] == kLiveCompressed) return Decompress(raw.substr(1));
-  return raw.substr(1);
+  if (raw[0] == kLiveCompressed) {
+    AX_ASSIGN_OR_RETURN(*out, Decompress(raw.substr(1)));
+    return Status::OK();
+  }
+  out->assign(raw, 1, std::string::npos);
+  return Status::OK();
 }
+}  // namespace
 
 LsmBTree::LsmBTree(const LsmOptions& options)
     : LsmLifecycle(options, BTreeLayout()),
@@ -187,16 +175,14 @@ Result<bool> LsmBTree::Get(const std::string& key, std::string* value) const {
     if (!found) continue;
     if (raw.empty()) return Status::Corruption("empty LSM disk entry");
     if (raw[0] == kAntimatter) return false;
-    if (value) {
-      AX_ASSIGN_OR_RETURN(*value, DecodeDiskEntry(raw));
-    }
+    if (value) AX_RETURN_NOT_OK(DecodeDiskEntry(raw, value));
     return true;
   }
   return false;
 }
 
 Result<LsmLifecycle::DiskPtr> LsmBTree::BuildDiskComponent(
-    const std::vector<SnapshotEntry>& rows, const std::string& base) const {
+    const std::vector<ComponentRow>& rows, const std::string& base) const {
   auto comp = std::make_shared<DiskComponent>();
   const std::string bloom_path = base + ".bloom";
   comp->bloom =
@@ -204,9 +190,21 @@ Result<LsmLifecycle::DiskPtr> LsmBTree::BuildDiskComponent(
   for (const auto& row : rows) comp->bloom.Add(row.key);
   comp->entries = rows.size();
 
+  // Columnar only if every live row decodes to an ADM value the columnar
+  // layout can represent (antimatter slots stay Missing).
   std::vector<adm::Value> records;
-  if (storage_format_ == StorageFormat::kColumnar &&
-      DecodeColumnarRecords(rows, &records)) {
+  bool columnar = storage_format_ == StorageFormat::kColumnar;
+  if (columnar) records.reserve(rows.size());
+  for (size_t i = 0; columnar && i < rows.size(); i++) {
+    if (rows[i].antimatter) {
+      records.push_back(adm::Value::Missing());
+      continue;
+    }
+    auto decoded = adm::Deserialize(rows[i].value);
+    columnar = decoded.ok() && RecordIsColumnar(decoded.value());
+    if (columnar) records.push_back(std::move(decoded).value());
+  }
+  if (columnar) {
     const std::string data_path = base + ".col";
     comp->files = {data_path, bloom_path};
     ColumnarComponentWriter writer(data_path);
@@ -239,11 +237,11 @@ Result<LsmLifecycle::DiskPtr> LsmBTree::BuildDiskComponent(
 Result<LsmLifecycle::DiskPtr> LsmBTree::BuildFlushComponent(
     const LsmMemComponent& mem, bool oldest, const std::string& base) const {
   const auto& frozen = static_cast<const MemComponent&>(mem);
-  std::vector<SnapshotEntry> rows;
+  std::vector<ComponentRow> rows;
   rows.reserve(frozen.rows.size());
   for (const auto& [key, entry] : frozen.rows) {
     if (entry.antimatter && oldest) continue;  // nothing below to hide
-    rows.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
+    rows.push_back(ComponentRow{key, entry.antimatter, entry.value});
   }
   return BuildDiskComponent(rows, base);
 }
@@ -252,50 +250,55 @@ Result<LsmLifecycle::DiskPtr> LsmBTree::BuildFlushComponent(
 // Iterator
 // ---------------------------------------------------------------------------
 
+// One input of the merge: a copy of a memory component, a row (.cmp)
+// component or a columnar (.col) component. A disk source pins its
+// component.
 struct LsmBTree::Iterator::Source {
-  int rank = 0;  // lower = newer
-  // Memory snapshot source:
+  // Memory component:
+  bool is_mem = false;
   std::vector<std::pair<std::string, MemEntry>> snapshot;
   size_t idx = 0;
-  bool is_mem = false;
-  // Disk source (row component):
+  // Disk component:
   ComponentPtr comp;
-  std::unique_ptr<BTree::Iterator> disk;
-  // Disk source (columnar component): all columns preloaded so full scans
-  // and merges materialize from memory instead of per-row preads.
-  bool is_col = false;
-  std::vector<ColumnData> cols;
+  std::unique_ptr<BTree::Iterator> disk;  // row component
+  const ColumnarReader* col = nullptr;    // columnar component
   uint64_t row = 0;
+  bool cols_loaded = false;
+  std::vector<ColumnData> cols;  // every column, once a value is asked for
 
   bool valid() const {
     if (is_mem) return idx < snapshot.size();
-    if (is_col) return row < comp->col->row_count();
-    return disk && disk->Valid();
+    if (col) return row < col->row_count();
+    return disk->Valid();
   }
   const std::string& key() const {
     if (is_mem) return snapshot[idx].first;
-    if (is_col) return comp->col->key(row);
+    if (col) return col->key(row);
     return disk->key();
   }
   bool antimatter() const {
     if (is_mem) return snapshot[idx].second.antimatter;
-    if (is_col) return comp->col->antimatter(row);
-    return !disk->value().empty() && disk->value()[0] == kAntimatter;
+    if (col) return col->antimatter(row);
+    return DiskEntryIsAntimatter(disk->value());
   }
-  Result<std::string> value() const {
-    if (is_mem) return snapshot[idx].second.value;
-    if (is_col) {
-      AX_ASSIGN_OR_RETURN(adm::Value record, comp->col->MaterializeRow(cols, row));
-      return adm::Serialize(record);
+  /// The current disk entry's value (memory values are read in place).
+  Status DiskValue(std::string* out) {
+    if (col == nullptr) return DecodeDiskEntry(disk->value(), out);
+    if (!cols_loaded) {
+      AX_ASSIGN_OR_RETURN(cols, col->ReadAllColumns());
+      cols_loaded = true;
     }
-    return DecodeDiskEntry(disk->value());
+    AX_ASSIGN_OR_RETURN(adm::Value record, col->MaterializeRow(cols, row));
+    out->clear();
+    adm::SerializeValue(record, out);
+    return Status::OK();
   }
   Status Next() {
     if (is_mem) {
       idx++;
       return Status::OK();
     }
-    if (is_col) {
+    if (col) {
       row++;
       return Status::OK();
     }
@@ -311,8 +314,8 @@ struct LsmBTree::Iterator::Source {
           snapshot.begin());
       return Status::OK();
     }
-    if (is_col) {
-      row = comp->col->LowerBound(k);
+    if (col) {
+      row = col->LowerBound(k);
       return Status::OK();
     }
     return disk->Seek(k);
@@ -322,21 +325,25 @@ struct LsmBTree::Iterator::Source {
       idx = 0;
       return Status::OK();
     }
-    if (is_col) {
+    if (col) {
       row = 0;
       return Status::OK();
     }
     return disk->SeekToFirst();
   }
 
-  static Result<std::unique_ptr<Source>> ForComponent(const DiskPtr& c,
-                                                      int rank) {
+  static std::unique_ptr<Source> ForMemory(
+      const std::map<std::string, MemEntry>& rows) {
     auto src = std::make_unique<Source>();
-    src->rank = rank;
+    src->is_mem = true;
+    src->snapshot.assign(rows.begin(), rows.end());
+    return src;
+  }
+  static std::unique_ptr<Source> ForComponent(const DiskPtr& c) {
+    auto src = std::make_unique<Source>();
     src->comp = std::static_pointer_cast<const DiskComponent>(c);
     if (src->comp->columnar()) {
-      src->is_col = true;
-      AX_ASSIGN_OR_RETURN(src->cols, src->comp->col->ReadAllColumns());
+      src->col = src->comp->col.get();
     } else {
       src->disk =
           std::make_unique<BTree::Iterator>(src->comp->tree->NewIterator());
@@ -345,8 +352,9 @@ struct LsmBTree::Iterator::Source {
   }
 };
 
-LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources)
-    : sources_(std::move(sources)) {}
+LsmBTree::Iterator::Iterator(std::vector<std::unique_ptr<Source>> sources,
+                             bool surface_antimatter)
+    : sources_(std::move(sources)), surface_antimatter_(surface_antimatter) {}
 LsmBTree::Iterator::Iterator(Iterator&&) noexcept = default;
 LsmBTree::Iterator& LsmBTree::Iterator::operator=(Iterator&&) noexcept =
     default;
@@ -354,50 +362,87 @@ LsmBTree::Iterator::~Iterator() = default;
 
 Status LsmBTree::Iterator::Seek(const std::string& key) {
   for (auto& s : sources_) AX_RETURN_NOT_OK(s->Seek(key));
-  return Advance(true);
+  status_ = Status::OK();
+  live_ = 0;
+  return Select();
 }
 
 Status LsmBTree::Iterator::SeekToFirst() {
   for (auto& s : sources_) AX_RETURN_NOT_OK(s->SeekToFirst());
-  return Advance(true);
+  status_ = Status::OK();
+  live_ = 0;
+  return Select();
 }
 
-Status LsmBTree::Iterator::Next() { return Advance(false); }
+Status LsmBTree::Iterator::Next() {
+  if (!status_.ok()) return status_;
+  if (current_ == nullptr) return Status::OK();
+  AX_RETURN_NOT_OK(StepPast());
+  return Select();
+}
 
-Status LsmBTree::Iterator::Advance(bool first) {
-  (void)first;
-  valid_ = false;
-  while (true) {
-    // Find the smallest key across sources; the newest source wins.
-    const Source* winner = nullptr;
-    const std::string* min_key = nullptr;
-    for (const auto& s : sources_) {
-      if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
-        winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
-        winner = s.get();
+Status LsmBTree::Iterator::StepPast() {
+  if (live_ > 1) {
+    // Keys are unique within a source, so each steps at most once.
+    for (auto& s : sources_) {
+      if (s.get() != current_ && s->valid() && s->key() == current_->key()) {
+        AX_RETURN_NOT_OK(s->Next());
       }
     }
-    if (winner == nullptr) return Status::OK();  // exhausted
-    std::string k = *min_key;
-    bool anti = winner->antimatter();
-    std::string v;
-    if (!anti) {
-      AX_ASSIGN_OR_RETURN(v, winner->value());
+  }
+  return current_->Next();
+}
+
+Status LsmBTree::Iterator::Select() {
+  value_ready_ = false;
+  while (true) {
+    if (live_ == 1) {
+      // The other sources are exhausted: no keys to compare.
+      if (!current_->valid()) {
+        current_ = nullptr;
+        live_ = 0;
+      }
+    } else {
+      current_ = nullptr;
+      live_ = 0;
+      for (auto& s : sources_) {
+        if (!s->valid()) continue;
+        live_++;
+        // Strictly smaller: on equal keys the newer source, met first, wins.
+        if (current_ == nullptr || s->key() < current_->key()) {
+          current_ = s.get();
+        }
+      }
     }
-    // Advance every source positioned at this key.
-    for (auto& s : sources_) {
-      while (s->valid() && s->key() == k) AX_RETURN_NOT_OK(s->Next());
+    if (current_ == nullptr || surface_antimatter_ || !current_->antimatter()) {
+      return Status::OK();
     }
-    if (anti) continue;  // deleted — try the next key
-    key_ = std::move(k);
-    value_ = std::move(v);
-    valid_ = true;
-    return Status::OK();
+    AX_RETURN_NOT_OK(StepPast());  // a deleted key: try the next one
   }
 }
+
+const std::string& LsmBTree::Iterator::key() const { return current_->key(); }
+
+const std::string& LsmBTree::Iterator::value() const {
+  if (current_->is_mem) return current_->snapshot[current_->idx].second.value;
+  if (!value_ready_) {
+    value_ready_ = true;
+    Status s = current_->DiskValue(&value_);
+    if (!s.ok()) {
+      value_.clear();
+      status_ = std::move(s);
+    }
+  }
+  return value_;
+}
+
+bool LsmBTree::Iterator::antimatter() const { return current_->antimatter(); }
+
+const ColumnarReader* LsmBTree::Iterator::columnar_reader() const {
+  return current_->col;
+}
+
+uint64_t LsmBTree::Iterator::columnar_row() const { return current_->row; }
 
 Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
   std::vector<std::unique_ptr<Iterator::Source>> sources;
@@ -405,63 +450,18 @@ Result<LsmBTree::Iterator> LsmBTree::NewIterator() const {
   std::vector<DiskPtr> comps;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto mem_src = std::make_unique<Iterator::Source>();
-    mem_src->is_mem = true;
-    mem_src->rank = 0;
-    mem_src->snapshot.assign(mem_.begin(), mem_.end());
-    sources.push_back(std::move(mem_src));
+    if (!mem_.empty()) sources.push_back(Iterator::Source::ForMemory(mem_));
     imms = immutables_;
     comps = components_;
   }
-  int rank = 1;
   for (const auto& imm : imms) {  // newest first, like components_
-    auto src = std::make_unique<Iterator::Source>();
-    src->is_mem = true;
-    src->rank = rank++;
-    const auto& rows = static_cast<const MemComponent&>(*imm).rows;
-    src->snapshot.assign(rows.begin(), rows.end());
-    sources.push_back(std::move(src));
+    sources.push_back(Iterator::Source::ForMemory(
+        static_cast<const MemComponent&>(*imm).rows));
   }
   for (const auto& comp : comps) {
-    AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
-    sources.push_back(std::move(src));
+    sources.push_back(Iterator::Source::ForComponent(comp));
   }
-  return Iterator(std::move(sources));
-}
-
-LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
-  ScanSnapshot snap;
-  std::vector<MemPtr> imms;
-  std::vector<DiskPtr> comps;
-  std::map<std::string, MemEntry> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    merged = mem_;
-    imms = immutables_;
-    comps = components_;
-  }
-  // Fold immutable memory components under the mutable one, newest wins
-  // (map::insert keeps the existing — newer — entry on key collision).
-  for (const auto& imm : imms) {
-    const auto& rows = static_cast<const MemComponent&>(*imm).rows;
-    merged.insert(rows.begin(), rows.end());
-  }
-  snap.mem.reserve(merged.size());
-  for (const auto& [key, entry] : merged) {
-    snap.mem.push_back(SnapshotEntry{key, entry.antimatter, entry.value});
-  }
-  for (const auto& c : comps) {
-    const DiskComponent& comp = AsDisk(c);
-    ComponentRef ref;
-    ref.keepalive = c;
-    if (comp.columnar()) {
-      ref.columnar = comp.col.get();
-    } else {
-      ref.tree = comp.tree.get();
-    }
-    snap.components.push_back(std::move(ref));
-  }
-  return snap;
+  return Iterator(std::move(sources), /*surface_antimatter=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,44 +471,24 @@ LsmBTree::ScanSnapshot LsmBTree::GetScanSnapshot() const {
 Result<LsmLifecycle::DiskPtr> LsmBTree::BuildMergedComponent(
     const std::vector<DiskPtr>& victims, bool includes_oldest,
     const std::string& base) const {
-  // Build a merged stream over the victim components only. Victims are
-  // pinned by shared_ptr and immutable, so no lock is needed.
+  // Iterate the victims only; they are pinned and immutable, so no lock is
+  // needed. Antimatter survives unless the run includes the oldest
+  // component, which leaves nothing below for it to hide.
   std::vector<std::unique_ptr<Iterator::Source>> sources;
-  int rank = 0;
   for (const auto& comp : victims) {
-    AX_ASSIGN_OR_RETURN(auto src, Iterator::Source::ForComponent(comp, rank++));
-    sources.push_back(std::move(src));
+    sources.push_back(Iterator::Source::ForComponent(comp));
   }
-  for (auto& s : sources) AX_RETURN_NOT_OK(s->SeekToFirst());
+  Iterator it(std::move(sources), /*surface_antimatter=*/!includes_oldest);
 
   // Buffer the merged rows, then write them out in the configured format
   // (this is what converges a mixed row/columnar stack: the merge output is
   // a single component in the tree's current format).
-  std::vector<SnapshotEntry> rows;
-  while (true) {
-    Iterator::Source* winner = nullptr;
-    const std::string* min_key = nullptr;
-    for (auto& s : sources) {
-      if (!s->valid()) continue;
-      if (min_key == nullptr || s->key() < *min_key) {
-        min_key = &s->key();
-        winner = s.get();
-      } else if (s->key() == *min_key && s->rank < winner->rank) {
-        winner = s.get();
-      }
-    }
-    if (winner == nullptr) break;
-    std::string k = *min_key;
-    bool anti = winner->antimatter();
-    std::string v;
-    if (!anti) {
-      AX_ASSIGN_OR_RETURN(v, winner->value());
-    }
-    for (auto& s : sources) {
-      while (s->valid() && s->key() == k) AX_RETURN_NOT_OK(s->Next());
-    }
-    if (anti && includes_oldest) continue;  // nothing older to annihilate
-    rows.push_back(SnapshotEntry{std::move(k), anti, std::move(v)});
+  std::vector<ComponentRow> rows;
+  AX_RETURN_NOT_OK(it.SeekToFirst());
+  while (it.Valid()) {
+    const bool anti = it.antimatter();
+    rows.push_back(ComponentRow{it.key(), anti, anti ? "" : it.value()});
+    AX_RETURN_NOT_OK(it.Next());
   }
   return BuildDiskComponent(rows, base);
 }

@@ -73,26 +73,50 @@ class LsmBTree : public LsmLifecycle {
 
   LsmStats stats() const AX_EXCLUDES(mu_);
 
-  /// Snapshot iterator over the merged view (newest version per key,
-  /// antimatter suppressed). The snapshot is stable: flushes/merges after
-  /// creation do not affect it.
+  /// Snapshot iterator over the merged view: the one newest-wins merge of
+  /// the memory, row and columnar components. Scans, merges and the
+  /// columnar scan all walk it. The snapshot is stable: flushes and merges
+  /// after creation do not affect it, because it pins every component it
+  /// reads.
   class Iterator {
    public:
     Status Seek(const std::string& key);
     Status SeekToFirst();
-    bool Valid() const { return valid_; }
+    bool Valid() const { return current_ != nullptr; }
+    /// Steps to the next key. Returns the error, if any, that value() met.
     Status Next();
-    const std::string& key() const { return key_; }
-    const std::string& value() const { return value_; }
+    const std::string& key() const;
+    /// The current value, produced on the first call for each entry (a
+    /// columnar component loads its columns on its first one). If that
+    /// fails, the value is empty and Next() returns the error.
+    const std::string& value() const;
+    /// True for an antimatter entry; only a merge's iterator yields them.
+    bool antimatter() const;
+    /// The component reader when the current entry is row columnar_row()
+    /// of a columnar component, else null. The iterator pins the component,
+    /// so the reader lives as long as the iterator.
+    const ColumnarReader* columnar_reader() const;
+    uint64_t columnar_row() const;
 
    private:
     friend class LsmBTree;
     struct Source;
-    explicit Iterator(std::vector<std::unique_ptr<Source>> sources);
-    Status Advance(bool first);
-    std::vector<std::unique_ptr<Source>> sources_;
-    bool valid_ = false;
-    std::string key_, value_;
+    Iterator(std::vector<std::unique_ptr<Source>> sources,
+             bool surface_antimatter);
+    /// Make current_ the smallest key's newest entry, skipping deleted keys
+    /// unless antimatter is surfaced.
+    Status Select();
+    /// Step every source positioned on the current key past it.
+    Status StepPast();
+    std::vector<std::unique_ptr<Source>> sources_;  // newest first
+    bool surface_antimatter_ = false;
+    Source* current_ = nullptr;
+    // Sources not yet exhausted at the last Select(); when only one is left
+    // the merge is a plain walk of it.
+    size_t live_ = 0;
+    mutable bool value_ready_ = false;
+    mutable std::string value_;
+    mutable Status status_;
 
    public:
     Iterator(Iterator&&) noexcept;
@@ -101,30 +125,6 @@ class LsmBTree : public LsmLifecycle {
   };
 
   Result<Iterator> NewIterator() const AX_EXCLUDES(mu_);
-
-  /// One fully materialized LSM row (used by scan snapshots and the
-  /// component writers' buffered input).
-  struct SnapshotEntry {
-    std::string key;
-    bool antimatter = false;
-    std::string value;
-  };
-
-  /// A stable view of the tree for external batch scans (hyracks'
-  /// ColumnarScanSource): the memory components merged and copied out,
-  /// plus per-disk-component readers kept alive by `keepalive` even across
-  /// concurrent flushes and merges. Exactly one of tree/columnar is set
-  /// per component.
-  struct ComponentRef {
-    std::shared_ptr<const void> keepalive;
-    const BTree* tree = nullptr;
-    const ColumnarReader* columnar = nullptr;
-  };
-  struct ScanSnapshot {
-    std::vector<SnapshotEntry> mem;       // sorted by key
-    std::vector<ComponentRef> components; // newest first
-  };
-  ScanSnapshot GetScanSnapshot() const AX_EXCLUDES(mu_);
 
  private:
   struct DiskComponent : LsmDiskComponent {
@@ -157,10 +157,16 @@ class LsmBTree : public LsmLifecycle {
   Result<DiskPtr> BuildMergedComponent(const std::vector<DiskPtr>& victims,
                                        bool includes_oldest,
                                        const std::string& base) const override;
+  /// One row of a component being written.
+  struct ComponentRow {
+    std::string key;
+    bool antimatter = false;
+    std::string value;
+  };
   /// Write `rows` (sorted, already antimatter-filtered as the caller needs)
   /// as a new disk component at `base` in the configured format, falling
   /// back to a row component when a value is not columnar-representable.
-  Result<DiskPtr> BuildDiskComponent(const std::vector<SnapshotEntry>& rows,
+  Result<DiskPtr> BuildDiskComponent(const std::vector<ComponentRow>& rows,
                                      const std::string& base) const;
 
   const int bloom_bits_per_key_;
@@ -168,11 +174,5 @@ class LsmBTree : public LsmLifecycle {
   const StorageFormat storage_format_;
   std::map<std::string, MemEntry> mem_ AX_GUARDED_BY(mu_);
 };
-
-/// Row-component entry codec, shared with external scan sources that read
-/// raw B+tree values out of a ScanSnapshot: each entry is a 1-byte marker
-/// (live / antimatter / live-compressed) followed by the payload.
-bool DiskEntryIsAntimatter(const std::string& raw);
-Result<std::string> DecodeDiskEntry(const std::string& raw);
 
 }  // namespace asterix::storage

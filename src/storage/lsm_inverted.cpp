@@ -32,14 +32,8 @@ Result<std::string> PostingKey(const std::string& term,
 }  // namespace
 
 Result<std::unique_ptr<LsmInvertedIndex>> LsmInvertedIndex::Open(
-    const InvertedIndexOptions& options) {
-  LsmOptions o;
-  o.dir = options.dir;
-  o.name = options.name;
-  o.cache = options.cache;
-  o.mem_budget_bytes = options.mem_budget_bytes;
-  o.scheduler = options.scheduler;
-  AX_ASSIGN_OR_RETURN(auto tree, LsmBTree::Open(o));
+    const LsmOptions& options) {
+  AX_ASSIGN_OR_RETURN(auto tree, LsmBTree::Open(options));
   return std::unique_ptr<LsmInvertedIndex>(
       new LsmInvertedIndex(std::move(tree)));
 }

@@ -17,21 +17,12 @@ namespace asterix::storage {
 /// tokenizer behind CREATE INDEX ... TYPE KEYWORD).
 std::vector<std::string> TokenizeKeywords(const std::string& text);
 
-struct InvertedIndexOptions {
-  std::string dir;
-  std::string name;
-  BufferCache* cache = nullptr;
-  size_t mem_budget_bytes = 1u << 20;
-  /// Background maintenance pool for the backing LSM B+tree (null =
-  /// inline maintenance). Must outlive the index.
-  MaintenanceScheduler* scheduler = nullptr;
-};
-
 /// Inverted index from terms to opaque payloads (encoded primary keys).
 class LsmInvertedIndex {
  public:
+  /// Open (or create) the index over an LSM B+tree with `options`.
   static Result<std::unique_ptr<LsmInvertedIndex>> Open(
-      const InvertedIndexOptions& options);
+      const LsmOptions& options);
 
   /// Add one (term, payload) posting.
   Status Insert(const std::string& term, const std::string& payload);

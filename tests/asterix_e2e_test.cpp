@@ -5,8 +5,11 @@
 #include <filesystem>
 #include <set>
 
+#include "adm/key_encoder.h"
+#include "adm/serde.h"
 #include "asterix/instance.h"
 #include "common/io.h"
+#include "txn/log_manager.h"
 
 namespace asterix {
 namespace {
@@ -599,6 +602,76 @@ TEST_F(E2ETest, CheckpointTruncatesAndStillRecovers) {
   instance_ = Instance::Open(opts).value();
   auto r = Exec("SELECT COUNT(*) AS n FROM D d");
   EXPECT_EQ(r.rows[0].GetField("n").AsInt(), 15);
+}
+
+TEST_F(E2ETest, ReopenAtAnotherPartitionCountIsRefused) {
+  // Writes and pk lookups route by PartitionOf(key, n), so records stay
+  // where the count they were written under put them. A reopen at another
+  // count is refused before any WAL is opened or replayed.
+  Exec("CREATE TYPE T AS { id: int, v: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  auto rec = [](int i) {
+    return adm::ObjectBuilder()
+        .Add("id", Value::Int(i))
+        .Add("v", Value::Int(2 * i))
+        .Build();
+  };
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(instance_->UpsertValue("D", rec(i)).ok());
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+  for (int i = 100; i < 120; i++) {  // these are only in the WALs
+    ASSERT_TRUE(instance_->UpsertValue("D", rec(i)).ok());
+  }
+  instance_.reset();
+  for (size_t n : {4, 1}) {
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = n;
+    auto other = Instance::Open(opts);
+    ASSERT_FALSE(other.ok()) << n;
+    EXPECT_EQ(other.status().code(), StatusCode::kInvalidArgument) << n;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/p2"));
+
+  Reopen();
+  Value got;
+  for (int i = 0; i < 120; i++) {
+    ASSERT_TRUE(instance_->GetByKey("D", Value::Int(i), &got).value()) << i;
+    EXPECT_EQ(got, rec(i));
+    auto r = Exec("SELECT VALUE d.v FROM D d WHERE d.id = " +
+                  std::to_string(i));
+    ASSERT_EQ(r.rows.size(), 1u) << i;
+    EXPECT_EQ(r.rows[0].AsInt(), 2 * i);
+  }
+  auto r = Exec("SELECT COUNT(*) AS n FROM D d");
+  EXPECT_EQ(r.rows[0].GetField("n").AsInt(), 120);
+}
+
+TEST_F(E2ETest, WalRecordOfAMissingPartitionIsCorruption) {
+  Exec("CREATE TYPE T AS { id: int }");
+  Exec("CREATE DATASET D(T) PRIMARY KEY id");
+  const uint64_t id =
+      instance_->metadata()->Snapshot()->GetDataset("D").value()->def.id;
+  instance_.reset();
+  {
+    auto wal = txn::LogManager::Open(dir_ + "/p0/wal.log",
+                                     txn::SyncMode::kNoSync)
+                   .value();
+    txn::LogRecord rec;
+    rec.dataset_id = id;
+    rec.partition = 5;  // of 2
+    rec.key = adm::EncodeKey(Value::Int(1)).value();
+    rec.value = adm::Serialize(
+        adm::ObjectBuilder().Add("id", Value::Int(1)).Build());
+    ASSERT_TRUE(wal->Append(rec).ok());
+  }
+  InstanceOptions opts;
+  opts.base_dir = dir_;
+  opts.num_partitions = 2;
+  auto reopened = Instance::Open(opts);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 }
 
 // ----- the paper's Fig. 3 scenario, end to end ------------------------------

@@ -1,14 +1,24 @@
 // Tests for columnar LSM components: writer/reader round trips, schema
-// inference, the row-fallback guard, and LSM integration (flush, point
-// lookups, deletes, mixed-format merges, crash-free reopen).
+// inference, the row-fallback guard, LSM integration (flush, point
+// lookups, deletes, mixed-format merges, crash-free reopen), and a seeded
+// differential test of the one merge cursor (LsmBTree::Iterator) over
+// mixed memory/row/columnar stacks, as scans, the columnar scan and merges
+// walk it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <future>
+#include <map>
+#include <random>
+#include <set>
 
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
+#include "common/metrics.h"
+#include "hyracks/columnar_scan.h"
 #include "storage/columnar.h"
 #include "storage/lsm_btree.h"
+#include "storage/maintenance.h"
 
 namespace asterix::storage {
 namespace {
@@ -271,19 +281,344 @@ TEST_F(ColumnarTest, ColumnarComponentSurvivesReopen) {
   EXPECT_EQ(adm::Deserialize(v).value(), UserRecord(17));
 }
 
-TEST_F(ColumnarTest, ScanSnapshotExposesComponentKinds) {
+TEST_F(ColumnarTest, IteratorReportsColumnarRows) {
   auto tree = LsmBTree::Open(Options()).value();
   for (int64_t i = 0; i < 20; i++) {
     ASSERT_TRUE(tree->Put(IntKey(i), adm::Serialize(UserRecord(i))).ok());
   }
   ASSERT_TRUE(tree->Flush().ok());
   ASSERT_TRUE(tree->Put(IntKey(100), adm::Serialize(UserRecord(100))).ok());
-  auto snap = tree->GetScanSnapshot();
-  EXPECT_EQ(snap.mem.size(), 1u);
-  ASSERT_EQ(snap.components.size(), 1u);
-  EXPECT_NE(snap.components[0].columnar, nullptr);
-  EXPECT_EQ(snap.components[0].tree, nullptr);
-  EXPECT_EQ(snap.components[0].columnar->row_count(), 20u);
+  auto it = tree->NewIterator().value();
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  for (int64_t i = 0; i < 20; i++) {
+    ASSERT_TRUE(it.Valid());
+    const ColumnarReader* reader = it.columnar_reader();
+    ASSERT_NE(reader, nullptr) << i;
+    EXPECT_EQ(reader->row_count(), 20u);
+    EXPECT_EQ(it.columnar_row(), static_cast<uint64_t>(i));
+    EXPECT_EQ(adm::Deserialize(it.value()).value(), UserRecord(i));
+    ASSERT_TRUE(it.Next().ok());
+  }
+  ASSERT_TRUE(it.Valid());  // the memory entry
+  EXPECT_EQ(it.key(), IntKey(100));
+  EXPECT_EQ(it.columnar_reader(), nullptr);
+  ASSERT_TRUE(it.Next().ok());
+  EXPECT_FALSE(it.Valid());
+
+  // A row component's entries are not columnar rows.
+  LsmOptions rows = Options(StorageFormat::kRow);
+  rows.name = "rows";
+  auto row_tree = LsmBTree::Open(rows).value();
+  ASSERT_TRUE(row_tree->Put(IntKey(1), adm::Serialize(UserRecord(1))).ok());
+  ASSERT_TRUE(row_tree->Flush().ok());
+  auto row_it = row_tree->NewIterator().value();
+  ASSERT_TRUE(row_it.SeekToFirst().ok());
+  ASSERT_TRUE(row_it.Valid());
+  EXPECT_EQ(row_it.columnar_reader(), nullptr);
+}
+
+// ---- the one merge cursor: seeded differential test ------------------------
+
+// What one seed built: the live records (the oracle) and, oldest first, the
+// keys each disk component holds, antimatter included.
+struct Model {
+  std::map<int64_t, Value> live;
+  std::vector<std::set<int64_t>> components;
+};
+
+// A record whose fields vary: "score" is an int, null or absent; "mixed"
+// is an int or a string (a variant column); "tags" is nested.
+Value RandomRecord(std::mt19937* rng, int64_t id) {
+  adm::ObjectBuilder b;
+  b.Add("id", Value::Int(id));
+  const uint32_t shape = (*rng)() % 10;
+  if (shape == 0) {
+    b.Add("score", Value::Null());
+  } else if (shape != 1) {
+    b.Add("score", Value::Int(static_cast<int64_t>((*rng)() % 100)));
+  }
+  b.Add("name", Value::String("n" + std::to_string((*rng)() % 10)));
+  const uint32_t mixed = (*rng)() % 3;
+  if (mixed == 0) {
+    b.Add("mixed", Value::Int(static_cast<int64_t>((*rng)() % 3)));
+  }
+  if (mixed == 1) b.Add("mixed", Value::String("s" + std::to_string(id % 3)));
+  if ((*rng)() % 5 == 0) {
+    b.Add("tags", Value::Array({Value::Int(id), Value::String("t")}));
+  }
+  return b.Build();
+}
+
+// Apply `ops` random upserts (75%) and deletes over keys [0, 200) to the
+// tree and the model; returns the keys touched.
+std::set<int64_t> ApplyOps(LsmBTree* tree, Model* m, std::mt19937* rng,
+                           int ops) {
+  std::set<int64_t> touched;
+  for (int i = 0; i < ops; i++) {
+    const int64_t id = static_cast<int64_t>((*rng)() % 200);
+    touched.insert(id);
+    if ((*rng)() % 4 == 0) {
+      EXPECT_TRUE(tree->Delete(IntKey(id)).ok());
+      m->live.erase(id);
+    } else {
+      Value rec = RandomRecord(rng, id);
+      EXPECT_TRUE(tree->Put(IntKey(id), adm::Serialize(rec)).ok());
+      m->live.insert_or_assign(id, std::move(rec));
+    }
+  }
+  return touched;
+}
+
+// The tree's merged view, decoded.
+std::map<std::string, Value> View(const LsmBTree& tree) {
+  std::map<std::string, Value> out;
+  auto it = tree.NewIterator().value();
+  EXPECT_TRUE(it.SeekToFirst().ok());
+  while (it.Valid()) {
+    auto rec = adm::Deserialize(it.value());
+    EXPECT_TRUE(rec.ok()) << rec.status().message();
+    if (rec.ok()) out.emplace(it.key(), std::move(rec).value());
+    EXPECT_TRUE(it.Next().ok());
+  }
+  return out;
+}
+
+std::map<std::string, Value> Expected(const Model& m) {
+  std::map<std::string, Value> out;
+  for (const auto& [id, rec] : m.live) out.emplace(IntKey(id), rec);
+  return out;
+}
+
+bool Passes(const Value& v, const hyracks::ScanPredicate& p) {
+  if (v.is_unknown() || p.constant.is_unknown()) return false;
+  const int c = v.Compare(p.constant);
+  switch (p.cmp) {
+    case hyracks::ScanCmp::kEq: return c == 0;
+    case hyracks::ScanCmp::kLt: return c < 0;
+    case hyracks::ScanCmp::kLe: return c <= 0;
+    case hyracks::ScanCmp::kGt: return c > 0;
+    case hyracks::ScanCmp::kGe: return c >= 0;
+  }
+  return false;
+}
+
+struct ScanCase {
+  std::vector<std::string> fields;
+  bool pushed = false;
+  std::vector<hyracks::ScanPredicate> predicates;
+};
+
+std::vector<Value> RunScan(const LsmBTree* tree, const ScanCase& sc) {
+  hyracks::ColumnarScanSource scan(tree, sc.fields, sc.pushed, sc.predicates);
+  std::vector<Value> out;
+  EXPECT_TRUE(scan.Open().ok());
+  hyracks::Batch b;
+  while (true) {
+    auto more = scan.NextBatch(&b);
+    EXPECT_TRUE(more.ok()) << more.status().message();
+    if (!more.ok() || !more.value()) break;
+    for (size_t i = 0; i < b.size(); i++) out.push_back(b[i].at(0));
+  }
+  EXPECT_TRUE(scan.Close().ok());
+  return out;
+}
+
+// What the scan must return, from the model alone, in key order.
+std::vector<Value> ExpectedScan(const Model& m, const ScanCase& sc) {
+  std::vector<Value> out;
+  for (const auto& [id, rec] : m.live) {
+    bool keep = true;
+    for (const auto& p : sc.predicates) {
+      keep = keep && Passes(rec.GetField(p.field), p);
+    }
+    if (!keep) continue;
+    if (!sc.pushed) {
+      out.push_back(rec);
+      continue;
+    }
+    adm::FieldVec fv;
+    for (const auto& name : sc.fields) {
+      const Value& v = rec.GetField(name);
+      if (!v.is_missing()) fv.emplace_back(name, v);
+    }
+    out.push_back(Value::Object(std::move(fv)));
+  }
+  return out;
+}
+
+std::vector<ScanCase> ScanCases() {
+  using hyracks::ScanCmp;
+  return {
+      {{}, false, {}},
+      {{"id", "score", "absent"}, true, {}},
+      {{}, true, {}},  // COUNT(*)
+      {{"name", "tags"},
+       true,
+       {{"score", ScanCmp::kGe, Value::Int(40)},
+        {"name", ScanCmp::kLt, Value::String("n6")}}},
+      {{},
+       false,
+       {{"mixed", ScanCmp::kEq, Value::Int(1)},
+        {"score", ScanCmp::kLe, Value::Double(70.5)}}},
+  };
+}
+
+void CheckScans(const LsmBTree* tree, const Model& m, const std::string& at) {
+  int n = 0;
+  for (const auto& sc : ScanCases()) {
+    EXPECT_EQ(RunScan(tree, sc), ExpectedScan(m, sc))
+        << at << ", scan case " << n;
+    n++;
+  }
+}
+
+// Keeps a maintenance worker busy, so the tasks queued behind it wait,
+// until Release() or the end of the scope.
+class BlockedWorker {
+ public:
+  explicit BlockedWorker(MaintenanceScheduler* sched) {
+    std::shared_future<void> released = release_.get_future().share();
+    sched->Submit([released] { released.wait(); });
+  }
+  ~BlockedWorker() { Release(); }
+  void Release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  bool released_ = false;
+};
+
+class MergeCursorTest : public ColumnarTest {
+ protected:
+  LsmOptions Stack(StorageFormat fmt, MaintenanceScheduler* sched) {
+    LsmOptions o = Options(fmt);
+    o.mem_budget_bytes = sched != nullptr ? 4096 : 1 << 20;
+    o.merge_policy = {MergePolicyKind::kNoMerge, 0, 0};
+    o.scheduler = sched;
+    o.max_pending_immutables = 4;
+    return o;
+  }
+  StorageFormat RandomFormat(std::mt19937* rng) {
+    return (*rng)() % 2 == 0 ? StorageFormat::kRow : StorageFormat::kColumnar;
+  }
+  void RunSeed(uint32_t seed);
+};
+
+void MergeCursorTest::RunSeed(uint32_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+  std::mt19937 rng(seed);
+  Model m;
+
+  // Disk components, oldest first, each flushed by a tree opened in a
+  // random format. The first is the largest and, being flushed into an
+  // empty stack, keeps no antimatter.
+  const int disk = 2 + static_cast<int>(rng() % 3);
+  for (int c = 0; c < disk; c++) {
+    auto tree = LsmBTree::Open(Stack(RandomFormat(&rng), nullptr)).value();
+    std::set<int64_t> keys = ApplyOps(tree.get(), &m, &rng, c == 0 ? 160 : 30);
+    if (c == 0) {
+      std::erase_if(keys, [&](int64_t id) { return m.live.count(id) == 0; });
+    }
+    m.components.push_back(std::move(keys));
+    ASSERT_TRUE(tree->Flush().ok());
+  }
+
+  // An immutable memory component, held back from its flush by a blocked
+  // maintenance worker, and a mutable one above it. (Declared in this
+  // order, a failed assertion releases the worker before the tree waits
+  // for its flush.)
+  MaintenanceScheduler sched(1);
+  std::unique_ptr<LsmBTree> tree;
+  BlockedWorker blocked(&sched);
+  tree = LsmBTree::Open(Stack(RandomFormat(&rng), &sched)).value();
+  std::set<int64_t> imm;
+  while (tree->stats().pending_immutables == 0 && imm.size() < 200) {
+    imm.merge(ApplyOps(tree.get(), &m, &rng, 1));
+  }
+  ASSERT_EQ(tree->stats().pending_immutables, 1u);
+  m.components.push_back(std::move(imm));
+  m.components.push_back(ApplyOps(tree.get(), &m, &rng, 1 + rng() % 12));
+  ASSERT_EQ(tree->stats().pending_immutables, 1u);
+  ASSERT_EQ(tree->stats().disk_components, static_cast<size_t>(disk));
+
+  // The stack stays the same while these run.
+  const auto expected = Expected(m);
+  EXPECT_EQ(View(*tree), expected);
+  CheckScans(tree.get(), m, "mixed stack");
+  // Seeks land on the first live key at or after the target.
+  for (int64_t id : {0, 57, 133, 199}) {
+    auto it = tree->NewIterator().value();
+    ASSERT_TRUE(it.Seek(IntKey(id)).ok());
+    auto want = m.live.lower_bound(id);
+    ASSERT_EQ(it.Valid(), want != m.live.end()) << id;
+    if (it.Valid()) {
+      EXPECT_EQ(it.key(), IntKey(want->first)) << id;
+    }
+  }
+
+  blocked.Release();
+  ASSERT_TRUE(tree->Flush().ok());
+  sched.Drain();
+  ASSERT_EQ(tree->stats().disk_components, m.components.size());
+  EXPECT_EQ(View(*tree), expected);
+  tree.reset();
+
+  // A merge of every component but the oldest keeps its antimatter: one
+  // entry per key any of them holds. The prefix policy's cap, one byte
+  // short of the whole stack, selects exactly that run.
+  LsmOptions prefix = Stack(RandomFormat(&rng), nullptr);
+  tree = LsmBTree::Open(prefix).value();
+  prefix.merge_policy = {MergePolicyKind::kPrefix, 0,
+                         tree->stats().disk_bytes - 1};
+  tree.reset();
+  tree = LsmBTree::Open(prefix).value();
+  ASSERT_TRUE(tree->MaybeMerge().value());
+  std::set<int64_t> run;
+  for (size_t c = 1; c < m.components.size(); c++) {
+    run.insert(m.components[c].begin(), m.components[c].end());
+  }
+  auto s = tree->stats();
+  EXPECT_EQ(s.disk_components, 2u);
+  EXPECT_EQ(s.disk_entries, m.components[0].size() + run.size());
+  EXPECT_EQ(View(*tree), expected);
+  CheckScans(tree.get(), m, "after a merge above the oldest");
+
+  // A merge that includes the oldest component drops all antimatter.
+  ASSERT_TRUE(tree->ForceFullMerge().ok());
+  s = tree->stats();
+  EXPECT_EQ(s.disk_components, 1u);
+  EXPECT_EQ(s.disk_entries, m.live.size());
+  EXPECT_EQ(View(*tree), expected);
+  CheckScans(tree.get(), m, "after a full merge");
+}
+
+TEST_F(MergeCursorTest, RandomStacksAgreeWithModel) {
+  for (uint32_t seed = 1; seed <= 12; seed++) {
+    RunSeed(seed);
+    if (HasFailure()) break;
+  }
+}
+
+TEST_F(MergeCursorTest, PushedProjectionSkipsColumns) {
+  auto tree = LsmBTree::Open(Options()).value();
+  for (int64_t i = 0; i < 50; i++) {
+    ASSERT_TRUE(tree->Put(IntKey(i), adm::Serialize(UserRecord(i))).ok());
+  }
+  ASSERT_TRUE(tree->Flush().ok());
+  metrics::Counter* skipped = metrics::Registry::Global().GetCounter(
+      "storage.columnar.columns_skipped");
+  const uint64_t before = skipped->value();
+  ScanCase sc{{"id"}, true, {}};
+  std::vector<Value> got = RunScan(tree.get(), sc);
+  ASSERT_EQ(got.size(), 50u);
+  EXPECT_EQ(got[7], adm::ObjectBuilder().Add("id", Value::Int(7)).Build());
+  // The component has id, name, score, active, nickname and tags columns.
+  EXPECT_EQ(skipped->value() - before, 5u);
 }
 
 }  // namespace

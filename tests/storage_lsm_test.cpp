@@ -1,11 +1,13 @@
 // Tests for the LSM B+tree: memory/disk components, flush, antimatter
-// deletes, merged iteration, merge policies, and crash-free reopen.
+// deletes, merged iteration, merge policies (the keyword index's too), and
+// crash-free reopen.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "adm/key_encoder.h"
 #include "storage/lsm_btree.h"
+#include "storage/lsm_inverted.h"
 
 namespace asterix::storage {
 namespace {
@@ -207,6 +209,23 @@ TEST_F(LsmTest, NoMergePolicyAccumulatesComponents) {
   }
   EXPECT_GT(tree->stats().disk_components, 3u);
   EXPECT_EQ(tree->stats().merges, 0u);
+}
+
+TEST_F(LsmTest, KeywordIndexFollowsMergePolicy) {
+  // The keyword index takes the B+tree's options whole, merge policy
+  // included: under kNoMerge its flushes accumulate.
+  auto opts = Options();
+  opts.merge_policy.kind = MergePolicyKind::kNoMerge;
+  auto idx = LsmInvertedIndex::Open(opts).value();
+  for (int f = 0; f < 6; f++) {
+    ASSERT_TRUE(idx->InsertText("alpha beta " + std::to_string(f),
+                                "pk" + std::to_string(f))
+                    .ok());
+    ASSERT_TRUE(idx->Flush().ok());
+  }
+  EXPECT_GT(idx->stats().disk_components, 5u);
+  EXPECT_EQ(idx->stats().merges, 0u);
+  EXPECT_EQ(idx->Search("alpha").value().size(), 6u);
 }
 
 TEST_F(LsmTest, FullMergeDropsAntimatterAndDuplicates) {

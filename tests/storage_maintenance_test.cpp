@@ -156,9 +156,13 @@ TEST_F(MaintenanceLsmTest, SnapshotStableAcrossFlushAndMerge) {
   }
   ASSERT_TRUE(tree->Flush().ok());
 
-  // Open the snapshot first; everything after must be invisible to it.
+  // Open the iterators first; everything after must be invisible to them.
+  // `mid` is already part-way through its walk when the merge retires the
+  // components it reads.
   auto it = tree->NewIterator().value();
-  auto snap = tree->GetScanSnapshot();
+  auto mid = tree->NewIterator().value();
+  ASSERT_TRUE(mid.SeekToFirst().ok());
+  for (int i = 0; i < 100; i++) ASSERT_TRUE(mid.Next().ok());
   for (int i = 200; i < 400; i++) {
     ASSERT_TRUE(tree->Put(IntKey(i), "new").ok());
   }
@@ -175,7 +179,13 @@ TEST_F(MaintenanceLsmTest, SnapshotStableAcrossFlushAndMerge) {
     ASSERT_TRUE(it.Next().ok());
   }
   EXPECT_EQ(n, 200u);
-  EXPECT_EQ(snap.mem.size(), 0u);  // flushed before the snapshot
+  for (int i = 100; i < 200; i++) {
+    ASSERT_TRUE(mid.Valid()) << i;
+    EXPECT_EQ(mid.key(), IntKey(i));
+    EXPECT_EQ(mid.value(), "old");
+    ASSERT_TRUE(mid.Next().ok());
+  }
+  EXPECT_FALSE(mid.Valid());
 
   // Fresh reads see the post-merge state.
   std::string v;
@@ -362,11 +372,12 @@ class MaintenanceInstanceTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::unique_ptr<Instance> OpenInstance() {
+  // The small default budget forces flushes during ingest.
+  std::unique_ptr<Instance> OpenInstance(size_t mem_budget = 1 << 14) {
     InstanceOptions opts;
     opts.base_dir = dir_;
     opts.num_partitions = 2;
-    opts.lsm_mem_budget_bytes = 1 << 14;  // force flushes during ingest
+    opts.lsm_mem_budget_bytes = mem_budget;
     auto inst = Instance::Open(opts).value();
     return inst;
   }
@@ -439,33 +450,49 @@ TEST_F(MaintenanceInstanceTest, CheckpointFansOutAcrossPartitions) {
 TEST_F(MaintenanceInstanceTest, ConcurrentWritersWithCheckpoints) {
   // Checkpoint's RunBatch fans out on the same pool the trees use for
   // background flushes; interleaving it with writers must not deadlock
-  // (the cooperative-drain design) or lose rows.
-  auto inst = OpenInstance();
+  // (the cooperative-drain design). Every acknowledged write must survive
+  // a crash right after the checkpoints: a record logged between a
+  // partition's flush and the WAL truncate would otherwise be dropped from
+  // the log while it is still only in memory. The large budget keeps such
+  // records in memory until the crash.
+  auto inst = OpenInstance(256 << 10);
   ASSERT_TRUE(inst->ExecuteScript("CREATE TYPE T AS { id: int, s: string };"
                                   "CREATE DATASET D(T) PRIMARY KEY id")
                   .ok());
+  std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
+  int acked[3] = {0, 0, 0};  // writer t's acknowledged records
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; t++) {
     writers.emplace_back([&, t] {
-      for (int i = 0; i < 300; i++) {
-        if (!inst->UpsertValue("D", Rec(t * 1000 + i)).ok()) {
+      for (int i = 0; !stop.load(); i++) {
+        if (!inst->UpsertValue("D", Rec(t * 1000000 + i)).ok()) {
           failed.store(true);
           return;
         }
+        acked[t] = i + 1;
       }
     });
   }
-  for (int c = 0; c < 5; c++) {
-    ASSERT_TRUE(inst->Checkpoint().ok());
+  Status checkpointed;
+  for (int c = 0; c < 5 && checkpointed.ok(); c++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    checkpointed = inst->Checkpoint();
   }
+  stop.store(true);
   for (auto& w : writers) w.join();
+  ASSERT_TRUE(checkpointed.ok()) << checkpointed.message();
   EXPECT_FALSE(failed.load());
-  ASSERT_TRUE(inst->Checkpoint().ok());
+  inst.reset();  // drops the memory components: only the WAL has them
+
+  auto reopened = OpenInstance(256 << 10);
   Value rec;
   for (int t = 0; t < 3; t++) {
-    for (int i = 0; i < 300; i++) {
-      ASSERT_TRUE(inst->GetByKey("D", Value::Int(t * 1000 + i), &rec).value());
+    EXPECT_GT(acked[t], 0);
+    for (int i = 0; i < acked[t]; i++) {
+      ASSERT_TRUE(
+          reopened->GetByKey("D", Value::Int(t * 1000000 + i), &rec).value())
+          << "writer " << t << " record " << i << " of " << acked[t];
     }
   }
 }

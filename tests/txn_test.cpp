@@ -325,7 +325,7 @@ TEST_F(InvertedTest, Tokenizer) {
 
 TEST_F(InvertedTest, SearchPostings) {
   storage::BufferCache cache(64);
-  storage::InvertedIndexOptions o;
+  storage::LsmOptions o;
   o.dir = dir_;
   o.name = "inv";
   o.cache = &cache;
@@ -350,7 +350,7 @@ TEST_F(InvertedTest, SearchPostings) {
 
 TEST_F(InvertedTest, RemoveAndFlush) {
   storage::BufferCache cache(64);
-  storage::InvertedIndexOptions o;
+  storage::LsmOptions o;
   o.dir = dir_;
   o.name = "inv";
   o.cache = &cache;
