@@ -81,21 +81,30 @@ Value Value::Multiset(std::vector<Value> items) {
 }
 
 Value Value::Object(FieldVec fields) {
-  // Stable sort + keep the last occurrence of each duplicate name.
-  std::stable_sort(fields.begin(), fields.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  FieldVec dedup;
-  dedup.reserve(fields.size());
-  for (auto& f : fields) {
-    if (!dedup.empty() && dedup.back().first == f.first) {
-      dedup.back().second = std::move(f.second);
-    } else {
-      dedup.emplace_back(std::move(f));
+  // Canonical input — names strictly ascending, as in every decoded record
+  // and every record a scan prunes — is kept as it is.
+  if (std::adjacent_find(fields.begin(), fields.end(),
+                         [](const auto& a, const auto& b) {
+                           return !(a.first < b.first);
+                         }) != fields.end()) {
+    // Stable sort + keep the last occurrence of each duplicate name.
+    std::stable_sort(
+        fields.begin(), fields.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    FieldVec dedup;
+    dedup.reserve(fields.size());
+    for (auto& f : fields) {
+      if (!dedup.empty() && dedup.back().first == f.first) {
+        dedup.back().second = std::move(f.second);
+      } else {
+        dedup.emplace_back(std::move(f));
+      }
     }
+    fields = std::move(dedup);
   }
   Value out;
   out.tag_ = TypeTag::kObject;
-  out.fields_ = std::make_shared<const FieldVec>(std::move(dedup));
+  out.fields_ = std::make_shared<const FieldVec>(std::move(fields));
   return out;
 }
 

@@ -66,8 +66,8 @@ std::string LogicalOp::ToString(int indent) const {
         out << "]";
       }
       for (const auto& p : scan_predicates) {
-        out << " where:" << p.field << " " << p.cmp << " "
-            << p.constant.ToString();
+        out << " where:" << p.field << " " << hyracks::ScanCmpName(p.cmp)
+            << " " << p.constant.ToString();
       }
       break;
     case LogicalOpKind::kIndexSearch: {

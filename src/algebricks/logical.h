@@ -14,6 +14,7 @@
 
 #include "algebricks/expr.h"
 #include "hyracks/groupby.h"
+#include "hyracks/scan.h"
 
 namespace asterix::algebricks {
 
@@ -55,15 +56,10 @@ struct LogicalOp {
   // kDataScan
   std::string dataset;
   VarId scan_var = -1;
-  /// Columnar pushdown (optimizer-filled, columnar datasets only; see
-  /// PushColumnarScans). Predicates are conjuncts absorbed from a Select:
-  /// field <cmp> constant, with cmp one of eq/lt/le/gt/ge.
-  struct ScanPredicate {
-    std::string field;
-    std::string cmp;
-    adm::Value constant = adm::Value::Missing();
-  };
-  std::vector<ScanPredicate> scan_predicates;
+  /// Scan pushdown (optimizer-filled; see PushScanPredicates and
+  /// ComputeScanProjections): conjuncts absorbed from a Select, field
+  /// <cmp> constant, which the scan evaluates before it emits a record.
+  std::vector<hyracks::ScanPredicate> scan_predicates;
   /// Projected top-level fields, valid iff scan_fields_pushed (an empty
   /// pushed set is legal — COUNT(*) touches no fields).
   std::vector<std::string> scan_fields;

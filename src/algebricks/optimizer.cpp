@@ -1,6 +1,7 @@
 #include "algebricks/optimizer.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "algebricks/compiler.h"
@@ -327,6 +328,14 @@ bool MatchConjunct(const ExprPtr& cj, VarId var, const Catalog& catalog,
   return false;
 }
 
+// A scan over an internal dataset: only those lower onto the LSM scan that
+// honors pushed predicates and projections (external scans read files).
+bool IsInternalScan(const LogicalOp& op, const Catalog& catalog) {
+  return op.kind == LogicalOpKind::kDataScan &&
+         catalog.HasDataset(op.dataset) &&
+         !catalog.PrimaryKeyField(op.dataset).empty();
+}
+
 // Select directly above a DataScan -> IndexSearch when a conjunct matches.
 void IntroduceIndexSearches(LogicalOpPtr* op_ref, const Catalog& catalog,
                             bool sort_pks, bool* changed) {
@@ -336,9 +345,7 @@ void IntroduceIndexSearches(LogicalOpPtr* op_ref, const Catalog& catalog,
   }
   if (op->kind != LogicalOpKind::kSelect) return;
   LogicalOpPtr child = op->children[0];
-  if (child->kind != LogicalOpKind::kDataScan) return;
-  if (!catalog.HasDataset(child->dataset)) return;
-  if (catalog.PrimaryKeyField(child->dataset).empty()) return;  // external
+  if (!IsInternalScan(*child, catalog)) return;
 
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(op->condition, &conjuncts);
@@ -369,52 +376,59 @@ void IntroduceIndexSearches(LogicalOpPtr* op_ref, const Catalog& catalog,
 }
 
 // ---------------------------------------------------------------------------
-// Columnar scan pushdown (paper §VII: columnar storage)
+// Scan pushdown (paper §VII: columnar storage)
 // ---------------------------------------------------------------------------
 
-// Absorb comparison conjuncts of a Select sitting directly over a columnar
+// The scan comparison of SQL++ function `fn` (field `fn` constant), mirrored
+// for the constant-first order (const OP field == field OP' const).
+std::optional<hyracks::ScanCmp> ScanCmpOf(const std::string& fn,
+                                          bool mirrored) {
+  using hyracks::ScanCmp;
+  if (fn == "eq") return ScanCmp::kEq;
+  if (fn == "lt") return mirrored ? ScanCmp::kGt : ScanCmp::kLt;
+  if (fn == "le") return mirrored ? ScanCmp::kGe : ScanCmp::kLe;
+  if (fn == "gt") return mirrored ? ScanCmp::kLt : ScanCmp::kGt;
+  if (fn == "ge") return mirrored ? ScanCmp::kLe : ScanCmp::kGe;
+  return std::nullopt;
+}
+
+// Absorb comparison conjuncts of a Select sitting directly over an internal
 // DataScan into the scan itself (field OP constant, either operand order).
-// The scan evaluates them column-at-a-time before materializing tuples with
-// identical SQL++ semantics, so absorbed conjuncts leave the Select — and
-// the Select disappears entirely when nothing remains.
+// The scan evaluates them before materializing tuples with identical SQL++
+// semantics, so absorbed conjuncts leave the Select — and the Select
+// disappears entirely when nothing remains.
 void PushScanPredicates(LogicalOpPtr* op_ref, const Catalog& catalog,
                         bool* changed) {
   LogicalOp* op = op_ref->get();
   for (auto& c : op->children) PushScanPredicates(&c, catalog, changed);
   if (op->kind != LogicalOpKind::kSelect) return;
   LogicalOpPtr child = op->children[0];
-  if (child->kind != LogicalOpKind::kDataScan) return;
-  if (!catalog.HasDataset(child->dataset)) return;
-  if (catalog.StorageFormat(child->dataset) != "columnar") return;
+  if (!IsInternalScan(*child, catalog)) return;
 
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(op->condition, &conjuncts);
   std::vector<ExprPtr> kept;
   for (const auto& cj : conjuncts) {
-    bool absorbed = false;
-    if (cj->kind == ExprKind::kCall && cj->args.size() == 2 &&
-        (cj->fn == "eq" || cj->fn == "lt" || cj->fn == "le" ||
-         cj->fn == "gt" || cj->fn == "ge")) {
-      std::string field;
-      std::string cmp = cj->fn;
-      ExprPtr cst;
+    std::optional<hyracks::ScanCmp> cmp;
+    std::string field;
+    ExprPtr cst;
+    if (cj->kind == ExprKind::kCall && cj->args.size() == 2) {
       if (MatchFieldAccess(cj->args[0], child->scan_var, &field) &&
           cj->args[1]->kind == ExprKind::kConstant) {
         cst = cj->args[1];
+        cmp = ScanCmpOf(cj->fn, /*mirrored=*/false);
       } else if (MatchFieldAccess(cj->args[1], child->scan_var, &field) &&
                  cj->args[0]->kind == ExprKind::kConstant) {
         cst = cj->args[0];
-        // Mirror the operator: const OP field  ==  field OP' const.
-        cmp = cj->fn == "lt" ? "gt" : cj->fn == "le" ? "ge"
-              : cj->fn == "gt" ? "lt" : cj->fn == "ge" ? "le" : cj->fn;
-      }
-      if (cst) {
-        child->scan_predicates.push_back({field, cmp, cst->constant});
-        absorbed = true;
-        *changed = true;
+        cmp = ScanCmpOf(cj->fn, /*mirrored=*/true);
       }
     }
-    if (!absorbed) kept.push_back(cj);
+    if (!cmp) {
+      kept.push_back(cj);
+      continue;
+    }
+    child->scan_predicates.push_back({field, *cmp, cst->constant});
+    *changed = true;
   }
   if (kept.empty()) {
     *op_ref = child;
@@ -473,17 +487,17 @@ void FindDataScans(const LogicalOpPtr& op, std::vector<LogicalOp*>* scans) {
   for (const auto& c : op->children) FindDataScans(c, scans);
 }
 
-// For every columnar DataScan whose variable is consumed only through
+// For every internal DataScan whose variable is consumed only through
 // constant field accesses, push the accessed field set into the scan so the
-// runtime reads only those columns. Runs last (after dead-assign removal)
-// so the analysis sees the minimal plan.
+// runtime prunes every record to it (and a columnar component reads only
+// those columns). Runs last (after dead-assign removal) so the analysis
+// sees the minimal plan.
 void ComputeScanProjections(const LogicalOpPtr& root, const Catalog& catalog,
                             bool* changed) {
   std::vector<LogicalOp*> scans;
   FindDataScans(root, &scans);
   for (LogicalOp* scan : scans) {
-    if (!catalog.HasDataset(scan->dataset)) continue;
-    if (catalog.StorageFormat(scan->dataset) != "columnar") continue;
+    if (!IsInternalScan(*scan, catalog)) continue;
     bool whole = false;
     std::set<std::string> fields;
     CollectFieldUsesInPlan(*root, scan->scan_var, &fields, &whole);
@@ -576,7 +590,7 @@ Result<LogicalOpPtr> Optimize(LogicalOpPtr root, const Catalog& catalog,
     IntroduceIndexSearches(&root, catalog, options.sort_pks_before_fetch,
                            &changed);
   }
-  if (options.columnar_scan_pushdown) {
+  if (options.scan_pushdown) {
     // After index selection on purpose: an indexable conjunct becomes an
     // IndexSearch first; only scans with no access path absorb predicates.
     bool changed = false;
@@ -590,7 +604,7 @@ Result<LogicalOpPtr> Optimize(LogicalOpPtr root, const Catalog& catalog,
       if (!changed) break;
     }
   }
-  if (options.columnar_scan_pushdown) {
+  if (options.scan_pushdown) {
     bool changed = false;
     ComputeScanProjections(root, catalog, &changed);
   }

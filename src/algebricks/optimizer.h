@@ -2,8 +2,10 @@
 // + "Rule Sets"). Rules: constant folding, conjunct splitting, select
 // push-down (below assigns/unnests, into join branches and join
 // conditions), access-path selection (primary/secondary B+tree, R-tree,
-// inverted keyword — §III item 8), and dead-assign elimination. Each rule
-// can be toggled off for the Fig. 5 ablation benchmark.
+// inverted keyword — §III item 8), dead-assign elimination, and scan
+// pushdown (comparison conjuncts and the touched field set pushed into
+// scans of internal datasets — §VII). Each rule can be toggled off for the
+// Fig. 5 ablation benchmark.
 #pragma once
 
 #include <memory>
@@ -32,12 +34,6 @@ class Catalog {
   virtual std::string PrimaryKeyField(const std::string& name) const = 0;
   virtual std::vector<IndexInfo> SecondaryIndexes(
       const std::string& name) const = 0;
-  /// Physical storage format of the dataset's components ("row" or
-  /// "columnar"). Columnar pushdown rules only fire for "columnar".
-  virtual std::string StorageFormat(const std::string& name) const {
-    (void)name;
-    return "row";
-  }
 };
 
 /// Per-rule switches (all on by default). The Fig. 5 ablation bench flips
@@ -49,9 +45,10 @@ struct OptimizerOptions {
   bool dead_assign_elimination = true;
   /// The [26] trick: sort secondary-index result PKs before primary fetch.
   bool sort_pks_before_fetch = true;
-  /// Push projections and comparison conjuncts into scans over columnar
-  /// datasets (paper §VII: columnar storage). Off = scans stay row-shaped.
-  bool columnar_scan_pushdown = true;
+  /// Push projections and comparison conjuncts into scans over internal
+  /// datasets, whatever their storage format (paper §VII: columnar
+  /// storage). Off = scans emit whole records under a Select.
+  bool scan_pushdown = true;
 };
 
 /// Rewrite `root` to a (hopefully) better plan. Pure function of the tree.

@@ -260,10 +260,6 @@ Result<bool> DatasetPartition::GetByEncodedPk(const std::string& pk_key,
   return true;
 }
 
-Result<storage::LsmBTree::Iterator> DatasetPartition::ScanIterator() const {
-  return primary_->NewIterator();
-}
-
 Result<std::vector<std::string>> DatasetPartition::BTreeSearch(
     const std::string& index_name, const Value& lo, const Value& hi) const {
   AX_ASSIGN_OR_RETURN(const Secondary* ix,

@@ -76,9 +76,6 @@ class DatasetPartition {
   Result<bool> GetByEncodedPk(const std::string& pk_key,
                               adm::Value* record) const;
 
-  /// Snapshot scan over the partition's records.
-  Result<storage::LsmBTree::Iterator> ScanIterator() const;
-
   // ---- secondary index searches (return encoded PKs) -----------------------
   /// B+tree range [lo, hi] (unknown bound = open). Values are raw field
   /// values; encoding happens inside.
@@ -93,7 +90,7 @@ class DatasetPartition {
   /// Flush every LSM structure of this partition.
   Status Flush();
   storage::LsmStats primary_stats() const { return primary_->stats(); }
-  /// The primary LSM tree (batch scan sources snapshot it directly).
+  /// The primary LSM tree, which scans walk directly.
   const storage::LsmBTree* primary() const { return primary_.get(); }
 
   /// Encode a primary key value for this dataset.

@@ -7,11 +7,11 @@
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
 #include "asterix/external.h"
-#include "hyracks/columnar_scan.h"
 #include "hyracks/groupby.h"
 #include "hyracks/join.h"
 #include "hyracks/merge.h"
 #include "hyracks/operators.h"
+#include "hyracks/scan.h"
 #include "hyracks/sort.h"
 
 namespace asterix {
@@ -30,43 +30,11 @@ using hyracks::TupleEval;
 
 namespace {
 
-/// Wraps an LSM snapshot scan of one dataset partition as a TupleStream.
-class PartitionScanSource : public hyracks::TupleStream {
- public:
-  explicit PartitionScanSource(const DatasetPartition* part) : part_(part) {}
-  Status Open() override {
-    AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
-    it_ = std::make_unique<storage::LsmBTree::Iterator>(std::move(it));
-    AX_RETURN_NOT_OK(it_->SeekToFirst());
-    return Status::OK();
-  }
-  Result<bool> NextBatch(hyracks::Batch* out) override {
-    out->Clear();
-    while (it_ && it_->Valid() && !out->full()) {
-      AX_RETURN_NOT_OK(PollAlive());
-      AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
-      Tuple* t = out->Add();
-      t->fields.push_back(std::move(record));
-      AX_RETURN_NOT_OK(it_->Next());
-    }
-    if (out->empty()) return false;
-    hyracks::NoteBatchEmitted(out->size());
-    return true;
-  }
-  Status Close() override {
-    it_.reset();
-    return Status::OK();
-  }
-
- private:
-  const DatasetPartition* part_;
-  std::unique_ptr<storage::LsmBTree::Iterator> it_;
-};
-
-/// Index-search source over one partition, with bounds already evaluated.
-/// A primary range streams off its snapshot iterator. Every other path
-/// collects only encoded primary keys at Open and fetches one frame of
-/// records per NextBatch, so no path holds its whole result.
+/// Index-search source over one partition, with bounds already evaluated:
+/// a primary-key lookup or a secondary-index search. It collects only
+/// encoded primary keys at Open and fetches one frame of records per
+/// NextBatch, so it never holds its whole result. (A primary range is a
+/// bounded ScanSource.)
 class IndexSearchSource : public hyracks::TupleStream {
  public:
   IndexSearchSource(const DatasetPartition* part, const LogicalOp* op,
@@ -74,7 +42,6 @@ class IndexSearchSource : public hyracks::TupleStream {
       : part_(part), op_(op), lo_(std::move(lo)), hi_(std::move(hi)) {}
 
   Status Open() override {
-    it_.reset();
     pks_.clear();
     pos_ = 0;
     switch (op_->access_path) {
@@ -82,19 +49,6 @@ class IndexSearchSource : public hyracks::TupleStream {
         AX_ASSIGN_OR_RETURN(std::string pk, DatasetPartition::EncodePk(lo_));
         pks_.push_back(std::move(pk));
         return Status::OK();
-      }
-      case AccessPathKind::kPrimaryRange: {
-        std::string lo_key = adm::MinKey();
-        if (!lo_.is_unknown()) {
-          AX_ASSIGN_OR_RETURN(lo_key, adm::EncodeKey(lo_));
-        }
-        hi_key_ = adm::MaxKey();
-        if (!hi_.is_unknown()) {
-          AX_ASSIGN_OR_RETURN(hi_key_, adm::EncodeKey(hi_));
-        }
-        AX_ASSIGN_OR_RETURN(auto it, part_->ScanIterator());
-        it_ = std::make_unique<storage::LsmBTree::Iterator>(std::move(it));
-        return it_->Seek(lo_key);
       }
       case AccessPathKind::kSecondaryBTree: {
         AX_ASSIGN_OR_RETURN(pks_,
@@ -117,6 +71,8 @@ class IndexSearchSource : public hyracks::TupleStream {
             pks_, part_->KeywordSearch(op_->index_name, lo_.AsString()));
         break;
       }
+      case AccessPathKind::kPrimaryRange:
+        return Status::Internal("a primary range lowers onto ScanSource");
     }
     // The [26] trick: sort PKs so the primary fetch sweeps the B+tree in
     // key order instead of random-probing it.
@@ -126,29 +82,19 @@ class IndexSearchSource : public hyracks::TupleStream {
 
   Result<bool> NextBatch(hyracks::Batch* out) override {
     out->Clear();
-    if (it_) {
-      while (it_->Valid() && it_->key() <= hi_key_ && !out->full()) {
-        AX_RETURN_NOT_OK(PollAlive());
-        AX_ASSIGN_OR_RETURN(adm::Value record, adm::Deserialize(it_->value()));
-        out->Add()->fields.push_back(std::move(record));
-        AX_RETURN_NOT_OK(it_->Next());
-      }
-    } else {
-      while (pos_ < pks_.size() && !out->full()) {
-        AX_RETURN_NOT_OK(PollAlive());
-        adm::Value record;
-        AX_ASSIGN_OR_RETURN(bool found,
-                            part_->GetByEncodedPk(pks_[pos_++], &record));
-        if (!found) continue;  // racing delete
-        out->Add()->fields.push_back(std::move(record));
-      }
+    while (pos_ < pks_.size() && !out->full()) {
+      AX_RETURN_NOT_OK(PollAlive());
+      adm::Value record;
+      AX_ASSIGN_OR_RETURN(bool found,
+                          part_->GetByEncodedPk(pks_[pos_++], &record));
+      if (!found) continue;  // racing delete
+      out->Add()->fields.push_back(std::move(record));
     }
     if (out->empty()) return false;
     hyracks::NoteBatchEmitted(out->size());
     return true;
   }
   Status Close() override {
-    it_.reset();
     pks_.clear();
     return Status::OK();
   }
@@ -157,11 +103,7 @@ class IndexSearchSource : public hyracks::TupleStream {
   const DatasetPartition* part_;
   const LogicalOp* op_;
   adm::Value lo_, hi_;
-  // Primary range: the snapshot iterator and its encoded upper bound.
-  std::unique_ptr<storage::LsmBTree::Iterator> it_;
-  std::string hi_key_;
-  // Every other path: the encoded pks still to fetch, from pos_ on.
-  std::vector<std::string> pks_;
+  std::vector<std::string> pks_;  // encoded pks still to fetch, from pos_ on
   size_t pos_ = 0;
 };
 
@@ -281,29 +223,10 @@ Result<Executor::Lowered> Executor::BuildScan(const LogicalOp& op) {
     }
     return out;
   }
-  if (ds->def.storage_format == "columnar") {
-    // Batch-native scan straight off the LSM component stack, honoring the
-    // optimizer's pushed projection and predicates.
-    std::vector<hyracks::ScanPredicate> preds;
-    for (const auto& p : op.scan_predicates) {
-      hyracks::ScanPredicate sp;
-      sp.field = p.field;
-      sp.cmp = p.cmp == "lt"   ? hyracks::ScanCmp::kLt
-               : p.cmp == "le" ? hyracks::ScanCmp::kLe
-               : p.cmp == "gt" ? hyracks::ScanCmp::kGt
-               : p.cmp == "ge" ? hyracks::ScanCmp::kGe
-                               : hyracks::ScanCmp::kEq;
-      sp.constant = p.constant;
-      preds.push_back(std::move(sp));
-    }
-    for (const auto& part : ds->partitions) {
-      out.streams.push_back(std::make_unique<hyracks::ColumnarScanSource>(
-          part->primary(), op.scan_fields, op.scan_fields_pushed, preds));
-    }
-    return out;
-  }
   for (const auto& part : ds->partitions) {
-    out.streams.push_back(std::make_unique<PartitionScanSource>(part.get()));
+    out.streams.push_back(std::make_unique<hyracks::ScanSource>(
+        part->primary(), op.scan_fields, op.scan_fields_pushed,
+        op.scan_predicates));
   }
   return out;
 }
@@ -331,6 +254,21 @@ Result<Executor::Lowered> Executor::BuildIndexSearch(const LogicalOp& op) {
     out.streams.push_back(
         std::make_unique<IndexSearchSource>(parts[p].get(), &op, lo, hi));
     label += " (partition " + std::to_string(p) + ")";
+  } else if (op.access_path == AccessPathKind::kPrimaryRange) {
+    // A pk range is a bounded scan of every partition (an unknown bound is
+    // open; the residual Select keeps the predicate exact).
+    std::optional<std::string> lo_key, hi_key;
+    if (!lo.is_unknown()) {
+      AX_ASSIGN_OR_RETURN(lo_key, adm::EncodeKey(lo));
+    }
+    if (!hi.is_unknown()) {
+      AX_ASSIGN_OR_RETURN(hi_key, adm::EncodeKey(hi));
+    }
+    for (const auto& part : parts) {
+      out.streams.push_back(std::make_unique<hyracks::ScanSource>(
+          part->primary(), std::vector<std::string>{}, false,
+          std::vector<hyracks::ScanPredicate>{}, lo_key, hi_key));
+    }
   } else {
     for (const auto& part : parts) {
       out.streams.push_back(
@@ -750,7 +688,6 @@ Result<std::vector<adm::Value>> Executor::Run(const LogicalOpPtr& plan,
   if (profile) profile->set_elapsed_ms(elapsed_ms);
   if (stats) {
     stats->optimized_plan = plan->ToString();
-    stats->partitions = num_partitions_;
     stats->elapsed_ms = elapsed_ms;
     stats->profile = std::move(profile);
   }

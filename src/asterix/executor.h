@@ -22,7 +22,6 @@ namespace asterix {
 struct ExecStats {
   std::string optimized_plan;
   double elapsed_ms = 0;
-  size_t partitions = 0;
   /// Per-operator profiled plan (set only when profiling is enabled on the
   /// Executor); render with profile->Render() or export with
   /// profile->ToChromeTrace().

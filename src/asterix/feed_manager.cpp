@@ -61,21 +61,46 @@ Status FeedManager::ConnectFeed(const std::string& name,
       FeedPolicy policy,
       FeedPolicy::Named(policy_name.empty() ? "BASIC" : policy_name));
   AX_RETURN_NOT_OK(Connect(name, dataset, policy));
-  return metadata_->Update([&](meta::Catalog* c) {
+  Status recorded = metadata_->Update([&](meta::Catalog* c) -> Status {
+    // A DROP DATASET that committed after Connect checked the dataset but
+    // before it registered the runtime leaves nothing to feed.
+    AX_RETURN_NOT_OK(c->GetDataset(dataset).status());
     return c->SetFeedConnection(name, dataset, policy.name());
   });
+  if (!recorded.ok()) {
+    std::unique_ptr<FeedRuntime> runtime = TakeRuntime(name);
+    // axlint: allow(must-check): the failed catalog update is the error
+    if (runtime) (void)runtime->Stop();
+  }
+  return recorded;
+}
+
+Status FeedManager::RunUnlessFed(const std::string& dataset,
+                                 const std::function<Status()>& fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, conn] : connections_) {
+    if (conn.dataset == dataset) {
+      return Status::InvalidArgument("dataset '" + dataset +
+                                     "' is fed by connected feed '" + name +
+                                     "'; disconnect it first");
+    }
+  }
+  return fn();
+}
+
+std::unique_ptr<FeedRuntime> FeedManager::TakeRuntime(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = connections_.find(name);
+  if (it == connections_.end()) return nullptr;
+  std::unique_ptr<FeedRuntime> runtime = std::move(it->second.runtime);
+  connections_.erase(it);
+  return runtime;
 }
 
 Status FeedManager::DisconnectFeed(const std::string& name) {
-  std::unique_ptr<FeedRuntime> runtime;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = connections_.find(name);
-    if (it == connections_.end()) {
-      return Status::NotFound("feed '" + name + "' is not connected");
-    }
-    runtime = std::move(it->second.runtime);
-    connections_.erase(it);
+  std::unique_ptr<FeedRuntime> runtime = TakeRuntime(name);
+  if (!runtime) {
+    return Status::NotFound("feed '" + name + "' is not connected");
   }
   // Graceful stop persists the drained watermark; the progress file is kept
   // so a later CONNECT resumes after the last applied record.
@@ -127,6 +152,7 @@ Status FeedManager::Connect(const std::string& name, const std::string& dataset,
 
   std::lock_guard<std::mutex> lock(mu_);
   Connection& conn = connections_[name];
+  conn.dataset = dataset;
   conn.runtime = std::move(runtime);
   conn.channel = chan;
   return Status::OK();

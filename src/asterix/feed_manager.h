@@ -7,6 +7,7 @@
 // lets tests and benches supply an explicit policy and fault injector.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,12 +44,23 @@ class FeedManager {
   /// DROP FEED. Refuses while connected; removes the progress file.
   Status DropFeed(const std::string& name) AX_EXCLUDES(mu_);
   /// CONNECT FEED name TO DATASET ds USING POLICY p (empty = BASIC).
-  /// Records the connection in the catalog so it survives restart.
+  /// Records the connection in the catalog so it survives restart. If the
+  /// dataset is dropped before that record commits, the connect fails and
+  /// stops the runtime it started.
   Status ConnectFeed(const std::string& name, const std::string& dataset,
                      const std::string& policy_name) AX_EXCLUDES(mu_);
   /// DISCONNECT FEED: graceful stop (drain + persist progress); the feed's
   /// progress file is kept so a later reconnect resumes where it left off.
   Status DisconnectFeed(const std::string& name) AX_EXCLUDES(mu_);
+
+  /// Run `fn` (DROP DATASET's catalog update) unless a live connection
+  /// feeds `dataset`, which is refused with InvalidArgument naming the
+  /// feed. `fn` runs under mu_, so a racing CONNECT FEED either registers
+  /// its runtime first or finds the dataset gone at its own catalog
+  /// update. A connection recorded in the catalog but not running —
+  /// nothing reconnects feeds after a restart — does not count.
+  Status RunUnlessFed(const std::string& dataset,
+                      const std::function<Status()>& fn) AX_EXCLUDES(mu_);
 
   // ---- programmatic surface -------------------------------------------------
   /// Connect with an explicit policy and optional fault injector (which must
@@ -77,9 +89,15 @@ class FeedManager {
 
  private:
   struct Connection {
+    std::string dataset;
     std::unique_ptr<FeedRuntime> runtime;
     ChannelAdapter* channel = nullptr;  // borrowed from runtime's adapter
   };
+
+  /// Remove `name`'s connection and return its runtime, still running
+  /// (null when the feed is not connected).
+  std::unique_ptr<FeedRuntime> TakeRuntime(const std::string& name)
+      AX_EXCLUDES(mu_);
 
   Instance* instance_;
   meta::MetadataManager* metadata_;

@@ -497,9 +497,12 @@ Status Instance::RunDdl(const Statement& st) {
     }
     case Statement::kDropDataset: {
       std::shared_ptr<const meta::Catalog::Dataset> dropped;
-      AX_RETURN_NOT_OK(metadata_->Update([&](meta::Catalog* c) -> Status {
-        AX_ASSIGN_OR_RETURN(dropped, c->RemoveDataset(st.dataset_name));
-        return Status::OK();
+      // Refused while a feed is connected to the dataset.
+      AX_RETURN_NOT_OK(feeds_->RunUnlessFed(st.dataset_name, [&] {
+        return metadata_->Update([&](meta::Catalog* c) -> Status {
+          AX_ASSIGN_OR_RETURN(dropped, c->RemoveDataset(st.dataset_name));
+          return Status::OK();
+        });
       }));
       // Committed: each tree's files go when the last statement pinning an
       // older catalog lets go of it.

@@ -311,11 +311,6 @@ std::string Catalog::PrimaryKeyField(const std::string& name) const {
   return it == datasets.end() ? "" : it->second->def.primary_key;
 }
 
-std::string Catalog::StorageFormat(const std::string& name) const {
-  auto it = datasets.find(name);
-  return it == datasets.end() ? "row" : it->second->def.storage_format;
-}
-
 std::vector<algebricks::Catalog::IndexInfo> Catalog::SecondaryIndexes(
     const std::string& name) const {
   std::vector<IndexInfo> out;
@@ -464,10 +459,6 @@ std::string MetadataManager::PrimaryKeyField(const std::string& name) const {
 std::vector<algebricks::Catalog::IndexInfo> MetadataManager::SecondaryIndexes(
     const std::string& name) const {
   return Snapshot()->SecondaryIndexes(name);
-}
-
-std::string MetadataManager::StorageFormat(const std::string& name) const {
-  return Snapshot()->StorageFormat(name);
 }
 
 }  // namespace asterix::meta

@@ -134,7 +134,6 @@ class Catalog : public algebricks::Catalog {
   std::string PrimaryKeyField(const std::string& name) const override;
   std::vector<IndexInfo> SecondaryIndexes(
       const std::string& name) const override;
-  std::string StorageFormat(const std::string& name) const override;
 
   /// Bumped by every published update.
   uint64_t version = 0;
@@ -188,7 +187,6 @@ class MetadataManager : public algebricks::Catalog {
   std::string PrimaryKeyField(const std::string& name) const override;
   std::vector<IndexInfo> SecondaryIndexes(
       const std::string& name) const override;
-  std::string StorageFormat(const std::string& name) const override;
 
   /// Serialize a Type declaration to an ADM document / restore from one.
   /// (Public for tests.)

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adm/value.h"
@@ -471,6 +473,78 @@ TEST_F(FeedsTest, FeedDdlRoundTripsThroughMetadata) {
   ASSERT_TRUE(instance_->Execute("DROP FEED f").ok());
   EXPECT_FALSE(instance_->metadata()->Snapshot()->GetFeed("f").ok());
   EXPECT_FALSE(instance_->Execute("DISCONNECT FEED f").ok());
+}
+
+TEST_F(FeedsTest, DropDatasetRefusedWhileFeedConnected) {
+  ASSERT_TRUE(instance_->Execute("CREATE FEED f USING channel").ok());
+  ASSERT_TRUE(
+      instance_->Execute("CONNECT FEED f TO DATASET D USING POLICY BASIC")
+          .ok());
+  auto refused = instance_->Execute("DROP DATASET D");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("'f'"), std::string::npos)
+      << refused.status().ToString();
+  // The dataset and the connection are intact: the feed still ingests.
+  instance_->feeds()->channel("f")->Push(Doc(1, 10));
+  ASSERT_TRUE(instance_->feeds()->runtime("f")->WaitForSeqno(1).ok());
+  EXPECT_EQ(CountD(), 1);
+
+  ASSERT_TRUE(instance_->Execute("DISCONNECT FEED f").ok());
+  ASSERT_TRUE(instance_->Execute("DROP DATASET D").ok());
+  EXPECT_FALSE(instance_->Execute("SELECT VALUE d FROM D d").ok());
+  // Connecting to the dropped dataset fails and leaves no runtime behind.
+  EXPECT_FALSE(
+      instance_->Execute("CONNECT FEED f TO DATASET D USING POLICY BASIC")
+          .ok());
+  EXPECT_EQ(instance_->feeds()->runtime("f"), nullptr);
+}
+
+TEST_F(FeedsTest, ConnectRacingDropDatasetNeverOutlivesTheDataset) {
+  ASSERT_TRUE(instance_->Execute("CREATE FEED f USING channel").ok());
+  std::atomic<bool> done{false};
+  std::thread ddl([&] {
+    while (!done.load()) {
+      // Either may fail: X exists already, or a connected feed refuses it.
+      (void)instance_->Execute("CREATE DATASET X(T) PRIMARY KEY id");
+      (void)instance_->Execute("DROP DATASET X");
+    }
+  });
+  int connected = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int i = 0; connected < 5 && std::chrono::steady_clock::now() < deadline;
+       i++) {
+    auto r = instance_->Execute("CONNECT FEED f TO DATASET X");
+    if (!r.ok()) {
+      // A failed connect, however late, stopped what it started.
+      EXPECT_EQ(instance_->feeds()->runtime("f"), nullptr) << i;
+      continue;
+    }
+    connected++;
+    // While the feed is connected its dataset cannot be dropped.
+    EXPECT_TRUE(instance_->metadata()->Snapshot()->GetDataset("X").ok()) << i;
+    EXPECT_TRUE(instance_->Execute("DISCONNECT FEED f").ok()) << i;
+  }
+  done.store(true);
+  ddl.join();
+  EXPECT_EQ(connected, 5);
+}
+
+TEST_F(FeedsTest, StaleConnectionRecordDoesNotBlockDropDataset) {
+  ASSERT_TRUE(instance_->Execute("CREATE FEED f USING channel").ok());
+  ASSERT_TRUE(
+      instance_->Execute("CONNECT FEED f TO DATASET D USING POLICY BASIC")
+          .ok());
+  // Shutdown stops the runtime but keeps the catalog's record of the
+  // connection, and nothing reconnects it on reopen.
+  instance_.reset();
+  instance_ = OpenInstance();
+  EXPECT_EQ(instance_->metadata()->Snapshot()->GetFeed("f")->connected_dataset,
+            "D");
+  EXPECT_EQ(instance_->feeds()->runtime("f"), nullptr);
+  EXPECT_TRUE(instance_->Execute("DROP DATASET D").ok());
 }
 
 TEST_F(FeedsTest, GleambookFeedIngestsGeneratedRecords) {

@@ -225,6 +225,27 @@ TEST_F(OptimizerTest, IndexSelectionTogglable) {
   EXPECT_EQ(r1.rows.size(), 10u);
 }
 
+TEST_F(OptimizerTest, RowScanTakesPushdown) {
+  // D is a row dataset and s has no index: the conjunct moves into the
+  // data-scan, the Select disappears, and the scan prunes each record to
+  // the fields read above it.
+  const std::string q = "SELECT VALUE d.id FROM D d WHERE d.s = \"s42\"";
+  auto r = instance_->Execute(q).value();
+  EXPECT_NE(r.plan.find("data-scan D"), std::string::npos) << r.plan;
+  EXPECT_NE(r.plan.find(" project:[id]"), std::string::npos) << r.plan;
+  EXPECT_NE(r.plan.find(" where:s eq \"s42\""), std::string::npos) << r.plan;
+  EXPECT_EQ(r.plan.find("select"), std::string::npos) << r.plan;
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0], adm::Value::Int(42));
+
+  algebricks::OptimizerOptions off;
+  off.scan_pushdown = false;
+  auto ref = instance_->QueryWithOptions(q, off).value();
+  EXPECT_NE(ref.plan.find("select"), std::string::npos) << ref.plan;
+  EXPECT_EQ(ref.plan.find(" project:["), std::string::npos) << ref.plan;
+  EXPECT_EQ(ref.rows, r.rows);
+}
+
 TEST_F(OptimizerTest, ConstantFoldingInPlan) {
   algebricks::OptimizerOptions on;
   auto r = instance_->QueryWithOptions(

@@ -9,13 +9,14 @@
 #include <filesystem>
 #include <future>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
 #include "common/metrics.h"
-#include "hyracks/columnar_scan.h"
+#include "hyracks/scan.h"
 #include "storage/columnar.h"
 #include "storage/lsm_btree.h"
 #include "storage/maintenance.h"
@@ -406,10 +407,16 @@ struct ScanCase {
   std::vector<std::string> fields;
   bool pushed = false;
   std::vector<hyracks::ScanPredicate> predicates;
+  std::optional<int64_t> lo = {}, hi = {};  // inclusive key bounds; {} = open
 };
 
 std::vector<Value> RunScan(const LsmBTree* tree, const ScanCase& sc) {
-  hyracks::ColumnarScanSource scan(tree, sc.fields, sc.pushed, sc.predicates);
+  auto key = [](std::optional<int64_t> id) -> std::optional<std::string> {
+    if (!id) return std::nullopt;
+    return IntKey(*id);
+  };
+  hyracks::ScanSource scan(tree, sc.fields, sc.pushed, sc.predicates,
+                           key(sc.lo), key(sc.hi));
   std::vector<Value> out;
   EXPECT_TRUE(scan.Open().ok());
   hyracks::Batch b;
@@ -427,7 +434,7 @@ std::vector<Value> RunScan(const LsmBTree* tree, const ScanCase& sc) {
 std::vector<Value> ExpectedScan(const Model& m, const ScanCase& sc) {
   std::vector<Value> out;
   for (const auto& [id, rec] : m.live) {
-    bool keep = true;
+    bool keep = (!sc.lo || id >= *sc.lo) && (!sc.hi || id <= *sc.hi);
     for (const auto& p : sc.predicates) {
       keep = keep && Passes(rec.GetField(p.field), p);
     }
@@ -460,6 +467,18 @@ std::vector<ScanCase> ScanCases() {
        false,
        {{"mixed", ScanCmp::kEq, Value::Int(1)},
         {"score", ScanCmp::kLe, Value::Double(70.5)}}},
+      // Key-bounded: lo only, hi only, both, with pushdown on top.
+      {{}, false, {}, 57, std::nullopt},
+      {{"id", "name"}, true, {}, std::nullopt, 133},
+      {{"score"}, true, {{"score", ScanCmp::kGt, Value::Int(30)}}, 40, 120},
+      // Single-key ranges (the key may be live or not), an inverted range,
+      // and ranges past either end of the key space.
+      {{}, false, {}, 77, 77},
+      {{}, false, {}, 0, 0},
+      {{}, false, {}, 199, 199},
+      {{}, false, {}, 120, 40},
+      {{}, false, {}, 200, std::nullopt},
+      {{}, false, {}, std::nullopt, -1},
   };
 }
 
