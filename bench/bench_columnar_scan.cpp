@@ -5,8 +5,9 @@
 //
 //   bench_columnar_scan [--smoke] [--json <path>]
 //
-// The row scan must deserialize every full record before the select and
-// project operators see it; the columnar scan reads only the three needed
+// The row scan reads every full record from its pages and walks all of its
+// bytes, but decodes only the needed fields (name, score, age) and steps
+// over the other seven in place; the columnar scan reads only the three needed
 // column pages (name, score, age), evaluates age > 85 on the packed int64
 // column, and materializes just the ~4% of rows that survive. Both
 // datasets are checkpointed before timing so every timed scan runs against

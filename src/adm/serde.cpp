@@ -1,6 +1,8 @@
 #include "adm/serde.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 
 namespace asterix::adm {
 
@@ -51,6 +53,24 @@ Result<double> GetDouble(const std::string& data, size_t* pos) {
   double d;
   std::memcpy(&d, &bits, 8);
   return d;
+}
+
+// True if `n` bytes remain at `pos` (`pos` is never past the end).
+bool Fits(const std::string& data, size_t pos, uint64_t n) {
+  return n <= data.size() - pos;
+}
+
+// A reservation for `n` elements decoded from the rest of `data`. Every
+// element takes at least one byte, so a corrupt count cannot reserve more.
+size_t ReserveFor(const std::string& data, size_t pos, uint64_t n) {
+  return static_cast<size_t>(std::min<uint64_t>(n, data.size() - pos));
+}
+
+Status SkipBytes(const std::string& data, size_t* pos, uint64_t n,
+                 const char* what) {
+  if (!Fits(data, *pos, n)) return Status::Corruption(what);
+  *pos += n;
+  return Status::OK();
 }
 
 // Zig-zag so small negative ints stay short.
@@ -157,7 +177,7 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
     }
     case TypeTag::kString: {
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
-      if (*pos + n > data.size()) return Status::Corruption("truncated string");
+      if (!Fits(data, *pos, n)) return Status::Corruption("truncated string");
       Value v = Value::String(data.substr(*pos, n));
       *pos += n;
       return v;
@@ -178,7 +198,7 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
     case TypeTag::kMultiset: {
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
       std::vector<Value> items;
-      items.reserve(n);
+      items.reserve(ReserveFor(data, *pos, n));
       for (uint64_t i = 0; i < n; i++) {
         AX_ASSIGN_OR_RETURN(Value item, DeserializeValue(data, pos));
         items.push_back(std::move(item));
@@ -189,10 +209,10 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
     case TypeTag::kObject: {
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
       FieldVec fields;
-      fields.reserve(n);
+      fields.reserve(ReserveFor(data, *pos, n));
       for (uint64_t i = 0; i < n; i++) {
         AX_ASSIGN_OR_RETURN(uint64_t len, GetVarint(data, pos));
-        if (*pos + len > data.size()) {
+        if (!Fits(data, *pos, len)) {
           return Status::Corruption("truncated field name");
         }
         std::string name = data.substr(*pos, len);
@@ -206,13 +226,122 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
   return Status::Corruption("bad type tag " + std::to_string(data[*pos - 1]));
 }
 
-Result<Value> Deserialize(const std::string& data) {
-  size_t pos = 0;
-  AX_ASSIGN_OR_RETURN(Value v, DeserializeValue(data, &pos));
+namespace {
+// Steps over one value without building it, making DeserializeValue's
+// checks on every tag, varint and length.
+Status SkipValue(const std::string& data, size_t* pos) {
+  if (*pos >= data.size()) return Status::Corruption("truncated value tag");
+  auto tag = static_cast<TypeTag>(data[*pos]);
+  (*pos)++;
+  switch (tag) {
+    case TypeTag::kMissing:
+    case TypeTag::kNull:
+      return Status::OK();
+    case TypeTag::kBoolean:
+      return SkipBytes(data, pos, 1, "truncated boolean");
+    case TypeTag::kInt64:
+    case TypeTag::kDate:
+    case TypeTag::kTime:
+    case TypeTag::kDatetime:
+    case TypeTag::kDuration:
+      return GetVarint(data, pos).status();
+    case TypeTag::kDouble:
+      return SkipBytes(data, pos, 8, "truncated fixed64");
+    case TypeTag::kString: {
+      AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
+      return SkipBytes(data, pos, n, "truncated string");
+    }
+    case TypeTag::kPoint:
+      return SkipBytes(data, pos, 16, "truncated fixed64");
+    case TypeTag::kRectangle:
+      return SkipBytes(data, pos, 32, "truncated fixed64");
+    case TypeTag::kArray:
+    case TypeTag::kMultiset: {
+      AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
+      for (uint64_t i = 0; i < n; i++) AX_RETURN_NOT_OK(SkipValue(data, pos));
+      return Status::OK();
+    }
+    case TypeTag::kObject: {
+      AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
+      for (uint64_t i = 0; i < n; i++) {
+        AX_ASSIGN_OR_RETURN(uint64_t len, GetVarint(data, pos));
+        AX_RETURN_NOT_OK(SkipBytes(data, pos, len, "truncated field name"));
+        AX_RETURN_NOT_OK(SkipValue(data, pos));
+      }
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("bad type tag " + std::to_string(data[*pos - 1]));
+}
+
+Status CheckConsumed(const std::string& data, size_t pos) {
   if (pos != data.size()) {
     return Status::Corruption("trailing bytes after serialized value");
   }
+  return Status::OK();
+}
+}  // namespace
+
+Result<Value> Deserialize(const std::string& data) {
+  size_t pos = 0;
+  AX_ASSIGN_OR_RETURN(Value v, DeserializeValue(data, &pos));
+  AX_RETURN_NOT_OK(CheckConsumed(data, pos));
   return v;
+}
+
+Result<Value> DeserializeFields(const std::string& data,
+                                const std::vector<std::string>& names) {
+  if (data.empty() || static_cast<TypeTag>(data[0]) != TypeTag::kObject) {
+    AX_RETURN_NOT_OK(Validate(data));
+    return Value::Object({});
+  }
+  size_t pos = 1;
+  AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, &pos));
+  FieldVec kept;
+  kept.reserve(std::min<uint64_t>(n, names.size()));
+  bool has_missing = false;
+  // Fields and names are both in ascending order: walk them together.
+  size_t next = 0;  // the first of `names` not below the previous field
+  std::string_view prev;
+  for (uint64_t i = 0; i < n; i++) {
+    AX_ASSIGN_OR_RETURN(uint64_t len, GetVarint(data, &pos));
+    if (!Fits(data, pos, len)) {
+      return Status::Corruption("truncated field name");
+    }
+    std::string_view name(data.data() + pos, len);
+    pos += len;
+    if (name < prev) next = 0;  // out of order (not written by Serialize)
+    prev = name;
+    int cmp = 1;
+    while (next < names.size() && (cmp = names[next].compare(name)) < 0) {
+      next++;
+    }
+    if (next == names.size() || cmp != 0) {
+      AX_RETURN_NOT_OK(SkipValue(data, &pos));
+      continue;
+    }
+    AX_ASSIGN_OR_RETURN(Value fv, DeserializeValue(data, &pos));
+    has_missing |= fv.is_missing();
+    kept.emplace_back(std::string(name), std::move(fv));
+  }
+  AX_RETURN_NOT_OK(CheckConsumed(data, pos));
+  // Serialized fields are in name order, which Value::Object keeps as it
+  // is; any other order is sorted and deduplicated there as in Deserialize.
+  Value out = Value::Object(std::move(kept));
+  if (!has_missing) return out;
+  // GetField reads a MISSING field as absent: drop it, after duplicates
+  // were resolved.
+  FieldVec present;
+  for (const auto& f : out.fields()) {
+    if (!f.second.is_missing()) present.push_back(f);
+  }
+  return Value::Object(std::move(present));
+}
+
+Status Validate(const std::string& data) {
+  size_t pos = 0;
+  AX_RETURN_NOT_OK(SkipValue(data, &pos));
+  return CheckConsumed(data, pos);
 }
 
 }  // namespace asterix::adm

@@ -11,6 +11,21 @@ namespace asterix {
 
 using adm::Value;
 
+namespace {
+std::vector<std::string> IndexedFields(const meta::DatasetDef& def) {
+  std::vector<std::string> fields;
+  for (const auto& ix : def.indexes) fields.push_back(ix.field);
+  std::sort(fields.begin(), fields.end());
+  fields.erase(std::unique(fields.begin(), fields.end()), fields.end());
+  return fields;
+}
+}  // namespace
+
+DatasetPartition::DatasetPartition(meta::DatasetDef def,
+                                   PartitionOptions options)
+    : def_(std::move(def)), options_(std::move(options)),
+      indexed_fields_(IndexedFields(def_)) {}
+
 std::string DatasetPartition::TreeDir(uint64_t id, bool index) {
   return (index ? "ix" : "ds") + std::to_string(id);
 }
@@ -97,8 +112,10 @@ Status DatasetPartition::Backfill(const meta::IndexDef& index) {
                       FindSecondary(index.name, index.kind));
   AX_ASSIGN_OR_RETURN(auto scan, primary_->NewIterator());
   AX_RETURN_NOT_OK(scan.SeekToFirst());
+  const std::vector<std::string> field = {ix->def.field};
   while (scan.Valid()) {
-    AX_ASSIGN_OR_RETURN(Value record, adm::Deserialize(scan.value()));
+    AX_ASSIGN_OR_RETURN(Value record,
+                        adm::DeserializeFields(scan.value(), field));
     AX_RETURN_NOT_OK(ApplyToIndex(*ix, record, scan.key(), /*remove=*/false));
     AX_RETURN_NOT_OK(scan.Next());
   }
@@ -211,7 +228,8 @@ Status DatasetPartition::Upsert(const Value& record, bool log) {
     std::string old_raw;
     AX_ASSIGN_OR_RETURN(bool existed, primary_->Get(pk_key, &old_raw));
     if (existed) {
-      AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
+      AX_ASSIGN_OR_RETURN(Value old_record,
+                          adm::DeserializeFields(old_raw, indexed_fields_));
       AX_RETURN_NOT_OK(ApplyToIndexes(old_record, pk_key, /*remove=*/true));
     }
   }
@@ -238,7 +256,8 @@ Result<bool> DatasetPartition::DeleteByKey(const Value& pk, bool log) {
   if (log) {
     AX_RETURN_NOT_OK(LogMutation(txn::LogRecordType::kDelete, pk_key, nullptr));
   }
-  AX_ASSIGN_OR_RETURN(Value old_record, adm::Deserialize(old_raw));
+  AX_ASSIGN_OR_RETURN(Value old_record,
+                      adm::DeserializeFields(old_raw, indexed_fields_));
   AX_RETURN_NOT_OK(ApplyToIndexes(old_record, pk_key, /*remove=*/true));
   AX_RETURN_NOT_OK(primary_->Delete(pk_key));
   return true;

@@ -115,8 +115,7 @@ class DatasetPartition {
     Status Flush() const;
   };
 
-  DatasetPartition(meta::DatasetDef def, PartitionOptions options)
-      : def_(std::move(def)), options_(std::move(options)) {}
+  DatasetPartition(meta::DatasetDef def, PartitionOptions options);
 
   /// Open index `ix`'s tree; with `create`, from empty storage.
   Result<Secondary> OpenSecondary(const meta::IndexDef& ix, bool create) const;
@@ -134,6 +133,9 @@ class DatasetPartition {
 
   const meta::DatasetDef def_;
   const PartitionOptions options_;
+  /// The fields the secondaries index, sorted and unique: all a prior
+  /// version is decoded for when its index entries are removed.
+  const std::vector<std::string> indexed_fields_;
   std::shared_ptr<storage::LsmBTree> primary_;
   std::vector<Secondary> secondaries_;
 };

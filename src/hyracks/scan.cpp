@@ -62,7 +62,8 @@ struct ScanSource::Columns {
 
 // One row that won the newest-version merge for its key. A columnar winner
 // is addressed by (columns, row), its cells decoding straight from the
-// columns; any other winner is decoded into `record` when it is gathered.
+// columns; any other winner is decoded into `record` when it is gathered
+// (only the needed fields when the projection was pushed).
 struct ScanSource::Candidate {
   const Columns* cols = nullptr;  // columnar winner's component
   uint64_t row = 0;               // columnar: row index in the component
@@ -78,12 +79,19 @@ ScanSource::ScanSource(const storage::LsmBTree* tree,
     : tree_(tree), fields_(std::move(fields)), fields_pushed_(fields_pushed),
       predicates_(std::move(predicates)), lo_key_(std::move(lo_key)),
       hi_key_(std::move(hi_key)) {
-  // Columns a columnar component must load: the projected fields plus every
-  // predicate field (predicates may reference non-projected fields).
+  auto sort_unique = [](std::vector<std::string>* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  };
+  // Columns a columnar component must load, and fields a row winner
+  // decodes: the projected fields plus every predicate field (predicates
+  // may reference non-projected fields).
   needed_ = fields_;
   for (const auto& p : predicates_) needed_.push_back(p.field);
-  std::sort(needed_.begin(), needed_.end());
-  needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
+  sort_unique(&needed_);
+  std::vector<std::string> projected = fields_;
+  sort_unique(&projected);
+  prune_decoded_ = needed_ != projected;
 }
 
 ScanSource::~ScanSource() = default;
@@ -143,11 +151,20 @@ Status ScanSource::Gather() {
       AX_RETURN_NOT_OK(it_->Next());
       continue;
     }
-    Result<adm::Value> record = adm::Deserialize(it_->value());
+    Result<adm::Value> record = Decode(it_->value());
     AX_RETURN_NOT_OK(it_->Next());  // a failed value() reports here first
     AX_ASSIGN_OR_RETURN(c.record, std::move(record));
   }
   return Status::OK();
+}
+
+Result<adm::Value> ScanSource::Decode(const std::string& data) const {
+  if (!fields_pushed_) return adm::Deserialize(data);
+  if (needed_.empty()) {  // COUNT(*): Materialize hands out empty_
+    AX_RETURN_NOT_OK(adm::Validate(data));
+    return adm::Value();
+  }
+  return adm::DeserializeFields(data, needed_);
 }
 
 Status ScanSource::Filter() {
@@ -188,6 +205,8 @@ Result<adm::Value> ScanSource::Materialize(Candidate* c) const {
     if (c->cols == nullptr) return std::move(c->record);
     return c->cols->reader->MaterializeRow(c->cols->cols, c->row);
   }
+  if (fields_.empty()) return empty_;
+  if (c->cols == nullptr && !prune_decoded_) return std::move(c->record);
   adm::FieldVec fv;
   fv.reserve(fields_.size());
   for (const auto& name : fields_) {

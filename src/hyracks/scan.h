@@ -10,7 +10,10 @@
 //    subset is touched, every winner is pruned to those fields. A columnar
 //    component loads only their columns, on the first row it wins (the rest
 //    are never paged in; the skip count is exported as
-//    storage.columnar.columns_skipped).
+//    storage.columnar.columns_skipped). A memory or row winner decodes only
+//    the projected and predicate fields and steps over the rest in place
+//    (adm::DeserializeFields), still checking every byte; an empty
+//    projection (COUNT(*)) only validates it.
 //  * Predicate pushdown — comparison conjuncts against constants are
 //    evaluated over each gathered batch before anything is materialized: a
 //    columnar winner's cell decodes straight from its column (fixed-width
@@ -73,6 +76,9 @@ class ScanSource : public TupleStream {
   bool InRange() const;
   /// Gather up to kFrameTuples newest-version winners into cands_.
   Status Gather();
+  /// A memory or row winner's record as Gather keeps it: whole, or with only
+  /// needed_ when the projection was pushed (MISSING when none is needed).
+  Result<adm::Value> Decode(const std::string& data) const;
   /// Run the pushed predicates over cands_, clearing `keep` on failures.
   Status Filter();
   /// The output record of a surviving candidate.
@@ -85,6 +91,11 @@ class ScanSource : public TupleStream {
   std::optional<std::string> lo_key_, hi_key_;
   /// Projected plus predicate fields: what a pushed scan loads.
   std::vector<std::string> needed_;
+  /// A predicate reads a field the output does not carry, so a decoded
+  /// record is pruned to fields_ rather than handed out as it is.
+  bool prune_decoded_ = false;
+  /// The output of an empty projection, built once per scan.
+  const adm::Value empty_ = adm::Value::Object({});
 
   std::optional<storage::LsmBTree::Iterator> it_;
   std::vector<std::unique_ptr<Columns>> loaded_;

@@ -8,6 +8,7 @@
 #include "adm/serde.h"
 #include "adm/temporal.h"
 #include "adm/type.h"
+#include "asterix/gleambook.h"
 #include "common/rng.h"
 
 namespace asterix::adm {
@@ -80,6 +81,144 @@ TEST(Serde, VarintRoundTrip) {
     size_t pos = 0;
     EXPECT_EQ(GetVarint(buf, &pos).value(), v);
     EXPECT_EQ(pos, buf.size());
+  }
+}
+
+TEST(Serde, RejectsHugeElementCounts) {
+  // A count of 2^62 must fail as Corruption, not reserve 2^62 elements.
+  for (TypeTag tag : {TypeTag::kArray, TypeTag::kMultiset, TypeTag::kObject}) {
+    std::string data(1, static_cast<char>(tag));
+    PutVarint(uint64_t{1} << 62, &data);
+    data.push_back(static_cast<char>(TypeTag::kNull));
+    auto full = Deserialize(data);
+    ASSERT_FALSE(full.ok()) << static_cast<int>(tag);
+    EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
+    auto some = DeserializeFields(data, {"a"});
+    ASSERT_FALSE(some.ok());
+    EXPECT_EQ(some.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(Validate(data).code(), StatusCode::kCorruption);
+  }
+  // A string length near 2^64 must not wrap the bounds check.
+  std::string data(1, static_cast<char>(TypeTag::kArray));
+  PutVarint(2, &data);
+  data.push_back(static_cast<char>(TypeTag::kString));
+  PutVarint(UINT64_MAX, &data);
+  EXPECT_EQ(Deserialize(data).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(Validate(data).code(), StatusCode::kCorruption);
+}
+
+// Deserialize, then keep each of `names` that GetField finds: what
+// DeserializeFields must return.
+Value Pruned(const Value& record, const std::vector<std::string>& names) {
+  FieldVec fields;
+  for (const auto& name : names) {
+    const Value& v = record.GetField(name);
+    if (!v.is_missing()) fields.emplace_back(name, v);
+  }
+  return Value::Object(std::move(fields));
+}
+
+// Both decoders (and Validate) agree on `data`: both fail with Corruption,
+// or both succeed and DeserializeFields is the pruned full decode.
+void ExpectDecodersAgree(const std::string& data,
+                         const std::vector<std::string>& names) {
+  auto full = Deserialize(data);
+  auto some = DeserializeFields(data, names);
+  Status valid = Validate(data);
+  ASSERT_EQ(full.ok(), some.ok()) << full.status().ToString() << " vs "
+                                  << some.status().ToString();
+  ASSERT_EQ(full.ok(), valid.ok()) << valid.ToString();
+  if (!full.ok()) {
+    EXPECT_EQ(full.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(some.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(valid.code(), StatusCode::kCorruption);
+    return;
+  }
+  EXPECT_EQ(some.value(), Pruned(full.value(), names))
+      << full.value().ToString();
+  EXPECT_TRUE(some.value().is_object());
+}
+
+TEST(Serde, DeserializeFieldsMatchesPrunedDeserialize) {
+  Rng rng(4242);
+  // Record fields come from "b".."m"; "a" sorts before all of them, "zz"
+  // after, and "c" and "q" never occur.
+  const std::vector<std::string> record_names = {"b", "d", "f", "h", "m"};
+  const std::vector<std::string> query_names = {"a", "b", "c", "d",
+                                                "f", "h", "m", "q", "zz"};
+  for (int i = 0; i < 400; i++) {
+    FieldVec fields;
+    for (const auto& name : record_names) {
+      uint64_t pick = rng.Uniform(6);
+      if (pick == 0) continue;                            // absent
+      if (pick == 1) fields.emplace_back(name, Value());  // stored MISSING
+      if (pick >= 2) fields.emplace_back(name, RandomValue(&rng, 3));
+    }
+    // Now and then a non-object record: it yields an empty object.
+    Value record = rng.Uniform(10) == 0 ? RandomValue(&rng, 2)
+                                        : Value::Object(std::move(fields));
+    std::string data = Serialize(record);
+    std::vector<std::string> subset;
+    for (const auto& name : query_names) {
+      if (rng.Uniform(2) == 0) subset.push_back(name);
+    }
+    for (const auto& names : std::vector<std::vector<std::string>>{
+             {}, subset, query_names, record_names, {"a"}, {"zz"},
+             {"c", "q"}}) {
+      ExpectDecodersAgree(data, names);
+    }
+  }
+}
+
+TEST(Serde, DeserializeFieldsMatchesOnUnsortedFields) {
+  // Serialize writes names in ascending order, once each; a buffer from
+  // elsewhere may not. Value::Object sorts and keeps the last duplicate.
+  std::string data(1, static_cast<char>(TypeTag::kObject));
+  PutVarint(5, &data);
+  for (const auto& [name, v] :
+       std::vector<std::pair<std::string, Value>>{{"m", Value::Int(1)},
+                                                  {"b", Value::Int(2)},
+                                                  {"m", Value()},
+                                                  {"d", Value::Int(3)},
+                                                  {"b", Value::Int(4)}}) {
+    PutVarint(name.size(), &data);
+    data += name;
+    SerializeValue(v, &data);
+  }
+  for (const auto& names : std::vector<std::vector<std::string>>{
+           {}, {"b"}, {"m"}, {"b", "d", "m"}, {"a", "zz"}}) {
+    ExpectDecodersAgree(data, names);
+  }
+  EXPECT_EQ(DeserializeFields(data, {"b", "m"}).value(),
+            ObjectBuilder().Add("b", Value::Int(4)).Build());
+}
+
+TEST(Serde, DeserializeFieldsRejectsWhatDeserializeRejects) {
+  gleambook::GeneratorOptions options;
+  options.num_users = 4;
+  options.num_messages = 4;
+  gleambook::Generator gen(options);
+  const std::vector<Value> records = {gen.MakeUser(1), gen.MakeMessage(2)};
+  for (const Value& record : records) {
+    std::vector<std::string> all;
+    for (const auto& [name, v] : record.fields()) all.push_back(name);
+    const std::vector<std::vector<std::string>> name_sets = {
+        {}, {all.front()}, {all[all.size() / 2], all.back()}};
+    const std::string data = Serialize(record);
+    for (const auto& names : name_sets) {
+      for (size_t cut = 0; cut < data.size(); cut++) {
+        ExpectDecodersAgree(data.substr(0, cut), names);
+      }
+      ExpectDecodersAgree(data + '\0', names);
+      for (size_t at = 0; at < data.size(); at++) {
+        std::string bad = data;
+        for (int byte = 0; byte < 256; byte++) {
+          bad[at] = static_cast<char>(byte);
+          ExpectDecodersAgree(bad, names);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
 

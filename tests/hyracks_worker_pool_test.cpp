@@ -127,7 +127,16 @@ TEST(WorkerPool, DestructorJoinsParkedWorkers) {
     group.Wait();
     EXPECT_GE(LiveThreads(), before + 1);
   }
-  EXPECT_EQ(LiveThreads(), before);
+  // A thread join has returned for can stay listed in /proc/self/task for a
+  // moment: wait, bounded, for the count to drop.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t after = LiveThreads();
+  while (after > before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = LiveThreads();
+  }
+  EXPECT_EQ(after, before);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // lookups, deletes, mixed-format merges, crash-free reopen), and a seeded
 // differential test of the one merge cursor (LsmBTree::Iterator) over
 // mixed memory/row/columnar stacks, as scans, the columnar scan and merges
-// walk it.
+// walk it, and pushed row scans over valid and corrupt records.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -638,6 +638,100 @@ TEST_F(MergeCursorTest, PushedProjectionSkipsColumns) {
   EXPECT_EQ(got[7], adm::ObjectBuilder().Add("id", Value::Int(7)).Build());
   // The component has id, name, score, active, nickname and tags columns.
   EXPECT_EQ(skipped->value() - before, 5u);
+}
+
+TEST_F(ColumnarTest, PushedRowScansReturnTheProjectedRecords) {
+  auto tree = LsmBTree::Open(Options(StorageFormat::kRow)).value();
+  for (int64_t i = 0; i < 50; i++) {
+    ASSERT_TRUE(tree->Put(IntKey(i), adm::Serialize(UserRecord(i))).ok());
+    if (i == 24) {
+      ASSERT_TRUE(tree->Flush().ok());  // half row, half memory
+    }
+  }
+  std::vector<Value> counted = RunScan(tree.get(), {{}, true, {}});
+  ASSERT_EQ(counted.size(), 50u);
+  for (const Value& v : counted) EXPECT_EQ(v, Value::Object({}));
+
+  std::vector<Value> projected =
+      RunScan(tree.get(), {{"tags", "name", "absent"}, true, {}});
+  ASSERT_EQ(projected.size(), 50u);
+  for (int64_t i = 0; i < 50; i++) {
+    adm::ObjectBuilder b;
+    b.Add("name", UserRecord(i).GetField("name"));
+    if (i % 5 == 0) b.Add("tags", UserRecord(i).GetField("tags"));
+    EXPECT_EQ(projected[i], b.Build()) << i;
+  }
+
+  // The predicate field is read but not returned.
+  std::vector<Value> filtered = RunScan(
+      tree.get(),
+      {{"name"}, true, {{"score", hyracks::ScanCmp::kGe, Value::Int(60)}}});
+  ASSERT_EQ(filtered.size(), 10u);  // ids 40..49
+  EXPECT_EQ(filtered[0], adm::ObjectBuilder()
+                             .Add("name", Value::String("user-40"))
+                             .Build());
+}
+
+// Runs `sc` over `tree` to its end; the first error, if any.
+Status DrainScan(const LsmBTree* tree, const ScanCase& sc) {
+  hyracks::ScanSource scan(tree, sc.fields, sc.pushed, sc.predicates);
+  AX_RETURN_NOT_OK(scan.Open());
+  hyracks::Batch b;
+  while (true) {
+    AX_ASSIGN_OR_RETURN(bool more, scan.NextBatch(&b));
+    if (!more) return scan.Close();
+  }
+}
+
+// {"id": 3, "name": <`bad_name`>}: malformed only in the field after "id".
+std::string RecordWithBadName(const std::string& bad_name) {
+  std::string out(1, static_cast<char>(adm::TypeTag::kObject));
+  adm::PutVarint(2, &out);
+  adm::PutVarint(2, &out);
+  out += "id";
+  adm::SerializeValue(Value::Int(3), &out);
+  adm::PutVarint(4, &out);
+  out += "name";
+  return out + bad_name;
+}
+
+TEST_F(ColumnarTest, ScansRejectCorruptRowRecords) {
+  const std::string bad_tag(1, '\x7f');
+  std::string short_string(1, static_cast<char>(adm::TypeTag::kString));
+  adm::PutVarint(100, &short_string);
+  short_string += "ab";
+  const std::vector<std::string> malformed = {
+      RecordWithBadName(bad_tag), RecordWithBadName(short_string),
+      adm::Serialize(UserRecord(3)) + '\x01'};  // trailing byte
+  using hyracks::ScanCmp;
+  const std::vector<ScanCase> cases = {
+      {{}, false, {}},                                        // unpushed
+      {{"id"}, true, {}},                                     // skips "name"
+      {{"id"}, true, {{"id", ScanCmp::kGe, Value::Int(0)}}},  // predicate
+      {{}, true, {{"id", ScanCmp::kGe, Value::Int(0)}}},
+      {{}, true, {}},  // COUNT(*)
+  };
+  for (size_t bad = 0; bad < malformed.size(); bad++) {
+    LsmOptions o = Options(StorageFormat::kRow);
+    o.dir = dir_ + "/bad" + std::to_string(bad);
+    auto tree = LsmBTree::Open(o).value();
+    for (int64_t i = 0; i < 10; i++) {
+      std::string value =
+          i == 3 ? malformed[bad] : adm::Serialize(UserRecord(i));
+      ASSERT_TRUE(tree->Put(IntKey(i), value).ok());
+    }
+    for (bool flushed : {false, true}) {
+      if (flushed) {
+        ASSERT_TRUE(tree->Flush().ok());
+      }
+      for (size_t c = 0; c < cases.size(); c++) {
+        Status s = DrainScan(tree.get(), cases[c]);
+        EXPECT_EQ(s.code(), StatusCode::kCorruption)
+            << "record " << bad << ", case " << c << ", "
+            << (flushed ? "row component" : "memory") << ": " << s.ToString();
+      }
+    }
+  }
 }
 
 }  // namespace
