@@ -63,7 +63,8 @@ int main() {
               "merge passes", "spilled MB");
   for (size_t budget_mb : {64, 16, 4, 1}) {
     ExternalSortOp sort(std::make_unique<VectorSource>(sort_input),
-                        {{Field(0), true}}, budget_mb << 20, &tmp,
+                        {{Field(0), true}},
+                        resource::MemoryGrant::Fixed(budget_mb << 20), &tmp,
                         /*fanin=*/8);
     auto before = metrics::Registry::Global().Snapshot();
     auto t0 = std::chrono::steady_clock::now();
@@ -102,7 +103,8 @@ int main() {
   for (size_t budget_mb : {64, 8, 2}) {
     HashJoinOp join(std::make_unique<VectorSource>(probe_rows),
                     std::make_unique<VectorSource>(build_rows), {Field(0)},
-                    {Field(0)}, JoinType::kInner, budget_mb << 20, &tmp);
+                    {Field(0)}, JoinType::kInner,
+                    resource::MemoryGrant::Fixed(budget_mb << 20), &tmp);
     auto before = metrics::Registry::Global().Snapshot();
     auto t0 = std::chrono::steady_clock::now();
     auto rows = CollectAll(&join).value();

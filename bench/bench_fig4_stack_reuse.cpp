@@ -139,7 +139,8 @@ int main() {
             ex->ConsumerStream(static_cast<size_t>(c)),
             std::vector<TupleEval>{field0},
             std::vector<AggSpec>{{AggKind::kCount, nullptr}},
-            AggPhase::kComplete, 16u << 20, &tmp));
+            AggPhase::kComplete, resource::MemoryGrant::Fixed(16u << 20),
+            &tmp));
       }
       auto results = job.RunCollect(std::move(roots)).value();
       size_t groups = results[0].size() + results[1].size();

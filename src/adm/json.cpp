@@ -11,15 +11,22 @@ namespace {
 
 class Parser {
  public:
-  Parser(const std::string& text, size_t pos) : s_(text), pos_(pos) {}
+  Parser(const std::string& text, size_t pos, size_t max_depth)
+      : s_(text), pos_(pos), depth_left_(max_depth) {}
 
   Result<Value> ParseValue() {
     SkipWs();
     if (pos_ >= s_.size()) return Err("unexpected end of input");
     char c = s_[pos_];
     switch (c) {
-      case '{': return ParseObjectOrMultiset();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_left_ == 0) return Err("value nested too deeply");
+        depth_left_--;
+        auto v = c == '{' ? ParseObjectOrMultiset() : ParseArray();
+        depth_left_++;
+        return v;
+      }
       case '"': {
         AX_ASSIGN_OR_RETURN(std::string str, ParseStringLiteral());
         return Value::String(std::move(str));
@@ -279,20 +286,20 @@ class Parser {
 
   const std::string& s_;
   size_t pos_;
+  size_t depth_left_;  // containers that may still open around the cursor
 };
 
 }  // namespace
 
 Result<Value> ParseAdmPrefix(const std::string& text, size_t* pos) {
-  Parser p(text, *pos);
+  Parser p(text, *pos, kMaxInputDepth);
   AX_ASSIGN_OR_RETURN(Value v, p.ParseValue());
   *pos = p.pos();
   return v;
 }
 
-Result<Value> ParseAdm(const std::string& text) {
-  size_t pos = 0;
-  Parser p(text, pos);
+Result<Value> ParseAdm(const std::string& text, size_t max_depth) {
+  Parser p(text, 0, max_depth);
   AX_ASSIGN_OR_RETURN(Value v, p.ParseValue());
   p.SkipWs();
   if (p.pos() != text.size()) {

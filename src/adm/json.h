@@ -12,8 +12,10 @@
 namespace asterix::adm {
 
 /// Parse one ADM value from `text`. Trailing whitespace is permitted;
-/// any other trailing content is an error.
-Result<Value> ParseAdm(const std::string& text);
+/// any other trailing content is an error, and so is a value nested more
+/// than `max_depth` deep.
+Result<Value> ParseAdm(const std::string& text,
+                       size_t max_depth = kMaxInputDepth);
 
 /// Parse one ADM value starting at `*pos`; on success `*pos` is advanced
 /// past the value. Lets callers parse newline-delimited streams.

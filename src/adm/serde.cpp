@@ -73,6 +73,13 @@ Status SkipBytes(const std::string& data, size_t* pos, uint64_t n,
   return Status::OK();
 }
 
+// The error for a container opened with no depth left: a value nested
+// deeper than any the system writes.
+Status TooDeep() {
+  return Status::Corruption("value nested more than " +
+                            std::to_string(kMaxDecodeDepth) + " deep");
+}
+
 // Zig-zag so small negative ints stay short.
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -141,7 +148,9 @@ void SerializeValue(const Value& v, std::string* out) {
   }
 }
 
-Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
+namespace {
+// DeserializeValue with `depth` containers left to open.
+Result<Value> DecodeValue(const std::string& data, size_t* pos, size_t depth) {
   if (*pos >= data.size()) return Status::Corruption("truncated value tag");
   auto tag = static_cast<TypeTag>(data[*pos]);
   (*pos)++;
@@ -196,17 +205,19 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
     }
     case TypeTag::kArray:
     case TypeTag::kMultiset: {
+      if (depth == 0) return TooDeep();
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
       std::vector<Value> items;
       items.reserve(ReserveFor(data, *pos, n));
       for (uint64_t i = 0; i < n; i++) {
-        AX_ASSIGN_OR_RETURN(Value item, DeserializeValue(data, pos));
+        AX_ASSIGN_OR_RETURN(Value item, DecodeValue(data, pos, depth - 1));
         items.push_back(std::move(item));
       }
       return tag == TypeTag::kArray ? Value::Array(std::move(items))
                                     : Value::Multiset(std::move(items));
     }
     case TypeTag::kObject: {
+      if (depth == 0) return TooDeep();
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
       FieldVec fields;
       fields.reserve(ReserveFor(data, *pos, n));
@@ -217,7 +228,7 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
         }
         std::string name = data.substr(*pos, len);
         *pos += len;
-        AX_ASSIGN_OR_RETURN(Value fv, DeserializeValue(data, pos));
+        AX_ASSIGN_OR_RETURN(Value fv, DecodeValue(data, pos, depth - 1));
         fields.emplace_back(std::move(name), std::move(fv));
       }
       return Value::Object(std::move(fields));
@@ -226,10 +237,9 @@ Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
   return Status::Corruption("bad type tag " + std::to_string(data[*pos - 1]));
 }
 
-namespace {
-// Steps over one value without building it, making DeserializeValue's
-// checks on every tag, varint and length.
-Status SkipValue(const std::string& data, size_t* pos) {
+// Steps over one value without building it, making DecodeValue's checks
+// on every tag, varint, length and depth.
+Status SkipValue(const std::string& data, size_t* pos, size_t depth) {
   if (*pos >= data.size()) return Status::Corruption("truncated value tag");
   auto tag = static_cast<TypeTag>(data[*pos]);
   (*pos)++;
@@ -257,16 +267,20 @@ Status SkipValue(const std::string& data, size_t* pos) {
       return SkipBytes(data, pos, 32, "truncated fixed64");
     case TypeTag::kArray:
     case TypeTag::kMultiset: {
+      if (depth == 0) return TooDeep();
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
-      for (uint64_t i = 0; i < n; i++) AX_RETURN_NOT_OK(SkipValue(data, pos));
+      for (uint64_t i = 0; i < n; i++) {
+        AX_RETURN_NOT_OK(SkipValue(data, pos, depth - 1));
+      }
       return Status::OK();
     }
     case TypeTag::kObject: {
+      if (depth == 0) return TooDeep();
       AX_ASSIGN_OR_RETURN(uint64_t n, GetVarint(data, pos));
       for (uint64_t i = 0; i < n; i++) {
         AX_ASSIGN_OR_RETURN(uint64_t len, GetVarint(data, pos));
         AX_RETURN_NOT_OK(SkipBytes(data, pos, len, "truncated field name"));
-        AX_RETURN_NOT_OK(SkipValue(data, pos));
+        AX_RETURN_NOT_OK(SkipValue(data, pos, depth - 1));
       }
       return Status::OK();
     }
@@ -281,6 +295,10 @@ Status CheckConsumed(const std::string& data, size_t pos) {
   return Status::OK();
 }
 }  // namespace
+
+Result<Value> DeserializeValue(const std::string& data, size_t* pos) {
+  return DecodeValue(data, pos, kMaxDecodeDepth);
+}
 
 Result<Value> Deserialize(const std::string& data) {
   size_t pos = 0;
@@ -316,11 +334,12 @@ Result<Value> DeserializeFields(const std::string& data,
     while (next < names.size() && (cmp = names[next].compare(name)) < 0) {
       next++;
     }
+    // Each field sits one level inside the record.
     if (next == names.size() || cmp != 0) {
-      AX_RETURN_NOT_OK(SkipValue(data, &pos));
+      AX_RETURN_NOT_OK(SkipValue(data, &pos, kMaxDecodeDepth - 1));
       continue;
     }
-    AX_ASSIGN_OR_RETURN(Value fv, DeserializeValue(data, &pos));
+    AX_ASSIGN_OR_RETURN(Value fv, DecodeValue(data, &pos, kMaxDecodeDepth - 1));
     has_missing |= fv.is_missing();
     kept.emplace_back(std::string(name), std::move(fv));
   }
@@ -340,7 +359,7 @@ Result<Value> DeserializeFields(const std::string& data,
 
 Status Validate(const std::string& data) {
   size_t pos = 0;
-  AX_RETURN_NOT_OK(SkipValue(data, &pos));
+  AX_RETURN_NOT_OK(SkipValue(data, &pos, kMaxDecodeDepth));
   return CheckConsumed(data, pos);
 }
 

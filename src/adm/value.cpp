@@ -453,4 +453,19 @@ std::string Value::ToString() const {
   return out;
 }
 
+bool WithinDepth(const Value& v, size_t max_depth) {
+  if (v.is_collection()) {
+    if (max_depth == 0) return false;
+    for (const auto& item : v.items()) {
+      if (!WithinDepth(item, max_depth - 1)) return false;
+    }
+  } else if (v.is_object()) {
+    if (max_depth == 0) return false;
+    for (const auto& f : v.fields()) {
+      if (!WithinDepth(f.second, max_depth - 1)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace asterix::adm

@@ -171,6 +171,21 @@ class Value {
   std::shared_ptr<const FieldVec> fields_;
 };
 
+/// Nesting bounds. A value's depth is the number of arrays, multisets and
+/// objects on its deepest path; a scalar's is 0. ParseAdm and every write
+/// refuse a value deeper than kMaxInputDepth.
+constexpr size_t kMaxInputDepth = 256;
+/// The binary decoder refuses a value deeper than kMaxDecodeDepth. That
+/// leaves room for a stored record at kMaxInputDepth wrapped by a query's
+/// constructors and subqueries up to the SQL++ nesting bound (128 levels,
+/// each adding a few), so whatever the system accepted decodes from its
+/// spill files.
+constexpr size_t kMaxDecodeDepth = 1024;
+
+/// True if `v` is at most `max_depth` deep. Descends at most one level
+/// past the bound, so it is safe on a value of any depth.
+bool WithinDepth(const Value& v, size_t max_depth);
+
 /// Convenience helpers for building objects in C++ call sites.
 class ObjectBuilder {
  public:

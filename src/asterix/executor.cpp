@@ -184,7 +184,7 @@ int Executor::ProfileWrap(
   // each pump loop in the tree observes Cancel()/deadline at batch
   // granularity.
   for (auto& s : l->streams) {
-    if (s) s->SetQueryContext(ctx_);
+    if (s) s->SetQueryContext(&ctx_);
   }
   if (profile_ == nullptr) return -1;
   // Drop -1 child ids (subtrees lowered while profiling was off — only
@@ -296,7 +296,7 @@ Result<Executor::Lowered> Executor::Repartition(
   out.schema = in.schema;
   for (size_t c = 0; c < n; c++) out.streams.push_back(ex->ConsumerStream(c));
   for (auto& s : out.streams) {
-    if (s) s->SetQueryContext(ctx_);  // ProfileWrap is conditional here
+    if (s) s->SetQueryContext(&ctx_);  // ProfileWrap is conditional here
   }
   if (profile_ != nullptr) {
     char label[48];
@@ -426,11 +426,9 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
         keys.push_back({std::move(eval), k.ascending});
       }
       if (!in.partitioned()) {
+        AX_ASSIGN_OR_RETURN(auto grant, Grant());
         auto sort = std::make_unique<hyracks::ExternalSortOp>(
-            std::move(in.streams[0]), std::move(keys), op_budget_, tmp_);
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kSort));
-        sort->AttachResources(ctx_, std::move(grant));
+            std::move(in.streams[0]), std::move(keys), std::move(grant), tmp_);
         auto* raw = sort.get();
         in.streams[0] = std::move(sort);
         ProfileWrap(&in, "SORT", {in.profile_node}, {SortHarvest(raw)});
@@ -448,13 +446,9 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
           AX_ASSIGN_OR_RETURN(auto eval, Compile(k.expr, in.schema));
           local_keys.push_back({std::move(eval), k.ascending});
         }
+        AX_ASSIGN_OR_RETURN(auto grant, Grant(in.streams.size()));
         auto sort = std::make_unique<hyracks::ExternalSortOp>(
-            std::move(s), std::move(local_keys),
-            op_budget_ / in.streams.size(), tmp_);
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kSort,
-                                          in.streams.size()));
-        sort->AttachResources(ctx_, std::move(grant));
+            std::move(s), std::move(local_keys), std::move(grant), tmp_);
         sort_harvests.push_back(SortHarvest(sort.get()));
         locals.streams.push_back(std::move(sort));
       }
@@ -480,11 +474,9 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
                         },
                         true});
       }
+      AX_ASSIGN_OR_RETURN(auto grant, Grant());
       auto sort = std::make_unique<hyracks::ExternalSortOp>(
-          std::move(in.streams[0]), std::move(keys), op_budget_, tmp_);
-      AX_ASSIGN_OR_RETURN(auto grant,
-                          AcquireBudget(resource::OperatorKind::kSort));
-      sort->AttachResources(ctx_, std::move(grant));
+          std::move(in.streams[0]), std::move(keys), std::move(grant), tmp_);
       auto* sort_raw = sort.get();
       in.streams[0] = std::move(sort);
       ProfileWrap(&in, "SORT", {in.profile_node}, {SortHarvest(sort_raw)});
@@ -550,13 +542,11 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
           lk.push_back(std::move(le));
           rk.push_back(std::move(re));
         }
+        AX_ASSIGN_OR_RETURN(auto grant, Grant());
         auto join = std::make_unique<hyracks::HashJoinOp>(
             std::move(left.streams[p]), std::move(right.streams[p]),
-            std::move(lk), std::move(rk), jt, op_budget_, tmp_, residual,
+            std::move(lk), std::move(rk), jt, std::move(grant), tmp_, residual,
             right_schema.size());
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kJoin));
-        join->AttachResources(ctx_, std::move(grant));
         join_harvests.push_back(JoinHarvest(join.get()));
         out.streams.push_back(std::move(join));
       }
@@ -586,12 +576,10 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       for (const auto& a : op->aggs) out_schema.push_back(a.var);
 
       if (!in.partitioned()) {
+        AX_ASSIGN_OR_RETURN(auto grant, Grant());
         auto gb = std::make_unique<hyracks::HashGroupByOp>(
             std::move(in.streams[0]), key_evals, aggs,
-            hyracks::AggPhase::kComplete, op_budget_, tmp_);
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kGroupBy));
-        gb->AttachResources(ctx_, std::move(grant));
+            hyracks::AggPhase::kComplete, std::move(grant), tmp_);
         auto* gb_raw = gb.get();
         in.streams[0] = std::move(gb);
         in.schema = out_schema;
@@ -602,12 +590,10 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       size_t num_keys = op->group_keys.size();
       std::vector<hyracks::ProfiledStream::Harvest> partial_harvests;
       for (auto& s : in.streams) {
+        AX_ASSIGN_OR_RETURN(auto grant, Grant());
         auto gb = std::make_unique<hyracks::HashGroupByOp>(
             std::move(s), key_evals, aggs, hyracks::AggPhase::kPartial,
-            op_budget_, tmp_);
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kGroupBy));
-        gb->AttachResources(ctx_, std::move(grant));
+            std::move(grant), tmp_);
         partial_harvests.push_back(GroupHarvest(gb.get()));
         s = std::move(gb);
       }
@@ -631,12 +617,10 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       }
       std::vector<hyracks::ProfiledStream::Harvest> final_harvests;
       for (auto& s : mid.streams) {
+        AX_ASSIGN_OR_RETURN(auto grant, Grant());
         auto gb = std::make_unique<hyracks::HashGroupByOp>(
             std::move(s), final_keys, aggs, hyracks::AggPhase::kFinal,
-            op_budget_, tmp_);
-        AX_ASSIGN_OR_RETURN(auto grant,
-                            AcquireBudget(resource::OperatorKind::kGroupBy));
-        gb->AttachResources(ctx_, std::move(grant));
+            std::move(grant), tmp_);
         final_harvests.push_back(GroupHarvest(gb.get()));
         s = std::move(gb);
       }
@@ -649,19 +633,16 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
   return Status::Internal("unhandled logical operator");
 }
 
-Result<resource::MemoryGrant> Executor::AcquireBudget(
-    resource::OperatorKind kind, size_t share) {
-  if (governor_ == nullptr) return resource::MemoryGrant();
-  size_t want =
-      governor_->defaults().BytesFor(kind) / std::max<size_t>(1, share);
-  return governor_->Acquire(kind, want, ctx_);
+Result<resource::MemoryGrant> Executor::Grant(size_t share) {
+  return governor_.Acquire(governor_.defaults().per_operator_bytes / share,
+                           &ctx_);
 }
 
 Result<std::vector<adm::Value>> Executor::Run(const LogicalOpPtr& plan,
                                               ExecStats* stats) {
   auto start = std::chrono::steady_clock::now();
   hyracks::Job job(pool_);
-  job.SetContext(ctx_);
+  job.SetContext(&ctx_);
   std::shared_ptr<hyracks::PlanProfile> profile;
   if (profiling_) profile = std::make_shared<hyracks::PlanProfile>();
   profile_ = profile.get();  // Build/Repartition add nodes while set

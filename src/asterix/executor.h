@@ -35,18 +35,16 @@ class Executor {
   /// its partitions, which the caller's pin keeps alive through Run.
   /// `pool` runs the job's producer tasks, its roots after the first and
   /// the parallel sorts under an ordered merge.
-  /// `governor` (optional) brokers per-operator memory grants; without one
-  /// every blocking operator uses `op_memory_budget` directly, as before.
-  /// `ctx` (optional) is the query's cancellation/deadline token, threaded
-  /// into the operator tree and the job's exchanges.
+  /// `governor` grants each blocking operator its memory; the grant is the
+  /// operator's whole budget.
+  /// `ctx` is the query's cancellation/deadline token, threaded into the
+  /// operator tree, the job's exchanges and every grant request.
   Executor(const meta::Catalog* catalog, size_t num_partitions,
-           TempFileManager* tmp, size_t op_memory_budget,
-           const algebricks::FunctionRegistry* fns, hyracks::WorkerPool* pool,
-           resource::MemoryGovernor* governor = nullptr,
-           resource::QueryContext* ctx = nullptr)
+           TempFileManager* tmp, const algebricks::FunctionRegistry* fns,
+           hyracks::WorkerPool* pool, resource::MemoryGovernor& governor,
+           resource::QueryContext& ctx)
       : catalog_(catalog), num_partitions_(num_partitions), tmp_(tmp),
-        op_budget_(op_memory_budget), fns_(fns), pool_(pool),
-        governor_(governor), ctx_(ctx) {}
+        fns_(fns), pool_(pool), governor_(governor), ctx_(ctx) {}
 
   /// Execute a plan whose root schema is [result_var]; returns result values.
   Result<std::vector<adm::Value>> Run(const algebricks::LogicalOpPtr& plan,
@@ -81,12 +79,9 @@ class Executor {
   int ProfileWrap(Lowered* l, std::string label, std::vector<int> children,
                   std::vector<hyracks::ProfiledStream::Harvest> harvests = {});
 
-  /// Grant for one operator instance. With a governor the want is the
-  /// unified default for `kind` divided by `share` (parallel local
-  /// instances split one operator's budget); without one, an empty grant —
-  /// operators then keep their constructor budget.
-  Result<resource::MemoryGrant> AcquireBudget(resource::OperatorKind kind,
-                                              size_t share = 1);
+  /// The grant for one blocking operator instance: the per-operator size,
+  /// split evenly when `share` parallel instances make up one operator.
+  Result<resource::MemoryGrant> Grant(size_t share = 1);
 
   Result<hyracks::TupleEval> Compile(const algebricks::ExprPtr& e,
                                      const std::vector<algebricks::VarId>& s) {
@@ -96,11 +91,10 @@ class Executor {
   const meta::Catalog* catalog_;
   size_t num_partitions_;
   TempFileManager* tmp_;
-  size_t op_budget_;
   const algebricks::FunctionRegistry* fns_;
   hyracks::WorkerPool* pool_;
-  resource::MemoryGovernor* governor_;
-  resource::QueryContext* ctx_;
+  resource::MemoryGovernor& governor_;
+  resource::QueryContext& ctx_;
   bool profiling_ = false;
   hyracks::PlanProfile* profile_ = nullptr;  // set for the duration of Run()
 };

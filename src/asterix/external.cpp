@@ -10,12 +10,6 @@ namespace asterix::external {
 
 using adm::Value;
 
-
-Result<Value> ParseDelimitedLine(const std::string& line, char delimiter,
-                                 const adm::TypePtr& type) {
-  return adm::ParseDelimitedLine(line, delimiter, type);
-}
-
 Result<std::vector<Value>> ReadExternalDataset(const meta::DatasetDef& def,
                                                const adm::TypePtr& type) {
   auto it = def.external_props.find("path");

@@ -21,13 +21,6 @@ namespace asterix::external {
 Result<std::vector<adm::Value>> ReadExternalDataset(const meta::DatasetDef& def,
                                                     const adm::TypePtr& type);
 
-/// Parse one delimited-text line per the (closed) type's declared fields.
-/// Thin wrapper over adm::ParseDelimitedLine (kept for source compatibility;
-/// the implementation lives in the adm layer so feeds can share it without
-/// depending on asterix).
-Result<adm::Value> ParseDelimitedLine(const std::string& line, char delimiter,
-                                      const adm::TypePtr& type);
-
 /// Export records to a CSV file (the §V-D round-trip feature users asked
 /// for: CSV import existed, export was added on demand).
 Status ExportCsv(const std::vector<adm::Value>& records,

@@ -99,8 +99,7 @@ Result<std::unique_ptr<Instance>> Instance::Open(
   inst->tmp_ = std::make_unique<TempFileManager>(options.base_dir + "/tmp");
   resource::GovernorOptions gov;
   gov.pool_bytes = options.query_memory_bytes;
-  gov.defaults =
-      resource::OperatorBudgetDefaults::Uniform(options.op_memory_budget_bytes);
+  gov.defaults.per_operator_bytes = options.op_memory_budget_bytes;
   inst->governor_ = std::make_unique<resource::MemoryGovernor>(gov);
   if (options.max_concurrent_queries > 0) {
     resource::AdmissionOptions adm;
@@ -373,9 +372,8 @@ Result<QueryResult> Instance::RunQuery(const PlanProducer& translate,
         algebricks::Optimize(std::move(plan), *catalog, opts,
                              algebricks::FunctionRegistry::Instance()));
     Executor ex(catalog.get(), options_.num_partitions, tmp_.get(),
-                options_.op_memory_budget_bytes,
                 &algebricks::FunctionRegistry::Instance(), &workers_,
-                governor_.get(), ctx.get());
+                *governor_, *ctx);
     ex.set_profiling(options_.profile_queries);
     ExecStats stats;
     AX_ASSIGN_OR_RETURN(auto rows, ex.Run(optimized, &stats));
@@ -589,6 +587,11 @@ Result<DatasetPartition*> Instance::RouteAndLock(
     txn::LockMode mode, txn::TxnScope* scope) {
   const Value* pk = &value;
   if (is_record) {
+    if (!adm::WithinDepth(value, adm::kMaxInputDepth)) {
+      return Status::InvalidArgument(
+          "record nested more than " + std::to_string(adm::kMaxInputDepth) +
+          " deep");
+    }
     AX_RETURN_NOT_OK(ds.type->Validate(value));
     pk = &value.GetField(ds.def.primary_key);
   }

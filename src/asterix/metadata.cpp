@@ -356,7 +356,9 @@ void MetadataManager::Publish(CatalogPtr catalog) {
 
 Result<meta::Catalog> MetadataManager::Load(const std::string& path) {
   AX_ASSIGN_OR_RETURN(std::string text, fs::ReadFileToString(path));
-  AX_ASSIGN_OR_RETURN(Value doc, adm::ParseAdm(text));
+  // Types nest each named type they use, so the catalog may be deeper than
+  // an input record; Persist refuses one the decoder bound could not read.
+  AX_ASSIGN_OR_RETURN(Value doc, adm::ParseAdm(text, adm::kMaxDecodeDepth));
   meta::Catalog c;
   AX_ASSIGN_OR_RETURN(c.next_id, IdField(doc.GetField("next_id")));
   const Value& partitions = doc.GetField("num_partitions");
@@ -423,6 +425,9 @@ Status MetadataManager::Persist(const meta::Catalog& catalog) const {
           .Add("datasets", Value::Array(std::move(datasets)))
           .Add("feeds", Value::Array(std::move(feeds)))
           .Build();
+  if (!adm::WithinDepth(doc, adm::kMaxDecodeDepth)) {
+    return Status::InvalidArgument("type definitions nested too deeply");
+  }
   const std::string tmp = path_ + ".tmp";
   AX_RETURN_NOT_OK(fs::WriteStringToFile(tmp, doc.ToString()));
   return fs::RenameFile(tmp, path_);

@@ -16,11 +16,6 @@ namespace {
 
 constexpr size_t kReadChunk = 256 * 1024;
 
-std::string GetProp(const std::map<std::string, std::string>& props,
-                    const char* key, const std::string& fallback) {
-  return GetAdapterProp(props, key, fallback);
-}
-
 /// Registry of adapters contributed by higher layers. Guarded by its own
 /// local mutex; registration happens at subsystem init, lookups at feed
 /// connect — never on the data path.
@@ -60,10 +55,10 @@ bool HasAdapterFactory(const std::string& name) {
 Result<ParseSpec> BuildParseSpec(
     const std::map<std::string, std::string>& props, adm::TypePtr type) {
   ParseSpec spec;
-  std::string fmt = GetProp(props, "format", "adm");
+  std::string fmt = GetAdapterProp(props, "format", "adm");
   if (fmt == "delimited-text" || fmt == "csv") {
     spec.format = ParseSpec::Format::kDelimited;
-    std::string d = GetProp(props, "delimiter", ",");
+    std::string d = GetAdapterProp(props, "delimiter", ",");
     if (d.size() != 1) {
       return Status::InvalidArgument("feed delimiter must be one character");
     }
@@ -238,14 +233,14 @@ Result<std::unique_ptr<FeedAdapter>> MakeAdapter(
     const std::string& adapter,
     const std::map<std::string, std::string>& props) {
   if (adapter == "localfs") {
-    std::string path = GetProp(props, "path", "");
+    std::string path = GetAdapterProp(props, "path", "");
     if (path.empty()) {
       return Status::InvalidArgument(
           "localfs feed requires a \"path\" property");
     }
     const std::string prefix = "localhost://";
     if (path.rfind(prefix, 0) == 0) path = path.substr(prefix.size());
-    bool tail = GetProp(props, "tail", "false") == "true";
+    bool tail = GetAdapterProp(props, "tail", "false") == "true";
     return {std::make_unique<LocalFsAdapter>(std::move(path), tail)};
   }
   if (adapter == "channel") {

@@ -44,22 +44,9 @@ std::string GroupKeyId(const std::vector<adm::Value>& key) {
 
 HashGroupByOp::HashGroupByOp(StreamPtr child, std::vector<TupleEval> keys,
                              std::vector<AggSpec> aggs, AggPhase phase,
-                             size_t memory_budget_bytes, TempFileManager* tmp)
+                             resource::MemoryGrant grant, TempFileManager* tmp)
     : child_(std::move(child)), keys_(std::move(keys)), aggs_(std::move(aggs)),
-      phase_(phase), budget_(memory_budget_bytes), tmp_(tmp) {}
-
-HashGroupByOp::~HashGroupByOp() { CleanupSpillFiles(); }
-
-void HashGroupByOp::CleanupSpillFiles() {
-  // Abort-path safety net: most files are gone already (RunReader deletes
-  // on destruction once opened), so failures here are expected and ignored.
-  for (const auto& p : owned_spill_paths_) {
-    // The file is usually gone already (readers delete on consumption).
-    // axlint: allow(must-check): best-effort abort-path cleanup
-    (void)fs::RemoveFile(p);
-  }
-  owned_spill_paths_.clear();
-}
+      phase_(phase), grant_(std::move(grant)), spills_(tmp) {}
 
 size_t HashGroupByOp::PartialArity(AggKind kind) {
   return kind == AggKind::kAvg ? 2 : 1;
@@ -215,7 +202,7 @@ Status HashGroupByOp::ProcessStream(
   // live child stream and for spill-partition re-reads.
   Batch batch;
   while (true) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     AX_ASSIGN_OR_RETURN(bool more, input->NextBatch(&batch));
     if (!more) break;
     for (size_t bi = 0; bi < batch.size(); bi++) {
@@ -243,7 +230,7 @@ Status HashGroupByOp::ProcessTuple(
   std::string id = GroupKeyId(key);
   auto it = table_.find(id);
   if (it == table_.end()) {
-    if (table_bytes_ > budget_) {
+    if (table_bytes_ > grant_.bytes()) {
       // Overflow: spill this tuple as a partial row to its partition.
       GroupState tmp_state;
       tmp_state.key = std::move(key);
@@ -276,9 +263,7 @@ Status HashGroupByOp::ProcessTuple(
       size_t part = static_cast<size_t>(x % kSpillPartitions);
       if (spills->empty()) spills->resize(kSpillPartitions);
       if (!(*spills)[part]) {
-        AX_ASSIGN_OR_RETURN((*spills)[part],
-                            RunWriter::Create(tmp_->NextPath("gbyspill")));
-        owned_spill_paths_.push_back((*spills)[part]->path());
+        AX_ASSIGN_OR_RETURN((*spills)[part], spills_.Create("gbyspill"));
         spills_used_++;
         GroupBySpillPartitionsCounter()->Add(1);
       }
@@ -335,7 +320,7 @@ Status HashGroupByOp::Open() {
   }
   // Process spill partitions (they may recursively re-spill).
   while (!pending_partitions_.empty()) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     auto [path, level] = pending_partitions_.back();
     pending_partitions_.pop_back();
     AX_ASSIGN_OR_RETURN(auto reader, RunReader::Open(path));
@@ -367,7 +352,7 @@ Status HashGroupByOp::Open() {
 }
 
 Result<bool> HashGroupByOp::NextBatch(Batch* out) {
-  if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+  AX_RETURN_NOT_OK(CheckAlive());
   out->Clear();
   while (out_pos_ < output_.size() && !out->full()) {
     *out->Add() = std::move(output_[out_pos_++]);
@@ -379,7 +364,7 @@ Result<bool> HashGroupByOp::NextBatch(Batch* out) {
 
 Status HashGroupByOp::Close() {
   output_.clear();
-  CleanupSpillFiles();
+  spills_.Remove();
   grant_.Release();
   return Status::OK();
 }

@@ -37,20 +37,10 @@ enum class AggPhase {
 /// sum and count, kCollect emits an array).
 class HashGroupByOp : public TupleStream {
  public:
+  /// `grant` is the group-by's whole memory budget, released at Close.
   HashGroupByOp(StreamPtr child, std::vector<TupleEval> keys,
                 std::vector<AggSpec> aggs, AggPhase phase,
-                size_t memory_budget_bytes, TempFileManager* tmp);
-  ~HashGroupByOp() override;
-
-  /// Adopt a governor grant (overriding the constructor budget when the
-  /// grant carries bytes) and a cancellation context checked at batch
-  /// granularity. The grant is RAII-released at Close/destruction.
-  void AttachResources(const resource::QueryContext* ctx,
-                       resource::MemoryGrant grant) {
-    ctx_ = ctx;
-    grant_ = std::move(grant);
-    if (grant_.bytes() > 0) budget_ = grant_.bytes();
-  }
+                resource::MemoryGrant grant, TempFileManager* tmp);
 
   Status Open() override;
   /// Emits buffered group results batch-at-a-time.
@@ -85,21 +75,13 @@ class HashGroupByOp : public TupleStream {
   Status ProcessTuple(const Tuple& t, bool input_is_partial, int level,
                       std::vector<std::unique_ptr<RunWriter>>* spills);
   Status DrainTableToOutput();
-  /// Remove every spill file this operator created and nobody consumed
-  /// (abort/cancel paths; consumed files self-delete via RunReader).
-  void CleanupSpillFiles();
 
   StreamPtr child_;
   std::vector<TupleEval> keys_;
   std::vector<AggSpec> aggs_;
   AggPhase phase_;
-  size_t budget_;
-  TempFileManager* tmp_;
-  const resource::QueryContext* ctx_ = nullptr;
   resource::MemoryGrant grant_;
-  /// Every temp path ever created (spill partitions at every level), kept
-  /// for cleanup on abort. Removing already-deleted paths is a no-op.
-  std::vector<std::string> owned_spill_paths_;
+  SpillFiles spills_;  // spill partitions at every level
 
   std::unordered_map<std::string, GroupState> table_;
   size_t table_bytes_ = 0;

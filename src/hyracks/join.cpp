@@ -37,29 +37,12 @@ size_t PartitionOf(const std::string& key, int level) {
 HashJoinOp::HashJoinOp(StreamPtr left, StreamPtr right,
                        std::vector<TupleEval> left_keys,
                        std::vector<TupleEval> right_keys, JoinType type,
-                       size_t memory_budget_bytes, TempFileManager* tmp,
+                       resource::MemoryGrant grant, TempFileManager* tmp,
                        TupleEval residual, size_t right_arity_hint)
     : left_(std::move(left)), right_(std::move(right)),
       left_keys_(std::move(left_keys)), right_keys_(std::move(right_keys)),
-      type_(type), budget_(memory_budget_bytes), tmp_(tmp),
+      type_(type), grant_(std::move(grant)), spills_(tmp),
       residual_(std::move(residual)), right_arity_(right_arity_hint) {}
-
-HashJoinOp::~HashJoinOp() {
-  output_reader_.reset();  // lets the output reader delete its file first
-  output_writer_.reset();
-  CleanupSpillFiles();
-}
-
-void HashJoinOp::CleanupSpillFiles() {
-  // Abort-path safety net: most files are gone already (RunReader deletes
-  // on destruction once opened), so failures here are expected and ignored.
-  for (const auto& p : owned_spill_paths_) {
-    // The file is usually gone already (readers delete on consumption).
-    // axlint: allow(must-check): best-effort abort-path cleanup
-    (void)fs::RemoveFile(p);
-  }
-  owned_spill_paths_.clear();
-}
 
 Result<std::string> HashJoinOp::KeyOf(const Tuple& t,
                                       const std::vector<TupleEval>& keys,
@@ -89,7 +72,7 @@ Status HashJoinOp::JoinPair(TupleStream* probe, TupleStream* build,
   // Batched build drain: one virtual NextBatch per frame of build input.
   Batch batch;
   while (true) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     AX_ASSIGN_OR_RETURN(bool more, build->NextBatch(&batch));
     if (!more) break;
     for (size_t bi = 0; bi < batch.size(); bi++) {
@@ -107,18 +90,15 @@ Status HashJoinOp::JoinPair(TupleStream* probe, TupleStream* build,
       // hash-entry bookkeeping it will cost if it stays in the table.
       size_t entry_bytes = t.ApproxBytes() + key.size() + kHashEntryOverheadBytes;
       bool can_partition = !right_keys_.empty() && level < 4;
-      if (!grace && can_partition && table_bytes + entry_bytes > budget_) {
+      if (!grace && can_partition &&
+          table_bytes + entry_bytes > grant_.bytes()) {
         // Switch to grace mode: open all partitions and dump the table.
         grace = true;
         stats_.partitions_spilled += kJoinPartitions;
         JoinPartitionsCounter()->Add(kJoinPartitions);
         for (size_t p = 0; p < kJoinPartitions; p++) {
-          AX_ASSIGN_OR_RETURN(build_parts[p],
-                              RunWriter::Create(tmp_->NextPath("joinbuild")));
-          AX_ASSIGN_OR_RETURN(probe_parts[p],
-                              RunWriter::Create(tmp_->NextPath("joinprobe")));
-          owned_spill_paths_.push_back(build_parts[p]->path());
-          owned_spill_paths_.push_back(probe_parts[p]->path());
+          AX_ASSIGN_OR_RETURN(build_parts[p], spills_.Create("joinbuild"));
+          AX_ASSIGN_OR_RETURN(probe_parts[p], spills_.Create("joinprobe"));
         }
         for (auto& [k, tuples] : table) {
           size_t p = PartitionOf(k, level);
@@ -144,7 +124,7 @@ Status HashJoinOp::JoinPair(TupleStream* probe, TupleStream* build,
   AX_RETURN_NOT_OK(probe->Open());
   // Batched probe drain, mirroring the build side.
   while (true) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     AX_ASSIGN_OR_RETURN(bool more, probe->NextBatch(&batch));
     if (!more) break;
     for (size_t bi = 0; bi < batch.size(); bi++) {
@@ -219,12 +199,10 @@ Status HashJoinOp::EmitOutput(Tuple t) {
   }
   output_bytes_ += t.ApproxBytes();
   output_.push_back(std::move(t));
-  if (output_bytes_ > budget_) {
+  if (output_bytes_ > grant_.bytes()) {
     // Results outgrew the budget: move everything to a spill file and
     // stream from it (join output is unordered, so order is free).
-    AX_ASSIGN_OR_RETURN(output_writer_,
-                        RunWriter::Create(tmp_->NextPath("joinout")));
-    owned_spill_paths_.push_back(output_writer_->path());
+    AX_ASSIGN_OR_RETURN(output_writer_, spills_.Create("joinout"));
     for (const auto& buffered : output_) {
       AX_RETURN_NOT_OK(output_writer_->Write(buffered));
     }
@@ -239,7 +217,7 @@ Status HashJoinOp::Open() {
   // the original key evaluators still apply (tuples keep their layout).
   AX_RETURN_NOT_OK(JoinPair(left_.get(), right_.get(), 0));
   while (!pending_.empty()) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     Partition part = pending_.back();
     pending_.pop_back();
     AX_ASSIGN_OR_RETURN(auto probe_reader, RunReader::Open(part.left_path));
@@ -259,7 +237,7 @@ Status HashJoinOp::Open() {
 }
 
 Result<bool> HashJoinOp::NextBatch(Batch* out) {
-  if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+  AX_RETURN_NOT_OK(CheckAlive());
   if (output_reader_) return output_reader_->NextBatch(out);
   out->Clear();
   while (out_pos_ < output_.size() && !out->full()) {
@@ -274,7 +252,7 @@ Status HashJoinOp::Close() {
   output_.clear();
   output_reader_.reset();
   output_writer_.reset();
-  CleanupSpillFiles();
+  spills_.Remove();
   grant_.Release();
   return Status::OK();
 }

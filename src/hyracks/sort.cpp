@@ -20,22 +20,6 @@ metrics::Counter* SortSpillBytesCounter() {
 }
 }  // namespace
 
-ExternalSortOp::~ExternalSortOp() {
-  merged_.reset();  // lets the final reader delete its file first
-  CleanupSpillFiles();
-}
-
-void ExternalSortOp::CleanupSpillFiles() {
-  // Abort-path safety net: most files are gone already (RunReader deletes
-  // on destruction once opened), so failures here are expected and ignored.
-  for (const auto& p : owned_spill_paths_) {
-    // The file is usually gone already (readers delete on consumption).
-    // axlint: allow(must-check): best-effort abort-path cleanup
-    (void)fs::RemoveFile(p);
-  }
-  owned_spill_paths_.clear();
-}
-
 Result<Tuple> ExternalSortOp::Augment(Tuple t) const {
   Tuple out;
   out.fields.reserve(keys_.size() + t.arity());
@@ -68,11 +52,10 @@ Status ExternalSortOp::SpillRun(std::vector<Tuple>* run) {
   std::sort(run->begin(), run->end(), [this](const Tuple& a, const Tuple& b) {
     return CompareAugmented(a, b) < 0;
   });
-  AX_ASSIGN_OR_RETURN(auto writer, RunWriter::Create(tmp_->NextPath("sortrun")));
+  AX_ASSIGN_OR_RETURN(auto writer, spills_.Create("sortrun"));
   for (const auto& t : *run) AX_RETURN_NOT_OK(writer->Write(t));
   AX_RETURN_NOT_OK(writer->Finish());
   run_paths_back_.push_back(writer->path());
-  owned_spill_paths_.push_back(writer->path());
   run->clear();
   stats_.runs_spilled++;
   stats_.bytes_spilled += writer->bytes_written();
@@ -89,7 +72,7 @@ Status ExternalSortOp::Open() {
   // tuples instead of one per tuple.
   Batch batch;
   while (true) {
-    if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+    AX_RETURN_NOT_OK(CheckAlive());
     AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     for (size_t i = 0; i < batch.size(); i++) {
@@ -97,7 +80,7 @@ Status ExternalSortOp::Open() {
       run_bytes += aug.ApproxBytes();
       run.push_back(std::move(aug));
       stats_.tuples++;
-      if (run_bytes > budget_) {
+      if (run_bytes > grant_.bytes()) {
         AX_RETURN_NOT_OK(SpillRun(&run));
         run_bytes = 0;
       }
@@ -159,15 +142,12 @@ Result<std::string> ExternalSortOp::MergeRuns(
     AX_ASSIGN_OR_RETURN(bool more, readers[i]->Read(&t));
     if (more) heap.push(Head{std::move(t), i});
   }
-  AX_ASSIGN_OR_RETURN(auto writer, RunWriter::Create(tmp_->NextPath("sortmerge")));
-  owned_spill_paths_.push_back(writer->path());
+  AX_ASSIGN_OR_RETURN(auto writer, spills_.Create("sortmerge"));
   size_t merged_tuples = 0;
   while (!heap.empty()) {
     // Merge passes can run for a long time with no batch boundary above
     // them; check cancellation every frame's worth of tuples.
-    if (ctx_ != nullptr && merged_tuples++ % kFrameTuples == 0) {
-      AX_RETURN_NOT_OK(ctx_->CheckAlive());
-    }
+    if (merged_tuples++ % kFrameTuples == 0) AX_RETURN_NOT_OK(CheckAlive());
     Head h = heap.top();
     heap.pop();
     AX_RETURN_NOT_OK(writer->Write(h.tuple));
@@ -182,7 +162,7 @@ Result<std::string> ExternalSortOp::MergeRuns(
 }
 
 Result<bool> ExternalSortOp::NextBatch(Batch* out) {
-  if (ctx_ != nullptr) AX_RETURN_NOT_OK(ctx_->CheckAlive());
+  AX_RETURN_NOT_OK(CheckAlive());
   out->Clear();
   if (merged_) {
     Tuple aug;
@@ -204,7 +184,7 @@ Result<bool> ExternalSortOp::NextBatch(Batch* out) {
 Status ExternalSortOp::Close() {
   memory_.clear();
   merged_.reset();
-  CleanupSpillFiles();
+  spills_.Remove();
   grant_.Release();
   return Status::OK();
 }

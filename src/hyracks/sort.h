@@ -1,6 +1,6 @@
 // External merge sort: the memory-bounded sort operator (paper Fig. 2's
-// "working memory" consumer). Accumulates tuples up to its budget, sorts
-// and spills sorted runs, then k-way merges runs with a bounded fan-in
+// "working memory" consumer). Accumulates tuples up to its memory grant,
+// sorts and spills sorted runs, then k-way merges runs with a bounded fan-in
 // (multi-pass when there are more runs than the fan-in).
 #pragma once
 
@@ -29,23 +29,12 @@ struct SortStats {
 
 class ExternalSortOp : public TupleStream {
  public:
+  /// `grant` is the sort's whole memory budget, released at Close.
   ExternalSortOp(StreamPtr child, std::vector<SortKey> keys,
-                 size_t memory_budget_bytes, TempFileManager* tmp,
+                 resource::MemoryGrant grant, TempFileManager* tmp,
                  size_t merge_fanin = 16)
       : child_(std::move(child)), keys_(std::move(keys)),
-        budget_(memory_budget_bytes), tmp_(tmp), fanin_(merge_fanin) {}
-  ~ExternalSortOp() override;
-
-  /// Adopt a governor grant (overriding the constructor budget when the
-  /// grant carries bytes) and a cancellation context checked at batch
-  /// granularity. The grant is RAII-released at Close/destruction.
-  void AttachResources(const resource::QueryContext* ctx,
-                       resource::MemoryGrant grant) {
-    ctx_ = ctx;
-    SetQueryContext(ctx);  // keep the base probe (PollAlive) in step
-    grant_ = std::move(grant);
-    if (grant_.bytes() > 0) budget_ = grant_.bytes();
-  }
+        grant_(std::move(grant)), spills_(tmp), fanin_(merge_fanin) {}
 
   Status Open() override;
   /// Emits sorted output batch-at-a-time straight from the in-memory array
@@ -66,28 +55,18 @@ class ExternalSortOp : public TupleStream {
   Status SpillRun(std::vector<Tuple>* run);
   Result<std::string> MergeRuns(const std::vector<std::string>& paths);
 
-  /// Remove every spill file this operator created and nobody consumed
-  /// (abort/cancel paths; consumed files self-delete via RunReader).
-  void CleanupSpillFiles();
-
   StreamPtr child_;
   std::vector<SortKey> keys_;
-  size_t budget_;
-  TempFileManager* tmp_;
+  resource::MemoryGrant grant_;
+  SpillFiles spills_;  // runs and merge outputs
   size_t fanin_;
   SortStats stats_;
-  const resource::QueryContext* ctx_ = nullptr;
-  resource::MemoryGrant grant_;
 
   // After Open(): either everything in memory, or one final merged reader.
   std::vector<Tuple> memory_;  // augmented, sorted
   size_t mem_pos_ = 0;
   std::unique_ptr<RunReader> merged_;
   std::vector<std::string> run_paths_back_;  // spilled run files
-  /// Every temp path ever created (runs and merge outputs), kept for
-  /// cleanup on abort. Removal of already-consumed (deleted) paths is a
-  /// harmless no-op.
-  std::vector<std::string> owned_spill_paths_;
 };
 
 }  // namespace asterix::hyracks

@@ -52,6 +52,21 @@ Status RunWriter::Finish() {
   return Status::OK();
 }
 
+Result<std::unique_ptr<RunWriter>> SpillFiles::Create(const std::string& tag) {
+  AX_ASSIGN_OR_RETURN(auto writer, RunWriter::Create(tmp_->NextPath(tag)));
+  paths_.push_back(writer->path());
+  return writer;
+}
+
+void SpillFiles::Remove() {
+  for (const auto& p : paths_) {
+    // Usually gone already: readers delete what they consumed.
+    // axlint: allow(must-check): best-effort abort-path cleanup
+    (void)fs::RemoveFile(p);
+  }
+  paths_.clear();
+}
+
 Result<std::unique_ptr<RunReader>> RunReader::Open(const std::string& path,
                                                    bool delete_on_close) {
   AX_ASSIGN_OR_RETURN(auto file, File::Open(path));

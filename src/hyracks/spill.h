@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/io.h"
 #include "common/result.h"
@@ -39,6 +40,27 @@ class RunWriter {
   uint64_t count_ = 0;
   uint64_t bytes_ = 0;
   bool finished_ = false;
+};
+
+/// The spill files of one operator. Creates every run the operator writes
+/// and remembers its path; Remove (and the destructor) deletes each one
+/// that is still on disk, so a cancelled or failed operator leaks none.
+/// Consumed runs are already gone: a RunReader deletes its file.
+class SpillFiles {
+ public:
+  explicit SpillFiles(TempFileManager* tmp) : tmp_(tmp) {}
+  ~SpillFiles() { Remove(); }
+  SpillFiles(const SpillFiles&) = delete;
+  SpillFiles& operator=(const SpillFiles&) = delete;
+
+  /// A writer for a new run file named after `tag`.
+  Result<std::unique_ptr<RunWriter>> Create(const std::string& tag);
+  /// Best-effort removal of every file created so far.
+  void Remove();
+
+ private:
+  TempFileManager* tmp_;
+  std::vector<std::string> paths_;
 };
 
 /// Sequential reader over a run file. Deletes the file on destruction when

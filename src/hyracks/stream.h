@@ -35,12 +35,18 @@ class TupleStream {
   /// Attach the owning query's cancellation/deadline token. The executor
   /// wires every stream it builds; streams that spawn internal sub-streams
   /// (spill run readers, merge fan-ins) forward it themselves. Standalone
-  /// streams (tests, DDL plumbing) may leave it unset: PollAlive is then a
-  /// no-op and the stream runs uncancellable, as before.
+  /// streams (tests, DDL plumbing) may leave it unset: CheckAlive and
+  /// PollAlive are then no-ops and the stream runs uncancellable.
   void SetQueryContext(const resource::QueryContext* ctx) { query_ctx_ = ctx; }
   const resource::QueryContext* query_context() const { return query_ctx_; }
 
  protected:
+  /// Cancellation check that consults the context on every call, for
+  /// loops whose every iteration already costs a batch or more.
+  Status CheckAlive() const {
+    return query_ctx_ == nullptr ? Status::OK() : query_ctx_->CheckAlive();
+  }
+
   /// Cancellation probe for operator pump loops. Cheap enough to sit in a
   /// per-tuple loop: only every kFrameTuples-th call consults the context,
   /// so a per-tuple loop observes cancellation at batch granularity (the

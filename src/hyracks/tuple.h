@@ -3,6 +3,7 @@
 // position (the Algebricks compiler maps its variables to positions).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,7 +77,8 @@ inline void SerializeTuple(const Tuple& t, std::string* out) {
 inline Result<Tuple> DeserializeTuple(const std::string& data, size_t* pos) {
   AX_ASSIGN_OR_RETURN(uint64_t n, adm::GetVarint(data, pos));
   Tuple t;
-  t.fields.reserve(n);
+  // Every field takes at least one byte: a corrupt count reserves no more.
+  t.fields.reserve(std::min<uint64_t>(n, data.size() - *pos));
   for (uint64_t i = 0; i < n; i++) {
     AX_ASSIGN_OR_RETURN(adm::Value v, adm::DeserializeValue(data, pos));
     t.fields.push_back(std::move(v));

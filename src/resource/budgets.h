@@ -1,57 +1,30 @@
-// Per-operator memory budget defaults for the workload-management layer.
-//
-// Before the resource subsystem existed, ExternalSortOp / HashJoinOp /
-// HashGroupByOp each received a hardcoded `memory_budget_bytes` constant
-// from the executor. Those scattered defaults now live here in one struct,
-// consulted by MemoryGovernor's no-pool fallback so that standalone
-// operator behavior stays byte-for-byte identical when no pool is
-// configured (InstanceOptions::query_memory_bytes == 0).
+// The working-memory size of one blocking operator (sort, hash join, hash
+// group-by: paper Fig. 2's working-memory consumers). One knob,
+// InstanceOptions::op_memory_budget_bytes, sets it; MemoryGovernor hands
+// it out as each operator's grant, and the grant is the operator's only
+// budget.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace asterix::resource {
 
-/// The operator classes that take memory grants. Scans, selects and
-/// projections stream batch-at-a-time and hold no materialized state, so
-/// only the blocking (potentially spilling) operators are enumerated.
-enum class OperatorKind {
-  kSort,
-  kJoin,
-  kGroupBy,
-};
-
-/// Default grant sizes per operator kind plus the floor the governor will
-/// never shrink a grant below. The floor is what keeps a loaded pool
+/// Default grant size per blocking operator, and the floor the governor
+/// will never shrink a grant below. The floor is what keeps a loaded pool
 /// making progress: a spilling sort with 1 MiB still terminates, it just
 /// writes more runs.
 struct OperatorBudgetDefaults {
-  size_t sort_bytes = 32u << 20;
-  size_t join_bytes = 32u << 20;
-  size_t groupby_bytes = 32u << 20;
-  /// Smallest grant the governor hands out under memory pressure. Grants
-  /// shrunk toward this floor push operators into their existing spill
-  /// paths instead of failing the query.
-  size_t floor_bytes = 1u << 20;
+  static constexpr size_t kFloorBytes = 1u << 20;
 
-  /// The historical configuration surface: one knob
-  /// (InstanceOptions::op_memory_budget_bytes) sized every operator.
-  static OperatorBudgetDefaults Uniform(size_t per_operator_bytes) {
-    OperatorBudgetDefaults d;
-    d.sort_bytes = per_operator_bytes;
-    d.join_bytes = per_operator_bytes;
-    d.groupby_bytes = per_operator_bytes;
-    if (d.floor_bytes > per_operator_bytes) d.floor_bytes = per_operator_bytes;
-    return d;
-  }
+  size_t per_operator_bytes = 32u << 20;
 
-  size_t BytesFor(OperatorKind kind) const {
-    switch (kind) {
-      case OperatorKind::kSort: return sort_bytes;
-      case OperatorKind::kJoin: return join_bytes;
-      case OperatorKind::kGroupBy: return groupby_bytes;
-    }
-    return sort_bytes;  // unreachable
+  /// Smallest grant the governor hands out under memory pressure: 1 MiB,
+  /// or the per-operator size when that is smaller. Grants shrunk toward
+  /// it push operators into their spill paths instead of failing the
+  /// query.
+  size_t floor_bytes() const {
+    return std::min(kFloorBytes, per_operator_bytes);
   }
 };
 

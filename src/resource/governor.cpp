@@ -25,7 +25,7 @@ void MemoryGrant::Release() {
   bytes_ = 0;
 }
 
-Result<MemoryGrant> MemoryGovernor::Acquire(OperatorKind kind, size_t want,
+Result<MemoryGrant> MemoryGovernor::Acquire(size_t want,
                                             const QueryContext* ctx) {
   static metrics::Counter* grants =
       metrics::Registry::Global().GetCounter("resource.grants");
@@ -34,17 +34,16 @@ Result<MemoryGrant> MemoryGovernor::Acquire(OperatorKind kind, size_t want,
   static metrics::Counter* shrinks =
       metrics::Registry::Global().GetCounter("resource.shrinks");
 
-  if (want == 0) want = opts_.defaults.BytesFor(kind);
+  if (want == 0) want = opts_.defaults.per_operator_bytes;
   if (opts_.pool_bytes == 0) {
-    // Ungoverned fallback: exactly the historical hardcoded budget, no
-    // accounting (gov_ stays null so Release is a no-op).
+    // Ungoverned: exactly the size asked for, with no accounting.
     grants->Add();
     grant_bytes->Add(want);
-    return MemoryGrant(nullptr, want);
+    return MemoryGrant::Fixed(want);
   }
 
   want = std::min(want, opts_.pool_bytes);
-  size_t floor = std::min(opts_.defaults.floor_bytes, want);
+  size_t floor = std::min(opts_.defaults.floor_bytes(), want);
   if (floor == 0) floor = 1;
 
   auto give_up_at = std::chrono::steady_clock::now() +

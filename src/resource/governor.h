@@ -1,15 +1,14 @@
 // MemoryGovernor: the process-wide broker for operator memory grants.
 //
-// Blocking operators (sort/join/group-by) no longer size themselves from a
-// hardcoded constant; the executor asks the governor for a grant per
-// operator instance. With a configured pool (InstanceOptions::
+// The executor asks the governor for one grant per blocking operator
+// (sort/join/group-by) instance, and the grant's bytes are that
+// operator's whole budget. With a configured pool (InstanceOptions::
 // query_memory_bytes > 0) the governor keeps the sum of outstanding grants
 // within the pool, shrinking individual grants toward
-// OperatorBudgetDefaults::floor_bytes under pressure — a shrunk grant
+// OperatorBudgetDefaults::floor_bytes() under pressure — a shrunk grant
 // pushes the operator into its existing spill path instead of failing the
 // query. With no pool (the default) every request is satisfied at exactly
-// the OperatorBudgetDefaults size, preserving the historical hardcoded
-// behavior byte-for-byte.
+// the requested or per-operator size, with no accounting.
 //
 // Grants are movable RAII handles released at operator Close (or operator
 // destruction on error paths), so an aborted query can never strand pool
@@ -32,11 +31,14 @@ namespace asterix::resource {
 class MemoryGovernor;
 
 /// RAII memory grant. Default-constructed grants are empty (bytes() == 0);
-/// grants from an ungoverned (no-pool) governor carry bytes but no pool
-/// accounting. Release() is idempotent and runs from the destructor.
+/// Fixed grants (an ungoverned governor's, or a standalone operator's)
+/// carry bytes but no pool accounting. Release() is idempotent and runs
+/// from the destructor.
 class MemoryGrant {
  public:
   MemoryGrant() = default;
+  /// A grant of `bytes` that no pool accounts for.
+  static MemoryGrant Fixed(size_t bytes) { return MemoryGrant(nullptr, bytes); }
   MemoryGrant(MemoryGrant&& o) noexcept : gov_(o.gov_), bytes_(o.bytes_) {
     o.gov_ = nullptr;
     o.bytes_ = 0;
@@ -61,10 +63,10 @@ class MemoryGrant {
 
 struct GovernorOptions {
   /// Total bytes the governor may hand out concurrently. 0 = ungoverned:
-  /// every Acquire returns the default/requested size with no accounting.
+  /// every Acquire returns a Fixed grant of the requested size.
   size_t pool_bytes = 0;
   OperatorBudgetDefaults defaults;
-  /// How long Acquire may wait for floor_bytes to free up before failing
+  /// How long Acquire may wait for the floor to free up before failing
   /// with Status::ResourceExhausted.
   int64_t grant_timeout_ms = 10'000;
 };
@@ -74,11 +76,11 @@ class MemoryGovernor {
   explicit MemoryGovernor(GovernorOptions opts) : opts_(opts) {}
 
   /// Obtain a grant for one operator instance. `want` == 0 means "the
-  /// default for this kind". With a pool, the grant is min(want, pool) when
-  /// that much is free, shrunk down to floor under pressure, and the call
-  /// blocks (bounded by grant_timeout_ms and `ctx`'s cancellation/deadline)
-  /// when even the floor is unavailable.
-  Result<MemoryGrant> Acquire(OperatorKind kind, size_t want = 0,
+  /// per-operator size". With a pool, the grant is min(want, pool) when
+  /// that much is free, shrunk down to the floor under pressure, and the
+  /// call blocks (bounded by grant_timeout_ms and `ctx`'s
+  /// cancellation/deadline) when even the floor is unavailable.
+  Result<MemoryGrant> Acquire(size_t want = 0,
                               const QueryContext* ctx = nullptr)
       AX_EXCLUDES(mu_);
 

@@ -88,6 +88,21 @@ class Parser {
                               std::to_string(Cur().offset) + " (token '" +
                               Cur().text + "')");
   }
+  // Every recursion of the grammar goes through here, so a statement
+  // nested past kMaxNestingDepth is refused before it can exhaust the
+  // stack.
+  template <typename Parse>
+  auto Nested(Parse parse) -> decltype(parse()) {
+    if (depth_ == kMaxNestingDepth) {
+      return Err("statement nested more than " +
+                 std::to_string(kMaxNestingDepth) + " levels deep");
+    }
+    depth_++;
+    auto r = parse();
+    depth_--;
+    return r;
+  }
+
   Result<std::string> ExpectIdent() {
     if (Cur().kind != TokenKind::kIdent &&
         Cur().kind != TokenKind::kQuotedIdent) {
@@ -157,14 +172,16 @@ class Parser {
     TypeSpec spec;
     if (Accept("[")) {
       spec.kind = TypeSpec::kArray;
-      AX_ASSIGN_OR_RETURN(TypeSpec item, ParseTypeSpec());
+      AX_ASSIGN_OR_RETURN(TypeSpec item,
+                          Nested([this] { return ParseTypeSpec(); }));
       spec.item = std::make_shared<TypeSpec>(std::move(item));
       AX_RETURN_NOT_OK(Expect("]"));
       return spec;
     }
     if (Accept("{{")) {
       spec.kind = TypeSpec::kMultiset;
-      AX_ASSIGN_OR_RETURN(TypeSpec item, ParseTypeSpec());
+      AX_ASSIGN_OR_RETURN(TypeSpec item,
+                          Nested([this] { return ParseTypeSpec(); }));
       spec.item = std::make_shared<TypeSpec>(std::move(item));
       AX_RETURN_NOT_OK(Expect("}}"));
       return spec;
@@ -536,7 +553,9 @@ class Parser {
 
   // ---- expressions ------------------------------------------------------
 
-  Result<ExprNodePtr> ParseExpr() { return ParseOr(); }
+  Result<ExprNodePtr> ParseExpr() {
+    return Nested([this] { return ParseOr(); });
+  }
 
   Result<ExprNodePtr> ParseOr() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseAnd());
@@ -558,7 +577,7 @@ class Parser {
 
   Result<ExprNodePtr> ParseNot() {
     if (AcceptKw("NOT")) {
-      AX_ASSIGN_OR_RETURN(ExprNodePtr e, ParseNot());
+      AX_ASSIGN_OR_RETURN(ExprNodePtr e, Nested([this] { return ParseNot(); }));
       return ExprNode::Call("not", {e});
     }
     return ParseQuantified();
@@ -696,7 +715,8 @@ class Parser {
 
   Result<ExprNodePtr> ParseUnary() {
     if (Accept("-")) {
-      AX_ASSIGN_OR_RETURN(ExprNodePtr e, ParseUnary());
+      AX_ASSIGN_OR_RETURN(ExprNodePtr e,
+                          Nested([this] { return ParseUnary(); }));
       if (e->kind == ExprNodeKind::kLiteral && e->literal.is_int()) {
         return ExprNode::Literal(adm::Value::Int(-e->literal.AsInt()));
       }
@@ -802,7 +822,8 @@ class Parser {
           if (Cur().IsKeyword("SELECT") || Cur().IsKeyword("WITH")) {
             auto e = std::make_shared<ExprNode>();
             e->kind = ExprNodeKind::kSubquery;
-            AX_ASSIGN_OR_RETURN(e->subquery, ParseSelectQuery());
+            AX_ASSIGN_OR_RETURN(e->subquery,
+                                Nested([this] { return ParseSelectQuery(); }));
             AX_RETURN_NOT_OK(Expect(")"));
             return e;
           }
@@ -893,6 +914,7 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // Nested levels entered and not yet left
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 // quantified predicates, DDL and DML.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,11 @@
 #include "sqlpp/ast.h"
 
 namespace asterix::sqlpp {
+
+/// Deepest nesting of expressions, subqueries, NOT and unary-minus chains
+/// and type specs a statement may have. A deeper statement is refused with
+/// ParseError instead of recursing further.
+constexpr size_t kMaxNestingDepth = 128;
 
 /// Parse one statement (optionally ';'-terminated).
 Result<ast::Statement> ParseStatement(const std::string& input);

@@ -3,6 +3,8 @@
 // round-trip sweeps.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "adm/json.h"
 #include "adm/key_encoder.h"
 #include "adm/serde.h"
@@ -258,6 +260,109 @@ TEST(AdmText, RejectsMalformed) {
   EXPECT_FALSE(ParseAdm("datetime(\"not a date\")").ok());
   EXPECT_FALSE(ParseAdm("1 2").ok());
   EXPECT_FALSE(ParseAdm("{{1,2}").ok());
+}
+
+// `levels` containers, cycling through arrays, objects and multisets,
+// around a null, as ADM text.
+std::string NestedText(size_t levels) {
+  std::string out;
+  for (size_t i = 0; i < levels; i++) {
+    out += i % 3 == 0 ? "[" : i % 3 == 1 ? "{\"a\": " : "{{";
+  }
+  out += "null";
+  for (size_t i = levels; i-- > 0;) {
+    out += i % 3 == 0 ? "]" : i % 3 == 1 ? "}" : "}}";
+  }
+  return out;
+}
+
+TEST(AdmText, ParsesUpToTheDepthBound) {
+  auto at = ParseAdm(NestedText(kMaxInputDepth));
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  EXPECT_TRUE(WithinDepth(*at, kMaxInputDepth));
+  EXPECT_FALSE(WithinDepth(*at, kMaxInputDepth - 1));
+  EXPECT_TRUE(ParseAdm(NestedText(10), /*max_depth=*/10).ok());
+}
+
+TEST(AdmText, RejectsValuesPastTheDepthBound) {
+  for (size_t levels : {kMaxInputDepth + 1, size_t{100'000}}) {
+    EXPECT_EQ(ParseAdm(NestedText(levels)).status().code(),
+              StatusCode::kParseError)
+        << levels;
+    EXPECT_EQ(ParseAdm(std::string(levels, '[')).status().code(),
+              StatusCode::kParseError)
+        << levels;
+  }
+  EXPECT_EQ(ParseAdm(NestedText(11), /*max_depth=*/10).status().code(),
+            StatusCode::kParseError);
+}
+
+// `levels` nested one-element arrays around a null, serialized. Built as
+// bytes, so no value of that depth is ever made.
+std::string NestedArrayBytes(size_t levels) {
+  std::string out;
+  for (size_t i = 0; i < levels; i++) {
+    out.push_back(static_cast<char>(TypeTag::kArray));
+    PutVarint(1, &out);
+  }
+  out.push_back(static_cast<char>(TypeTag::kNull));
+  return out;
+}
+
+// A record whose one field "a" holds `levels` nested arrays.
+std::string RecordWithNestedField(size_t levels) {
+  std::string out(1, static_cast<char>(TypeTag::kObject));
+  PutVarint(1, &out);
+  PutVarint(1, &out);
+  out += "a";
+  return out + NestedArrayBytes(levels);
+}
+
+// Decoding runs on worker threads, so these tests do too.
+TEST(Serde, DecodesUpToTheDepthBound) {
+  std::thread([] {
+    std::string at = NestedArrayBytes(kMaxDecodeDepth);
+    auto v = Deserialize(at);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_TRUE(WithinDepth(*v, kMaxDecodeDepth));
+    EXPECT_FALSE(WithinDepth(*v, kMaxDecodeDepth - 1));
+    EXPECT_EQ(Serialize(*v), at);
+    EXPECT_TRUE(Validate(at).ok());
+    std::string rec = RecordWithNestedField(kMaxDecodeDepth - 1);
+    EXPECT_TRUE(Deserialize(rec).ok());
+    EXPECT_TRUE(Validate(rec).ok());
+    EXPECT_TRUE(DeserializeFields(rec, {"a"}).ok());  // decodes the field
+    EXPECT_TRUE(DeserializeFields(rec, {"b"}).ok());  // steps over it
+  }).join();
+}
+
+TEST(Serde, RejectsValuesPastTheDepthBound) {
+  std::thread([] {
+    for (size_t levels : {kMaxDecodeDepth + 1, size_t{100'000}}) {
+      auto corrupt = [](const Status& s) {
+        return s.code() == StatusCode::kCorruption;
+      };
+      std::string deep = NestedArrayBytes(levels);
+      EXPECT_TRUE(corrupt(Deserialize(deep).status())) << levels;
+      EXPECT_TRUE(corrupt(Validate(deep))) << levels;
+      EXPECT_TRUE(corrupt(DeserializeFields(deep, {"a"}).status())) << levels;
+      std::string rec = RecordWithNestedField(levels - 1);
+      EXPECT_TRUE(corrupt(Deserialize(rec).status())) << levels;
+      EXPECT_TRUE(corrupt(Validate(rec))) << levels;
+      EXPECT_TRUE(corrupt(DeserializeFields(rec, {"a"}).status())) << levels;
+      EXPECT_TRUE(corrupt(DeserializeFields(rec, {"b"}).status())) << levels;
+    }
+  }).join();
+}
+
+TEST(AdmValue, WithinDepthStopsAtTheBound) {
+  Value v = Value::Null();
+  EXPECT_TRUE(WithinDepth(v, 0));
+  for (int i = 0; i < 5; i++) v = Value::Array({v});
+  v = Value::Object({{"x", Value::Int(1)}, {"y", v}});
+  EXPECT_TRUE(WithinDepth(v, 6));
+  EXPECT_FALSE(WithinDepth(v, 5));
+  EXPECT_FALSE(WithinDepth(Value::Multiset({}), 0));
 }
 
 TEST(KeyEncoder, PreservesOrderForScalars) {

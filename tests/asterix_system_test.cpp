@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 
+#include "adm/delimited.h"
 #include "adm/temporal.h"
 #include "asterix/external.h"
 #include "asterix/gleambook.h"
@@ -111,6 +112,29 @@ TEST_F(SystemTest, MetadataFailedPersistPublishesNothing) {
   EXPECT_FALSE(meta->Snapshot()->GetType("U").ok());
 }
 
+TEST_F(SystemTest, ChainedTypesDeeperThanARecordSurviveReopen) {
+  // Each named type nests the ones it uses in the catalog file, three
+  // levels per link, so 100 links are deeper than a record may be.
+  InstanceOptions opts;
+  opts.base_dir = dir_ + "/inst";
+  std::string script = "CREATE TYPE T0 AS { v: int };";
+  for (int i = 1; i <= 100; i++) {
+    script += "CREATE TYPE T" + std::to_string(i) + " AS { next: T" +
+              std::to_string(i - 1) + " };";
+  }
+  script += "CREATE DATASET D(T100) PRIMARY KEY id";
+  {
+    auto instance = Instance::Open(opts).value();
+    auto s = instance->ExecuteScript(script);
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+  }
+  auto reopened = Instance::Open(opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto count = reopened.value()->Execute("SELECT VALUE COUNT(*) FROM D d");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().rows[0].AsInt(), 0);
+}
+
 TEST_F(SystemTest, ExternalDelimitedText) {
   auto type = adm::Type::MakeObject(
       "Log",
@@ -118,12 +142,12 @@ TEST_F(SystemTest, ExternalDelimitedText) {
        {"count", adm::Type::Primitive(adm::TypeTag::kInt64), false},
        {"score", adm::Type::Primitive(adm::TypeTag::kDouble), false}},
       false);
-  auto rec = external::ParseDelimitedLine("widget|12|3.5", '|', type).value();
+  auto rec = adm::ParseDelimitedLine("widget|12|3.5", '|', type).value();
   EXPECT_EQ(rec.GetField("name").AsString(), "widget");
   EXPECT_EQ(rec.GetField("count").AsInt(), 12);
   EXPECT_DOUBLE_EQ(rec.GetField("score").AsNumber(), 3.5);
   // Wrong column count.
-  EXPECT_FALSE(external::ParseDelimitedLine("a|1", '|', type).ok());
+  EXPECT_FALSE(adm::ParseDelimitedLine("a|1", '|', type).ok());
 }
 
 TEST_F(SystemTest, ExternalAdmFormat) {

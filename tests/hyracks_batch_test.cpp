@@ -193,8 +193,8 @@ struct ParityCase {
 
 StreamPtr SortById(Rows in, size_t k, TempFileManager* tmp) {
   return std::make_unique<ExternalSortOp>(
-      Src(std::move(in), k), std::vector<SortKey>{{Field(1), true}}, 1 << 24,
-      tmp);
+      Src(std::move(in), k), std::vector<SortKey>{{Field(1), true}},
+      resource::MemoryGrant::Fixed(1 << 24), tmp);
 }
 
 const ParityCase kCases[] = {
@@ -291,8 +291,8 @@ const ParityCase kCases[] = {
        StreamPtr keys = std::make_unique<ProjectOp>(Src(std::move(in), k),
                                                     std::vector<size_t>{0});
        StreamPtr sorted = std::make_unique<ExternalSortOp>(
-           std::move(keys), std::vector<SortKey>{{Field(0), true}}, 1 << 24,
-           tmp);
+           std::move(keys), std::vector<SortKey>{{Field(0), true}},
+           resource::MemoryGrant::Fixed(1 << 24), tmp);
        return std::make_unique<StreamDistinctOp>(Rechunked(std::move(sorted), k));
      },
      [](const Rows& in) {
@@ -315,8 +315,8 @@ const ParityCase kCases[] = {
      [](Rows in, size_t k, TempFileManager* tmp) -> StreamPtr {
        return std::make_unique<ExternalSortOp>(
            Src(std::move(in), k),
-           std::vector<SortKey>{{Field(0), true}, {Field(1), false}}, 1 << 24,
-           tmp);
+           std::vector<SortKey>{{Field(0), true}, {Field(1), false}},
+           resource::MemoryGrant::Fixed(1 << 24), tmp);
      },
      SortedByKeyThenIdDesc},
     {"sort_spill", true,
@@ -324,7 +324,7 @@ const ParityCase kCases[] = {
        return std::make_unique<ExternalSortOp>(
            Src(std::move(in), k),
            std::vector<SortKey>{{Field(0), true}, {Field(1), false}},
-           /*memory_budget_bytes=*/4096, tmp);
+           resource::MemoryGrant::Fixed(4096), tmp);
      },
      SortedByKeyThenIdDesc},
     {"merge", true,  // children hand over k-tuple batches too
@@ -344,7 +344,7 @@ const ParityCase kCases[] = {
            Src(std::move(in), k), std::vector<TupleEval>{Field(0)},
            std::vector<AggSpec>{{AggKind::kCount, nullptr},
                                 {AggKind::kSum, Field(1)}},
-           AggPhase::kComplete, 1 << 24, tmp);
+           AggPhase::kComplete, resource::MemoryGrant::Fixed(1 << 24), tmp);
      },
      GroupCountSum},
     {"groupby_spill", false,
@@ -353,7 +353,7 @@ const ParityCase kCases[] = {
            Src(std::move(in), k), std::vector<TupleEval>{Field(0)},
            std::vector<AggSpec>{{AggKind::kCount, nullptr},
                                 {AggKind::kSum, Field(1)}},
-           AggPhase::kComplete, /*memory_budget_bytes=*/512, tmp);
+           AggPhase::kComplete, resource::MemoryGrant::Fixed(512), tmp);
      },
      GroupCountSum},
     {"join_inner", false,
@@ -361,7 +361,7 @@ const ParityCase kCases[] = {
        return std::make_unique<HashJoinOp>(
            Src(std::move(in), k), Src(BuildSide(37), k),
            std::vector<TupleEval>{Field(0)}, std::vector<TupleEval>{Field(0)},
-           JoinType::kInner, 1 << 24, tmp);
+           JoinType::kInner, resource::MemoryGrant::Fixed(1 << 24), tmp);
      },
      [](const Rows& in) { return NestedLoopJoin(in, 37, JoinType::kInner); }},
     {"join_grace", false,
@@ -369,7 +369,7 @@ const ParityCase kCases[] = {
        return std::make_unique<HashJoinOp>(
            Src(std::move(in), k), Src(BuildSide(37), k),
            std::vector<TupleEval>{Field(0)}, std::vector<TupleEval>{Field(0)},
-           JoinType::kInner, /*memory_budget_bytes=*/512, tmp);
+           JoinType::kInner, resource::MemoryGrant::Fixed(512), tmp);
      },
      [](const Rows& in) { return NestedLoopJoin(in, 37, JoinType::kInner); }},
     {"join_left_outer", false,
@@ -377,7 +377,7 @@ const ParityCase kCases[] = {
        return std::make_unique<HashJoinOp>(
            Src(std::move(in), k), Src(BuildSide(20), k),
            std::vector<TupleEval>{Field(0)}, std::vector<TupleEval>{Field(0)},
-           JoinType::kLeftOuter, 1 << 24, tmp);
+           JoinType::kLeftOuter, resource::MemoryGrant::Fixed(1 << 24), tmp);
      },
      [](const Rows& in) {
        return NestedLoopJoin(in, 20, JoinType::kLeftOuter);
@@ -387,7 +387,7 @@ const ParityCase kCases[] = {
        return std::make_unique<HashJoinOp>(
            Src(std::move(in), k), Src(BuildSide(20), k),
            std::vector<TupleEval>{Field(0)}, std::vector<TupleEval>{Field(0)},
-           JoinType::kLeftSemi, 1 << 24, tmp);
+           JoinType::kLeftSemi, resource::MemoryGrant::Fixed(1 << 24), tmp);
      },
      [](const Rows& in) {
        return NestedLoopJoin(in, 20, JoinType::kLeftSemi);

@@ -159,8 +159,8 @@ TEST(Exchange, TwoPhaseParallelAggregation) {
   for (int p = 0; p < kPartitions; p++) {
     auto local = std::make_unique<HashGroupByOp>(
         std::make_unique<VectorSource>(std::move(partition_data[p])),
-        std::vector<TupleEval>{Field(0)}, aggs, AggPhase::kPartial, 1 << 20,
-        &tmp);
+        std::vector<TupleEval>{Field(0)}, aggs, AggPhase::kPartial,
+        resource::MemoryGrant::Fixed(1 << 20), &tmp);
     job.AddProducerTask(
         [ex, local = std::shared_ptr<TupleStream>(std::move(local))]() {
           return ex->RunProducer(local.get(),
@@ -171,7 +171,7 @@ TEST(Exchange, TwoPhaseParallelAggregation) {
   for (int c = 0; c < kPartitions; c++) {
     roots.push_back(std::make_unique<HashGroupByOp>(
         ex->ConsumerStream(c), std::vector<TupleEval>{Field(0)}, aggs,
-        AggPhase::kFinal, 1 << 20, &tmp));
+        AggPhase::kFinal, resource::MemoryGrant::Fixed(1 << 20), &tmp));
   }
   auto results = job.RunCollect(std::move(roots)).value();
   std::map<int64_t, int64_t> got;

@@ -99,7 +99,8 @@ TEST(OrderedMerge, ParallelLocalSortsMatchSingleSort) {
   for (auto& p : parts) {
     sorted_parts.push_back(std::make_unique<ExternalSortOp>(
         std::make_unique<VectorSource>(std::move(p)),
-        std::vector<SortKey>{{Field(0), true}}, 1 << 18, &tmp));
+        std::vector<SortKey>{{Field(0), true}},
+        resource::MemoryGrant::Fixed(1 << 18), &tmp));
   }
   WorkerPool pool;
   OrderedMergeStream merge(std::move(sorted_parts), {{Field(0), true}},
@@ -107,7 +108,8 @@ TEST(OrderedMerge, ParallelLocalSortsMatchSingleSort) {
   auto merged = CollectAll(&merge).value();
 
   ExternalSortOp global(std::make_unique<VectorSource>(std::move(all)),
-                        {{Field(0), true}}, 64 << 20, &tmp);
+                        {{Field(0), true}},
+                        resource::MemoryGrant::Fixed(64 << 20), &tmp);
   auto reference = CollectAll(&global).value();
   ASSERT_EQ(merged.size(), reference.size());
   for (size_t i = 0; i < merged.size(); i++) {

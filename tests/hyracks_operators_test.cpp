@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <set>
 
 #include "common/rng.h"
@@ -12,11 +14,13 @@
 #include "hyracks/sort.h"
 #include "hyracks/spill.h"
 #include "hyracks_test_util.h"
+#include "resource/governor.h"
 
 namespace asterix::hyracks {
 namespace {
 
 using adm::Value;
+using resource::MemoryGrant;
 
 TupleEval Field(size_t i) {
   return [i](const Tuple& t) -> Result<Value> { return t.at(i); };
@@ -64,6 +68,19 @@ TEST_F(HyracksTest, RunFileRoundTrip) {
     EXPECT_EQ(t.at(1).AsString(), expect[i].at(1).AsString());
   }
   EXPECT_FALSE(reader->Read(&t).value());
+}
+
+TEST_F(HyracksTest, RunFileWithACorruptFieldCountIsCorruption) {
+  // A tuple claiming 2^62 fields in a two-byte file: an error, not an
+  // attempt to reserve that many.
+  std::string data;
+  adm::PutVarint(uint64_t{1} << 62, &data);
+  data.push_back(static_cast<char>(adm::TypeTag::kNull));
+  std::string path = tmp_->NextPath("corrupt");
+  ASSERT_TRUE(fs::WriteStringToFile(path, data).ok());
+  auto reader = RunReader::Open(path).value();
+  Tuple t;
+  EXPECT_EQ(reader->Read(&t).status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(HyracksTest, CancellationIsObservedMidDrain) {
@@ -234,7 +251,7 @@ TEST_F(HyracksTest, SortInMemory) {
   std::vector<Tuple> in;
   for (int i = 0; i < 100; i++) in.push_back(T({Value::Int((i * 37) % 100)}));
   ExternalSortOp op(std::make_unique<VectorSource>(in), {{Field(0), true}},
-                    1 << 20, tmp_.get());
+                    MemoryGrant::Fixed(1 << 20), tmp_.get());
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 100u);
   for (int i = 0; i < 100; i++) EXPECT_EQ(out[i].at(0).AsInt(), i);
@@ -250,7 +267,7 @@ TEST_F(HyracksTest, SortSpillsAndMerges) {
                     Value::String(rng.NextString(20))}));
   }
   ExternalSortOp op(std::make_unique<VectorSource>(in), {{Field(0), true}},
-                    64 * 1024, tmp_.get(), /*fanin=*/4);
+                    MemoryGrant::Fixed(64 * 1024), tmp_.get(), /*fanin=*/4);
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), static_cast<size_t>(n));
   for (size_t i = 1; i < out.size(); i++) {
@@ -275,7 +292,8 @@ TEST_F(HyracksTest, SortDescendingAndMultiKey) {
   };
   ExternalSortOp op(
       std::make_unique<VectorSource>(in),
-      {{Field(0), false}, {Field(1), true}}, 1 << 20, tmp_.get());
+      {{Field(0), false}, {Field(1), true}}, MemoryGrant::Fixed(1 << 20),
+      tmp_.get());
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].at(0).AsInt(), 2);
@@ -327,7 +345,8 @@ TEST_F(HyracksTest, GroupByCompleteAllAggregates) {
       {AggKind::kAvg, Field(1)},
   };
   HashGroupByOp op(std::make_unique<VectorSource>(in), {Field(0)}, aggs,
-                   AggPhase::kComplete, 1 << 20, tmp_.get());
+                   AggPhase::kComplete, MemoryGrant::Fixed(1 << 20),
+                   tmp_.get());
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 2u);
   std::sort(out.begin(), out.end(),
@@ -357,7 +376,8 @@ TEST_F(HyracksTest, GroupByPartialThenFinalEqualsComplete) {
                                {AggKind::kSum, Field(1)},
                                {AggKind::kAvg, Field(1)}};
   HashGroupByOp complete(std::make_unique<VectorSource>(in), {Field(0)}, aggs,
-                         AggPhase::kComplete, 1 << 20, tmp_.get());
+                         AggPhase::kComplete, MemoryGrant::Fixed(1 << 20),
+                         tmp_.get());
   auto expect = CollectAll(&complete).value();
 
   // Split input across two "partitions", partial-agg each, then final.
@@ -365,16 +385,16 @@ TEST_F(HyracksTest, GroupByPartialThenFinalEqualsComplete) {
   std::vector<Tuple> half2(in.begin() + 1000, in.end());
   auto p1 = std::make_unique<HashGroupByOp>(
       std::make_unique<VectorSource>(half1), std::vector<TupleEval>{Field(0)},
-      aggs, AggPhase::kPartial, 1 << 20, tmp_.get());
+      aggs, AggPhase::kPartial, MemoryGrant::Fixed(1 << 20), tmp_.get());
   auto p2 = std::make_unique<HashGroupByOp>(
       std::make_unique<VectorSource>(half2), std::vector<TupleEval>{Field(0)},
-      aggs, AggPhase::kPartial, 1 << 20, tmp_.get());
+      aggs, AggPhase::kPartial, MemoryGrant::Fixed(1 << 20), tmp_.get());
   std::vector<StreamPtr> parts;
   parts.push_back(std::move(p1));
   parts.push_back(std::move(p2));
   HashGroupByOp final_op(std::make_unique<UnionAllOp>(std::move(parts)),
-                         {Field(0)}, aggs, AggPhase::kFinal, 1 << 20,
-                         tmp_.get());
+                         {Field(0)}, aggs, AggPhase::kFinal,
+                         MemoryGrant::Fixed(1 << 20), tmp_.get());
   auto got = CollectAll(&final_op).value();
 
   auto lt = [](const Tuple& a, const Tuple& b) {
@@ -399,7 +419,8 @@ TEST_F(HyracksTest, GroupBySpillsUnderPressure) {
   }
   std::vector<AggSpec> aggs = {{AggKind::kSum, Field(1)}};
   HashGroupByOp op(std::make_unique<VectorSource>(in), {Field(0)}, aggs,
-                   AggPhase::kComplete, 32 * 1024, tmp_.get());
+                   AggPhase::kComplete, MemoryGrant::Fixed(32 * 1024),
+                   tmp_.get());
   auto out = CollectAll(&op).value();
   EXPECT_GT(op.spill_partitions_used(), 0u);
   // Totals conserve the input count.
@@ -422,7 +443,7 @@ TEST_F(HyracksTest, HashJoinInner) {
                               T({Value::Int(4), Value::String("r4")})};
   HashJoinOp op(std::make_unique<VectorSource>(left),
                 std::make_unique<VectorSource>(right), {Field(0)}, {Field(0)},
-                JoinType::kInner, 1 << 20, tmp_.get());
+                JoinType::kInner, MemoryGrant::Fixed(1 << 20), tmp_.get());
   auto out = CollectAll(&op).value();
   EXPECT_EQ(out.size(), 3u);  // 2->r2, 3->r3a, 3->r3b
   for (const auto& t : out) {
@@ -437,8 +458,8 @@ TEST_F(HyracksTest, HashJoinLeftOuterPadsNulls) {
   std::vector<Tuple> right = {T({Value::Int(2), Value::String("hit")})};
   HashJoinOp op(std::make_unique<VectorSource>(left),
                 std::make_unique<VectorSource>(right), {Field(0)}, {Field(0)},
-                JoinType::kLeftOuter, 1 << 20, tmp_.get(), nullptr,
-                /*right_arity_hint=*/2);
+                JoinType::kLeftOuter, MemoryGrant::Fixed(1 << 20), tmp_.get(),
+                nullptr, /*right_arity_hint=*/2);
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 3u);
   int padded = 0, matched = 0;
@@ -461,7 +482,7 @@ TEST_F(HyracksTest, HashJoinLeftSemiDeduplicates) {
                               T({Value::Int(2)})};
   HashJoinOp op(std::make_unique<VectorSource>(left),
                 std::make_unique<VectorSource>(right), {Field(0)}, {Field(0)},
-                JoinType::kLeftSemi, 1 << 20, tmp_.get());
+                JoinType::kLeftSemi, MemoryGrant::Fixed(1 << 20), tmp_.get());
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 1u);  // left row 2 once, despite 3 matches
   EXPECT_EQ(out[0].at(0).AsInt(), 2);
@@ -478,7 +499,8 @@ TEST_F(HyracksTest, HashJoinResidualPredicate) {
   };
   HashJoinOp op(std::make_unique<VectorSource>(left),
                 std::make_unique<VectorSource>(right), {Field(0)}, {Field(0)},
-                JoinType::kInner, 1 << 20, tmp_.get(), residual);
+                JoinType::kInner, MemoryGrant::Fixed(1 << 20), tmp_.get(),
+                residual);
   auto out = CollectAll(&op).value();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].at(1).AsInt(), 10);
@@ -498,13 +520,14 @@ TEST_F(HyracksTest, GraceJoinSpillsAndMatchesInMemoryResult) {
   // Reference: generous memory.
   HashJoinOp big(std::make_unique<VectorSource>(left),
                  std::make_unique<VectorSource>(right), {Field(0)}, {Field(0)},
-                 JoinType::kInner, 64 << 20, tmp_.get());
+                 JoinType::kInner, MemoryGrant::Fixed(64 << 20), tmp_.get());
   auto expect = CollectAll(&big).value();
   EXPECT_EQ(big.stats().partitions_spilled, 0u);
   // Constrained: forces grace partitioning.
   HashJoinOp small(std::make_unique<VectorSource>(left),
                    std::make_unique<VectorSource>(right), {Field(0)},
-                   {Field(0)}, JoinType::kInner, 16 * 1024, tmp_.get());
+                   {Field(0)}, JoinType::kInner, MemoryGrant::Fixed(16 * 1024),
+                   tmp_.get());
   auto got = CollectAll(&small).value();
   EXPECT_GT(small.stats().partitions_spilled, 0u);
   auto lt = [](const Tuple& a, const Tuple& b) {
@@ -515,6 +538,74 @@ TEST_F(HyracksTest, GraceJoinSpillsAndMatchesInMemoryResult) {
   ASSERT_EQ(expect.size(), got.size());
   for (size_t i = 0; i < expect.size(); i += 97) {
     EXPECT_EQ(CompareTuples(expect[i], got[i]), 0) << i;
+  }
+}
+
+// `n` distinct rows, then a Cancelled status, as the input of a cancelled
+// query would end.
+StreamPtr CancelledAfter(int n) {
+  auto next = std::make_shared<int>(0);
+  return std::make_unique<CallbackSource>(
+      nullptr,
+      [next, n](Batch* out) -> Result<bool> {
+        out->Clear();
+        if (*next >= n) return Status::Cancelled("input cancelled");
+        for (; *next < n && !out->full(); ++*next) {
+          *out->Add() =
+              T({Value::Int(*next), Value::String(std::string(40, 'x'))});
+        }
+        return true;
+      },
+      nullptr);
+}
+
+TEST_F(HyracksTest, AbandonedSpillingOperatorsLeakNothing) {
+  // Each blocking operator spills under a small pooled grant before its
+  // input fails. Destroyed without Close, it leaves no file behind and
+  // gives the grant back to the pool.
+  resource::GovernorOptions opts;
+  opts.pool_bytes = 1 << 20;
+  resource::MemoryGovernor gov(opts);
+  constexpr size_t kGrant = 16 * 1024;
+  auto grant = [&gov] { return gov.Acquire(kGrant).value(); };
+  auto files = [this] {
+    return std::distance(std::filesystem::directory_iterator(dir_),
+                         std::filesystem::directory_iterator());
+  };
+  std::vector<Tuple> build;
+  for (int i = 0; i < 5000; i++) {
+    build.push_back(T({Value::Int(i), Value::String(std::string(40, 'y'))}));
+  }
+  std::vector<std::pair<const char*, std::function<StreamPtr()>>> ops = {
+      {"sort",
+       [&] {
+         return std::make_unique<ExternalSortOp>(
+             CancelledAfter(5000), std::vector<SortKey>{{Field(0), false}},
+             grant(), tmp_.get());
+       }},
+      {"join",
+       [&] {
+         return std::make_unique<HashJoinOp>(
+             CancelledAfter(5000), std::make_unique<VectorSource>(build),
+             std::vector<TupleEval>{Field(0)}, std::vector<TupleEval>{Field(0)},
+             JoinType::kInner, grant(), tmp_.get());
+       }},
+      {"groupby",
+       [&] {
+         return std::make_unique<HashGroupByOp>(
+             CancelledAfter(5000), std::vector<TupleEval>{Field(0)},
+             std::vector<AggSpec>{{AggKind::kCount, nullptr}},
+             AggPhase::kComplete, grant(), tmp_.get());
+       }},
+  };
+  for (auto& [name, make] : ops) {
+    StreamPtr op = make();
+    EXPECT_EQ(gov.used_bytes(), kGrant) << name;
+    EXPECT_TRUE(op->Open().IsCancelled()) << name;
+    EXPECT_GT(files(), 0) << name << " spilled nothing";
+    op.reset();
+    EXPECT_EQ(files(), 0) << name;
+    EXPECT_EQ(gov.used_bytes(), 0u) << name;
   }
 }
 

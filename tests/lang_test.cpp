@@ -9,6 +9,7 @@
 #include "algebricks/optimizer.h"
 #include "aql/aql.h"
 #include "asterix/instance.h"
+#include "common/metrics.h"
 #include "sqlpp/parser.h"
 #include "sqlpp/translator.h"
 
@@ -162,6 +163,70 @@ TEST(SqlppParser, RejectsBadInput) {
   EXPECT_FALSE(ParseStatement("SELECT VALUE (1").ok());
   EXPECT_FALSE(ParseExpression("1 +").ok());
   EXPECT_FALSE(ParseExpression("\"unterminated").ok());
+}
+
+// `n` copies of `open`, then `core`, then `n` copies of `close`.
+std::string Wrap(size_t n, const std::string& open, const std::string& core,
+                 const std::string& close) {
+  std::string out;
+  for (size_t i = 0; i < n; i++) out += open;
+  out += core;
+  for (size_t i = 0; i < n; i++) out += close;
+  return out;
+}
+
+bool IsParseError(const Status& s) {
+  return s.code() == StatusCode::kParseError;
+}
+
+// The expression ParseExpression parses is the first nesting level; each
+// parenthesis, bracket, NOT or minus inside it adds one, and a subquery two
+// (itself and its clauses). An array type spec is one level per bracket.
+TEST(SqlppParser, ParsesUpToTheNestingBound) {
+  const size_t inner = sqlpp::kMaxNestingDepth - 1;
+  EXPECT_TRUE(ParseExpression(Wrap(inner, "(", "1", ")")).ok());
+  EXPECT_TRUE(ParseExpression(Wrap(inner, "[", "1", "]")).ok());
+  EXPECT_TRUE(ParseExpression(Wrap(inner, "NOT ", "true", "")).ok());
+  EXPECT_TRUE(ParseExpression(Wrap(inner, "- ", "1", "")).ok());
+  EXPECT_TRUE(ParseExpression(
+      "(" + Wrap(inner / 2, "(SELECT VALUE ", "1", ")") + ")").ok());
+  EXPECT_TRUE(ParseStatement("CREATE TYPE T AS { a: " +
+                             Wrap(sqlpp::kMaxNestingDepth, "[", "int", "]") +
+                             " }")
+                  .ok());
+  // Values evaluate at the bound too.
+  Value v = Eval(Wrap(inner, "[", "1", "]"));
+  EXPECT_TRUE(adm::WithinDepth(v, inner));
+  EXPECT_FALSE(adm::WithinDepth(v, inner - 1));
+}
+
+TEST(SqlppParser, RefusesStatementsPastTheNestingBound) {
+  for (size_t inner : {sqlpp::kMaxNestingDepth, size_t{100'000}}) {
+    EXPECT_TRUE(IsParseError(
+        ParseExpression(Wrap(inner, "(", "1", ")")).status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseExpression(Wrap(inner, "[", "1", "]")).status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseExpression(Wrap(inner, "NOT ", "true", "")).status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseExpression(Wrap(inner, "- ", "1", "")).status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseExpression(Wrap(inner / 2 + 1, "(SELECT VALUE ", "1", ")"))
+            .status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseStatement("CREATE TYPE T AS { a: " +
+                       Wrap(inner + 1, "[", "int", "]") + " }")
+            .status()))
+        << inner;
+    EXPECT_TRUE(IsParseError(
+        ParseStatement("SELECT VALUE " + Wrap(inner, "(", "1", ")")).status()))
+        << inner;
+  }
 }
 
 TEST(SqlppParser, QuotedIdentifiersAndComments) {
@@ -352,6 +417,67 @@ TEST_F(AqlTest, AqlUsesSharedIndexRules) {
       "for $d in dataset D where $d.v = 4 return $d.id").value();
   EXPECT_NE(r.plan.find("btree-search"), std::string::npos) << r.plan;
   EXPECT_EQ(r.rows.size(), 10u);
+}
+
+TEST_F(AqlTest, RefusesQueriesPastTheNestingBound) {
+  auto r = instance_->QueryAql("for $d in dataset D return " +
+                               Wrap(100'000, "[", "$d.id", "]"));
+  EXPECT_TRUE(IsParseError(r.status()));
+  auto ok = instance_->QueryAql("for $d in dataset D return " +
+                                Wrap(sqlpp::kMaxNestingDepth - 1, "[",
+                                     "$d.id", "]"));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().rows.size(), 100u);
+}
+
+// A record as deep as a write accepts, wrapped by a query's constructors
+// as deep as the parser accepts, goes through a sort's spill files and
+// decodes; a record one level deeper is refused at the write.
+TEST(NestingBounds, DeepestRecordWrappedToTheParserBoundDecodesFromSpill) {
+  std::string dir = ::testing::TempDir() + "axnest";
+  std::filesystem::remove_all(dir);
+  InstanceOptions opts;
+  opts.base_dir = dir;
+  opts.num_partitions = 2;
+  opts.op_memory_budget_bytes = 1;  // every sorted tuple is its own run
+  auto instance = Instance::Open(opts).value();
+  ASSERT_TRUE(instance
+                  ->ExecuteScript("CREATE TYPE T AS { id: int };"
+                                  "CREATE DATASET D(T) PRIMARY KEY id")
+                  .ok());
+  auto record = [](int64_t id, size_t depth) {
+    Value n = Value::Int(id);
+    for (size_t i = 1; i < depth; i++) n = Value::Array({n});
+    return Value::Object({{"id", Value::Int(id)}, {"n", n}});
+  };
+  for (int64_t id = 0; id < 3; id++) {
+    Value rec = record(id, adm::kMaxInputDepth);
+    ASSERT_TRUE(adm::WithinDepth(rec, adm::kMaxInputDepth));
+    ASSERT_TRUE(instance->InsertValue("D", rec).ok());
+  }
+  Status refused =
+      instance->InsertValue("D", record(9, adm::kMaxInputDepth + 1));
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+
+  // The LET expression is the first nesting level; each bracket adds one.
+  const size_t wraps = sqlpp::kMaxNestingDepth - 1;
+  uint64_t runs_before = metrics::Registry::Global()
+                             .GetCounter("hyracks.sort.runs_spilled")
+                             ->value();
+  auto r = instance->Execute("SELECT VALUE w FROM D d LET w = " +
+                             Wrap(wraps, "[", "d", "]") + " ORDER BY w");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(metrics::Registry::Global()
+                .GetCounter("hyracks.sort.runs_spilled")
+                ->value(),
+            runs_before);
+  ASSERT_EQ(r.value().rows.size(), 3u);
+  for (const auto& row : r.value().rows) {
+    EXPECT_TRUE(adm::WithinDepth(row, adm::kMaxInputDepth + wraps));
+    EXPECT_FALSE(adm::WithinDepth(row, adm::kMaxInputDepth + wraps - 1));
+  }
+  instance.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ using resource::GovernorOptions;
 using resource::MemoryGovernor;
 using resource::MemoryGrant;
 using resource::OperatorBudgetDefaults;
-using resource::OperatorKind;
 using resource::QueryContext;
 using std::chrono::milliseconds;
 
@@ -95,9 +94,9 @@ TEST(QueryContextTest, RemovedListenerNeverFires) {
 
 TEST(GovernorTest, UngovernedHandsOutDefaultsWithNoAccounting) {
   GovernorOptions opts;  // pool_bytes == 0
-  opts.defaults = OperatorBudgetDefaults::Uniform(8u << 20);
+  opts.defaults.per_operator_bytes = 8u << 20;
   MemoryGovernor gov(opts);
-  auto grant = gov.Acquire(OperatorKind::kSort).value();
+  auto grant = gov.Acquire().value();
   EXPECT_EQ(grant.bytes(), 8u << 20);
   EXPECT_EQ(gov.used_bytes(), 0u);  // ungoverned: nothing to undo
   grant.Release();
@@ -105,32 +104,38 @@ TEST(GovernorTest, UngovernedHandsOutDefaultsWithNoAccounting) {
 }
 
 TEST(GovernorTest, UniformDefaultsPreserveLegacyBudgets) {
-  // Satellite (a): the unified defaults must reproduce the historical
-  // per-operator constants byte-for-byte.
-  auto d = OperatorBudgetDefaults::Uniform(32u << 20);
-  EXPECT_EQ(d.BytesFor(OperatorKind::kSort), 32u << 20);
-  EXPECT_EQ(d.BytesFor(OperatorKind::kJoin), 32u << 20);
-  EXPECT_EQ(d.BytesFor(OperatorKind::kGroupBy), 32u << 20);
-  EXPECT_EQ(d.floor_bytes, 1u << 20);
+  // One per-operator size serves every blocking operator; the floor is
+  // 1 MiB, clamped to that size.
+  OperatorBudgetDefaults d;
+  EXPECT_EQ(d.per_operator_bytes, 32u << 20);
+  EXPECT_EQ(d.floor_bytes(), 1u << 20);
   // A tiny knob drags the floor down with it.
-  EXPECT_EQ(OperatorBudgetDefaults::Uniform(64u << 10).floor_bytes, 64u << 10);
+  d.per_operator_bytes = 64u << 10;
+  EXPECT_EQ(d.floor_bytes(), 64u << 10);
+  // A governed request for the default gets exactly the per-operator size.
+  GovernorOptions opts;
+  opts.pool_bytes = 8u << 20;
+  opts.defaults.per_operator_bytes = 3u << 20;
+  MemoryGovernor gov(opts);
+  EXPECT_EQ(gov.Acquire().value().bytes(), 3u << 20);
+  EXPECT_EQ(gov.used_bytes(), 0u);
 }
 
 TEST(GovernorTest, ShrinksUnderPressureAndReleasesRestorePool) {
   GovernorOptions opts;
   opts.pool_bytes = 10u << 20;
-  opts.defaults = OperatorBudgetDefaults::Uniform(4u << 20);
+  opts.defaults.per_operator_bytes = 4u << 20;
   MemoryGovernor gov(opts);
   uint64_t shrinks_before = Ctr("resource.shrinks");
 
-  auto g1 = gov.Acquire(OperatorKind::kSort).value();
-  auto g2 = gov.Acquire(OperatorKind::kJoin).value();
+  auto g1 = gov.Acquire().value();
+  auto g2 = gov.Acquire().value();
   EXPECT_EQ(g1.bytes(), 4u << 20);
   EXPECT_EQ(g2.bytes(), 4u << 20);
   EXPECT_EQ(gov.used_bytes(), 8u << 20);
 
   // Only 2 MiB free (>= 1 MiB floor): the third grant shrinks to it.
-  auto g3 = gov.Acquire(OperatorKind::kGroupBy).value();
+  auto g3 = gov.Acquire().value();
   EXPECT_EQ(g3.bytes(), 2u << 20);
   EXPECT_EQ(gov.used_bytes(), 10u << 20);
   EXPECT_EQ(Ctr("resource.shrinks"), shrinks_before + 1);
@@ -147,10 +152,10 @@ TEST(GovernorTest, ShrinksUnderPressureAndReleasesRestorePool) {
 TEST(GovernorTest, MoveTransfersOwnershipWithoutDoubleRelease) {
   GovernorOptions opts;
   opts.pool_bytes = 4u << 20;
-  opts.defaults = OperatorBudgetDefaults::Uniform(2u << 20);
+  opts.defaults.per_operator_bytes = 2u << 20;
   MemoryGovernor gov(opts);
   {
-    auto g1 = gov.Acquire(OperatorKind::kSort).value();
+    auto g1 = gov.Acquire().value();
     MemoryGrant g2 = std::move(g1);
     EXPECT_EQ(g1.bytes(), 0u);
     EXPECT_EQ(g2.bytes(), 2u << 20);
@@ -162,29 +167,29 @@ TEST(GovernorTest, MoveTransfersOwnershipWithoutDoubleRelease) {
 TEST(GovernorTest, TimesOutWhenEvenFloorIsUnavailable) {
   GovernorOptions opts;
   opts.pool_bytes = 2u << 20;
-  opts.defaults = OperatorBudgetDefaults::Uniform(2u << 20);
+  opts.defaults.per_operator_bytes = 2u << 20;
   opts.grant_timeout_ms = 50;
   MemoryGovernor gov(opts);
-  auto hog = gov.Acquire(OperatorKind::kSort).value();
+  auto hog = gov.Acquire().value();
   EXPECT_EQ(gov.used_bytes(), 2u << 20);
-  auto r = gov.Acquire(OperatorKind::kJoin);
+  auto r = gov.Acquire();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted());
   hog.Release();
-  EXPECT_TRUE(gov.Acquire(OperatorKind::kJoin).ok());
+  EXPECT_TRUE(gov.Acquire().ok());
   EXPECT_EQ(gov.used_bytes(), 0u);  // temporary grant already destroyed
 }
 
 TEST(GovernorTest, ReleaseUnblocksWaiter) {
   GovernorOptions opts;
   opts.pool_bytes = 2u << 20;
-  opts.defaults = OperatorBudgetDefaults::Uniform(2u << 20);
+  opts.defaults.per_operator_bytes = 2u << 20;
   opts.grant_timeout_ms = 10'000;
   MemoryGovernor gov(opts);
-  auto hog = gov.Acquire(OperatorKind::kSort).value();
+  auto hog = gov.Acquire().value();
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
-    auto g = gov.Acquire(OperatorKind::kJoin).value();
+    auto g = gov.Acquire().value();
     acquired = true;
   });
   std::this_thread::sleep_for(milliseconds(30));
@@ -198,14 +203,14 @@ TEST(GovernorTest, ReleaseUnblocksWaiter) {
 TEST(GovernorTest, CancelAbortsBlockedAcquire) {
   GovernorOptions opts;
   opts.pool_bytes = 2u << 20;
-  opts.defaults = OperatorBudgetDefaults::Uniform(2u << 20);
+  opts.defaults.per_operator_bytes = 2u << 20;
   opts.grant_timeout_ms = 10'000;
   MemoryGovernor gov(opts);
-  auto hog = gov.Acquire(OperatorKind::kSort).value();
+  auto hog = gov.Acquire().value();
   QueryContext ctx;
   Status why = Status::OK();
   std::thread waiter([&] {
-    auto r = gov.Acquire(OperatorKind::kJoin, 0, &ctx);
+    auto r = gov.Acquire(0, &ctx);
     why = r.status();
   });
   std::this_thread::sleep_for(milliseconds(30));
@@ -351,11 +356,26 @@ class WorkloadTest : public ::testing::Test {
     return n;
   }
 
+  /// Spill files present right now. Unlike TempFileCount it tolerates
+  /// files that a running query deletes during the walk.
+  size_t SpillFilesNow() const {
+    size_t n = 0;
+    std::error_code ec;
+    for (std::filesystem::recursive_directory_iterator it(dir_ + "/tmp", ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
+      n++;
+    }
+    return n;
+  }
+
   static constexpr const char* kHeavySort =
       "SELECT VALUE d.v FROM D d ORDER BY d.v, d.pad";
   static constexpr const char* kHeavyJoin =
       "SELECT a.id AS x, b.id AS y FROM D a JOIN D b ON a.v = b.v "
       "WHERE a.id < b.id ORDER BY x, y LIMIT 10";
+  static constexpr const char* kHeavyGroupBy =
+      "SELECT k, p, COUNT(*) AS n FROM D d GROUP BY d.id AS k, d.pad AS p";
 
   std::string dir_;
   std::unique_ptr<Instance> instance_;
@@ -411,6 +431,37 @@ TEST_F(WorkloadTest, CancelMidJoinLeaksNothing) {
   EXPECT_TRUE(result.status().IsCancelled());
   EXPECT_EQ(instance_->governor()->used_bytes(), 0u);
   EXPECT_EQ(TempFileCount(), 0u);
+}
+
+TEST_F(WorkloadTest, CancelMidGroupByLeaksNothing) {
+  InstanceOptions opts;
+  opts.query_memory_bytes = 8u << 20;
+  OpenAndSeed(opts);
+
+  Result<QueryResult> result = QueryResult{};
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    QueryRunOptions run;
+    run.client_context_id = "gv";
+    result = instance_->Query(kHeavyGroupBy, run);
+    done = true;
+  });
+  // Cancel once the group-by has spilled: one group per record cannot fit
+  // the 256 KiB grant.
+  while (!done && SpillFilesNow() == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_FALSE(done.load()) << "the group-by finished before it spilled";
+  ASSERT_TRUE(instance_->CancelQuery("gv").ok());
+  runner.join();
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled());
+  EXPECT_EQ(TempFileCount(), 0u);
+  EXPECT_EQ(instance_->governor()->used_bytes(), 0u);
+  auto again = instance_->Execute("SELECT VALUE COUNT(*) FROM D d");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().rows[0].AsInt(), 20'000);
 }
 
 TEST_F(WorkloadTest, DeadlineAbortsSpillingQuery) {
