@@ -27,9 +27,15 @@
 //
 // The batch/tuple ratio on scan_select_project is the tracked number:
 // tools/bench_to_json.sh gates on it and BENCH_BASELINE.json records it.
+//
+// A second pair runs ORDER BY f0 DESC, f1 LIMIT 10 over the same input:
+// "order_limit_topk" is the bounded sort the executor lowers it to (keeps
+// 10 tuples), "order_full_sort" the unbounded sort under a LimitOp that it
+// replaced. tools/bench_to_json.sh gates top-k <= full sort.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +43,7 @@
 #include "bench_json.h"
 #include "hyracks/exchange.h"
 #include "hyracks/operators.h"
+#include "hyracks/sort.h"
 #include "hyracks/stream.h"
 
 namespace hx = asterix::hyracks;
@@ -122,6 +129,30 @@ hx::StreamPtr BuildSelect(std::vector<Tuple> input, bool batch_mode) {
 hx::StreamPtr BuildPipeline(std::vector<Tuple> input, bool batch_mode) {
   return std::make_unique<hx::ProjectOp>(
       BuildSelect(std::move(input), batch_mode), std::vector<size_t>{1});
+}
+
+constexpr uint64_t kTopK = 10;
+
+/// scan → ORDER BY f0 DESC, f1 LIMIT `kTopK`: a bounded sort (`bounded`), or
+/// the full sort with a LimitOp on top. The grant fits the whole input, so
+/// neither spills.
+hx::StreamPtr BuildOrderLimit(std::vector<Tuple> input, bool bounded,
+                              asterix::TempFileManager* tmp) {
+  auto field = [](size_t i) -> hx::TupleEval {
+    return [i](const Tuple& t) -> Result<Value> { return t.at(i); };
+  };
+  std::vector<hx::SortKey> keys = {{field(0), false}, {field(1), true}};
+  auto grant = asterix::resource::MemoryGrant::Fixed(size_t{1} << 30);
+  auto scan = Scan(std::move(input), true);
+  if (bounded) {
+    return std::make_unique<hx::ExternalSortOp>(
+        std::move(scan), std::move(keys), std::move(grant), tmp,
+        hx::ExternalSortOp::kDefaultMergeFanin, kTopK);
+  }
+  return std::make_unique<hx::LimitOp>(
+      std::make_unique<hx::ExternalSortOp>(std::move(scan), std::move(keys),
+                                           std::move(grant), tmp),
+      kTopK);
 }
 
 // ---- drivers ----------------------------------------------------------------
@@ -252,7 +283,20 @@ int main(int argc, char** argv) {
                        [](std::vector<Tuple> in) {
                          return RunExchange(std::move(in), true);
                        }});
+  const std::string tmp_dir =
+      (std::filesystem::temp_directory_path() / "axbench_batch_pipeline")
+          .string();
+  std::filesystem::create_directories(tmp_dir);
+  asterix::TempFileManager tmp(tmp_dir);
+  for (bool bounded : {true, false}) {
+    scenarios.push_back({bounded ? "order_limit_topk" : "order_full_sort", kTopK,
+                         [bounded, &tmp](std::vector<Tuple> in) {
+                           auto p = BuildOrderLimit(std::move(in), bounded, &tmp);
+                           return TimedDrain(p.get());
+                         }});
+  }
   RunAll(&scenarios, master, reps);
+  std::filesystem::remove_all(tmp_dir);
 
   axbench::JsonReport report("bench_batch_pipeline");
   std::printf("%-28s %10s %14s\n", "scenario", "ms", "tuples/sec");
@@ -266,6 +310,8 @@ int main(int argc, char** argv) {
   const double ex_speedup = scenarios[2].best_ms / scenarios[3].best_ms;
   std::printf("\nscan_select_project batch speedup: %.2fx\n", speedup);
   std::printf("exchange_1to1 batch speedup:       %.2fx\n", ex_speedup);
+  std::printf("order_limit top-k speedup:         %.2fx\n",
+              scenarios[5].best_ms / scenarios[4].best_ms);
 
   if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
   return 0;

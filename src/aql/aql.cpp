@@ -134,14 +134,16 @@ Result<FlworQuery> ParseFlwor(const std::string& text) {
     }
     if (p.AcceptKeyword("LIMIT")) {
       AX_ASSIGN_OR_RETURN(ExprNodePtr e, p.ParseExpr());
-      if (e->kind != ExprNodeKind::kLiteral || !e->literal.is_int()) {
-        return p.error("limit must be an integer literal");
+      if (e->kind != ExprNodeKind::kLiteral || !e->literal.is_int() ||
+          e->literal.AsInt() < 0) {
+        return p.error("limit must be a non-negative integer literal");
       }
       q.limit = e->literal.AsInt();
       if (p.AcceptKeyword("OFFSET")) {
         AX_ASSIGN_OR_RETURN(ExprNodePtr o, p.ParseExpr());
-        if (o->kind != ExprNodeKind::kLiteral || !o->literal.is_int()) {
-          return p.error("offset must be an integer literal");
+        if (o->kind != ExprNodeKind::kLiteral || !o->literal.is_int() ||
+            o->literal.AsInt() < 0) {
+          return p.error("offset must be a non-negative integer literal");
         }
         q.offset = o->literal.AsInt();
       }

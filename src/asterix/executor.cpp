@@ -146,6 +146,7 @@ hyracks::ProfiledStream::Harvest SortHarvest(const hyracks::ExternalSortOp* op) 
   return [op](hyracks::OpStats* s) {
     const auto& st = op->stats();
     s->extra["sort_tuples"] = st.tuples;
+    if (op->limit()) s->extra["sort_kept"] = st.kept;
     if (st.runs_spilled > 0) {
       s->extra["runs_spilled"] = st.runs_spilled;
       s->extra["merge_passes"] = st.merge_passes;
@@ -320,6 +321,66 @@ Result<Executor::Lowered> Executor::Repartition(
   return out;
 }
 
+void Executor::NoteSortLimit(int node, std::optional<uint64_t> limit) {
+  // A node-level extra, so it is reported once, not summed per partition.
+  if (profile_ != nullptr && node >= 0 && limit) {
+    profile_->mutable_node(node)->extra["sort_limit"] = *limit;
+  }
+}
+
+Result<Executor::Lowered> Executor::BuildOrder(const LogicalOp& op,
+                                               hyracks::Job* job,
+                                               std::optional<uint64_t> limit) {
+  AX_ASSIGN_OR_RETURN(Lowered in, Build(op.children[0], job));
+  std::vector<hyracks::SortKey> keys;
+  for (const auto& k : op.order_keys) {
+    AX_ASSIGN_OR_RETURN(auto eval, Compile(k.expr, in.schema));
+    keys.push_back({std::move(eval), k.ascending});
+  }
+  constexpr size_t kFanin = hyracks::ExternalSortOp::kDefaultMergeFanin;
+  if (!in.partitioned()) {
+    AX_ASSIGN_OR_RETURN(auto grant, Grant());
+    auto sort = std::make_unique<hyracks::ExternalSortOp>(
+        std::move(in.streams[0]), std::move(keys), std::move(grant), tmp_,
+        kFanin, limit);
+    auto* raw = sort.get();
+    in.streams[0] = std::move(sort);
+    NoteSortLimit(
+        ProfileWrap(&in, "SORT", {in.profile_node}, {SortHarvest(raw)}),
+        limit);
+    return in;
+  }
+  // Parallel sort: each partition sorts locally (concurrently), then a
+  // single ordered merge produces the global order (§VII's
+  // "much-improved parallel sorting"). Under a limit each local sort keeps
+  // only its first k: the global first k lie in the union of those.
+  Lowered locals;
+  locals.schema = in.schema;
+  std::vector<hyracks::ProfiledStream::Harvest> sort_harvests;
+  for (auto& s : in.streams) {
+    std::vector<hyracks::SortKey> local_keys;
+    for (const auto& k : op.order_keys) {
+      AX_ASSIGN_OR_RETURN(auto eval, Compile(k.expr, in.schema));
+      local_keys.push_back({std::move(eval), k.ascending});
+    }
+    AX_ASSIGN_OR_RETURN(auto grant, Grant(in.streams.size()));
+    auto sort = std::make_unique<hyracks::ExternalSortOp>(
+        std::move(s), std::move(local_keys), std::move(grant), tmp_, kFanin,
+        limit);
+    sort_harvests.push_back(SortHarvest(sort.get()));
+    locals.streams.push_back(std::move(sort));
+  }
+  NoteSortLimit(ProfileWrap(&locals, "SORT(local)", {in.profile_node},
+                            std::move(sort_harvests)),
+                limit);
+  Lowered out;
+  out.schema = in.schema;
+  out.streams.push_back(std::make_unique<hyracks::OrderedMergeStream>(
+      std::move(locals.streams), std::move(keys), pool_));
+  ProfileWrap(&out, "MERGE", {locals.profile_node});
+  return out;
+}
+
 Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
                                           hyracks::Job* job) {
   switch (op->kind) {
@@ -402,65 +463,33 @@ Result<Executor::Lowered> Executor::Build(const LogicalOpPtr& op,
       return in;
     }
     case LogicalOpKind::kLimit: {
-      AX_ASSIGN_OR_RETURN(Lowered in, Build(op->children[0], job));
+      // Every partition needs at most limit+offset tuples (saturating: both
+      // may be near INT64_MAX). A LIMIT directly on an ORDER BY hands that
+      // bound to the sort, so each sort keeps only its first k tuples.
+      // Both are non-negative: the parsers accept only such literals.
+      const auto limit = static_cast<uint64_t>(op->limit);
+      const auto offset = static_cast<uint64_t>(op->offset);
+      const uint64_t k =
+          limit > UINT64_MAX - offset ? UINT64_MAX : limit + offset;
+      const LogicalOpPtr& child = op->children[0];
+      AX_ASSIGN_OR_RETURN(Lowered in, child->kind == LogicalOpKind::kOrder
+                                          ? BuildOrder(*child, job, k)
+                                          : Build(child, job));
       if (in.partitioned()) {
         // Local pre-limit (limit+offset suffices), then global limit.
         for (auto& s : in.streams) {
-          s = std::make_unique<hyracks::LimitOp>(
-              std::move(s), static_cast<uint64_t>(op->limit + op->offset), 0);
+          s = std::make_unique<hyracks::LimitOp>(std::move(s), k, 0);
         }
         ProfileWrap(&in, "LIMIT(local)", {in.profile_node});
         AX_ASSIGN_OR_RETURN(in, Repartition(std::move(in), 1, {}, job));
       }
       in.streams[0] = std::make_unique<hyracks::LimitOp>(
-          std::move(in.streams[0]), static_cast<uint64_t>(op->limit),
-          static_cast<uint64_t>(op->offset));
+          std::move(in.streams[0]), limit, offset);
       ProfileWrap(&in, "LIMIT", {in.profile_node});
       return in;
     }
-    case LogicalOpKind::kOrder: {
-      AX_ASSIGN_OR_RETURN(Lowered in, Build(op->children[0], job));
-      std::vector<hyracks::SortKey> keys;
-      for (const auto& k : op->order_keys) {
-        AX_ASSIGN_OR_RETURN(auto eval, Compile(k.expr, in.schema));
-        keys.push_back({std::move(eval), k.ascending});
-      }
-      if (!in.partitioned()) {
-        AX_ASSIGN_OR_RETURN(auto grant, Grant());
-        auto sort = std::make_unique<hyracks::ExternalSortOp>(
-            std::move(in.streams[0]), std::move(keys), std::move(grant), tmp_);
-        auto* raw = sort.get();
-        in.streams[0] = std::move(sort);
-        ProfileWrap(&in, "SORT", {in.profile_node}, {SortHarvest(raw)});
-        return in;
-      }
-      // Parallel sort: each partition sorts locally (concurrently), then a
-      // single ordered merge produces the global order (§VII's
-      // "much-improved parallel sorting").
-      Lowered locals;
-      locals.schema = in.schema;
-      std::vector<hyracks::ProfiledStream::Harvest> sort_harvests;
-      for (auto& s : in.streams) {
-        std::vector<hyracks::SortKey> local_keys;
-        for (const auto& k : op->order_keys) {
-          AX_ASSIGN_OR_RETURN(auto eval, Compile(k.expr, in.schema));
-          local_keys.push_back({std::move(eval), k.ascending});
-        }
-        AX_ASSIGN_OR_RETURN(auto grant, Grant(in.streams.size()));
-        auto sort = std::make_unique<hyracks::ExternalSortOp>(
-            std::move(s), std::move(local_keys), std::move(grant), tmp_);
-        sort_harvests.push_back(SortHarvest(sort.get()));
-        locals.streams.push_back(std::move(sort));
-      }
-      ProfileWrap(&locals, "SORT(local)", {in.profile_node},
-                  std::move(sort_harvests));
-      Lowered out;
-      out.schema = in.schema;
-      out.streams.push_back(std::make_unique<hyracks::OrderedMergeStream>(
-          std::move(locals.streams), std::move(keys), pool_));
-      ProfileWrap(&out, "MERGE", {locals.profile_node});
-      return out;
-    }
+    case LogicalOpKind::kOrder:
+      return BuildOrder(*op, job, std::nullopt);
     case LogicalOpKind::kDistinct: {
       AX_ASSIGN_OR_RETURN(Lowered in, Build(op->children[0], job));
       if (in.partitioned()) {

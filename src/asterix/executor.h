@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,11 @@ class Executor {
 
   Result<Lowered> Build(const algebricks::LogicalOpPtr& op, hyracks::Job* job);
   Result<Lowered> BuildScan(const algebricks::LogicalOp& op);
+  /// An ORDER BY: one sort, or per-partition sorts and an ordered merge.
+  /// With a `limit` (a LIMIT's limit+offset directly above), every sort
+  /// keeps and emits only its first `limit` tuples.
+  Result<Lowered> BuildOrder(const algebricks::LogicalOp& op,
+                             hyracks::Job* job, std::optional<uint64_t> limit);
   /// Index search sources, profiled. A primary-key lookup searches only
   /// the partition that owns the key.
   Result<Lowered> BuildIndexSearch(const algebricks::LogicalOp& op);
@@ -78,6 +84,9 @@ class Executor {
   /// No-op (returns -1) when profiling is off.
   int ProfileWrap(Lowered* l, std::string label, std::vector<int> children,
                   std::vector<hyracks::ProfiledStream::Harvest> harvests = {});
+
+  /// Record a bounded sort's limit on its PlanProfile node, if profiling.
+  void NoteSortLimit(int node, std::optional<uint64_t> limit);
 
   /// The grant for one blocking operator instance: the per-operator size,
   /// split evenly when `share` parallel instances make up one operator.

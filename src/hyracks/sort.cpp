@@ -20,17 +20,19 @@ metrics::Counter* SortSpillBytesCounter() {
 }
 }  // namespace
 
-Result<Tuple> ExternalSortOp::Augment(Tuple t) const {
-  Tuple out;
-  out.fields.reserve(keys_.size() + t.arity());
+Status ExternalSortOp::EvalKeys(const Tuple& t, Tuple* out) const {
+  out->fields.clear();
   for (const auto& k : keys_) {
     AX_ASSIGN_OR_RETURN(adm::Value v, k.eval(t));
-    out.fields.push_back(std::move(v));
+    out->fields.push_back(std::move(v));
   }
-  out.fields.insert(out.fields.end(),
-                    std::make_move_iterator(t.fields.begin()),
-                    std::make_move_iterator(t.fields.end()));
-  return out;
+  return Status::OK();
+}
+
+void ExternalSortOp::AppendFields(Tuple* from, Tuple* to) {
+  to->fields.insert(to->fields.end(),
+                    std::make_move_iterator(from->fields.begin()),
+                    std::make_move_iterator(from->fields.end()));
 }
 
 void ExternalSortOp::StripPrefix(Tuple* aug, Tuple* out) const {
@@ -48,10 +50,46 @@ int ExternalSortOp::CompareAugmented(const Tuple& a, const Tuple& b) const {
   return 0;
 }
 
+Status ExternalSortOp::OfferBounded(Tuple* t, std::vector<Tuple>* run,
+                                    size_t* run_bytes) {
+  AX_RETURN_NOT_OK(EvalKeys(*t, &probe_));
+  const uint64_t k = *limit_;
+  // Early rejection: a tuple that does not beat the worst of limit_ kept
+  // (or spilled) tuples cannot be among the first limit_; its payload is
+  // never touched.
+  if (k == 0) return Status::OK();
+  if (cutoff_ && CompareAugmented(probe_, *cutoff_) >= 0) return Status::OK();
+  if (run->size() == k && CompareAugmented(probe_, run->front()) >= 0) {
+    return Status::OK();
+  }
+  stats_.kept++;
+  Tuple aug;
+  aug.fields.reserve(keys_.size() + t->arity());
+  AppendFields(&probe_, &aug);
+  AppendFields(t, &aug);
+  run->push_back(std::move(aug));
+  *run_bytes += run->back().ApproxBytes();
+  std::push_heap(run->begin(), run->end(), Before());  // worst at the front
+  if (run->size() > k) {
+    std::pop_heap(run->begin(), run->end(), Before());
+    *run_bytes -= run->back().ApproxBytes();
+    run->pop_back();
+  }
+  return Status::OK();
+}
+
 Status ExternalSortOp::SpillRun(std::vector<Tuple>* run) {
-  std::sort(run->begin(), run->end(), [this](const Tuple& a, const Tuple& b) {
-    return CompareAugmented(a, b) < 0;
-  });
+  if (limit_ && run->size() == *limit_) {
+    // A full top-k run: its worst tuple (the heap's front) bounds every
+    // tuple that can still make the cut. Each later full run only holds
+    // tuples that beat the previous cutoff, so the newest is the tightest.
+    Tuple worst;
+    worst.fields.assign(run->front().fields.begin(),
+                        run->front().fields.begin() +
+                            static_cast<ptrdiff_t>(keys_.size()));
+    cutoff_ = std::move(worst);
+  }
+  std::sort(run->begin(), run->end(), Before());
   AX_ASSIGN_OR_RETURN(auto writer, spills_.Create("sortrun"));
   for (const auto& t : *run) AX_RETURN_NOT_OK(writer->Write(t));
   AX_RETURN_NOT_OK(writer->Finish());
@@ -76,10 +114,18 @@ Status ExternalSortOp::Open() {
     AX_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     for (size_t i = 0; i < batch.size(); i++) {
-      AX_ASSIGN_OR_RETURN(Tuple aug, Augment(std::move(batch[i])));
-      run_bytes += aug.ApproxBytes();
-      run.push_back(std::move(aug));
       stats_.tuples++;
+      if (limit_) {
+        AX_RETURN_NOT_OK(OfferBounded(&batch[i], &run, &run_bytes));
+      } else {
+        Tuple aug;
+        aug.fields.reserve(keys_.size() + batch[i].arity());
+        AX_RETURN_NOT_OK(EvalKeys(batch[i], &aug));
+        AppendFields(&batch[i], &aug);
+        run_bytes += aug.ApproxBytes();
+        run.push_back(std::move(aug));
+        stats_.kept++;
+      }
       if (run_bytes > grant_.bytes()) {
         AX_RETURN_NOT_OK(SpillRun(&run));
         run_bytes = 0;
@@ -90,9 +136,7 @@ Status ExternalSortOp::Open() {
 
   if (run_paths_back_.empty()) {
     // Fully in-memory sort.
-    std::sort(run.begin(), run.end(), [this](const Tuple& a, const Tuple& b) {
-      return CompareAugmented(a, b) < 0;
-    });
+    std::sort(run.begin(), run.end(), Before());
     memory_ = std::move(run);
     mem_pos_ = 0;
     return Status::OK();
@@ -143,8 +187,11 @@ Result<std::string> ExternalSortOp::MergeRuns(
     if (more) heap.push(Head{std::move(t), i});
   }
   AX_ASSIGN_OR_RETURN(auto writer, spills_.Create("sortmerge"));
+  // A bounded sort's merged run needs only the first limit_ tuples; the
+  // unread rest goes with the readers (which delete their files).
+  const uint64_t cap = limit_.value_or(UINT64_MAX);
   size_t merged_tuples = 0;
-  while (!heap.empty()) {
+  while (!heap.empty() && merged_tuples < cap) {
     // Merge passes can run for a long time with no batch boundary above
     // them; check cancellation every frame's worth of tuples.
     if (merged_tuples++ % kFrameTuples == 0) AX_RETURN_NOT_OK(CheckAlive());

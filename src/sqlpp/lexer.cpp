@@ -1,6 +1,7 @@
 #include "sqlpp/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace asterix::sqlpp {
@@ -77,7 +78,12 @@ Result<std::vector<Token>> Lex(const std::string& input) {
         tok.double_value = std::atof(num.c_str());
       } else {
         tok.kind = TokenKind::kInt;
-        tok.int_value = std::atoll(num.c_str());
+        auto [end, ec] =
+            std::from_chars(num.data(), num.data() + num.size(), tok.int_value);
+        if (ec != std::errc() || end != num.data() + num.size()) {
+          pos = start;
+          return err("integer literal " + num + " is out of range");
+        }
       }
       tok.text = std::move(num);
       out.push_back(std::move(tok));

@@ -103,6 +103,19 @@ class Parser {
     return r;
   }
 
+  // Each operator of a left-associative chain (a + b + c ...) puts the tree
+  // built so far one level deeper without recursing, so Nested never sees
+  // it. The chained operators of a whole statement are counted instead,
+  // which bounds the depth chains can add to the tree.
+  Status Chain() {
+    if (chained_ == kMaxChainedOperators) {
+      return Err("statement chains more than " +
+                 std::to_string(kMaxChainedOperators) + " binary operators");
+    }
+    chained_++;
+    return Status::OK();
+  }
+
   Result<std::string> ExpectIdent() {
     if (Cur().kind != TokenKind::kIdent &&
         Cur().kind != TokenKind::kQuotedIdent) {
@@ -116,6 +129,7 @@ class Parser {
   // ---- statements ----------------------------------------------------------
 
   Result<Statement> ParseStatementInner() {
+    chained_ = 0;  // the chain bound is per statement
     if (Cur().IsKeyword("CREATE")) return ParseCreate();
     if (Cur().IsKeyword("DROP")) return ParseDrop();
     if (Cur().IsKeyword("INSERT") || Cur().IsKeyword("UPSERT")) {
@@ -560,6 +574,7 @@ class Parser {
   Result<ExprNodePtr> ParseOr() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseAnd());
     while (AcceptKw("OR")) {
+      AX_RETURN_NOT_OK(Chain());
       AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseAnd());
       lhs = ExprNode::Call("or", {lhs, rhs});
     }
@@ -569,6 +584,7 @@ class Parser {
   Result<ExprNodePtr> ParseAnd() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseNot());
     while (AcceptKw("AND")) {
+      AX_RETURN_NOT_OK(Chain());
       AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseNot());
       lhs = ExprNode::Call("and", {lhs, rhs});
     }
@@ -674,6 +690,7 @@ class Parser {
   Result<ExprNodePtr> ParseConcat() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseAdditive());
     while (Accept("||")) {
+      AX_RETURN_NOT_OK(Chain());
       AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseAdditive());
       lhs = ExprNode::Call("concat", {lhs, rhs});
     }
@@ -683,33 +700,27 @@ class Parser {
   Result<ExprNodePtr> ParseAdditive() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseMultiplicative());
     while (true) {
-      if (Accept("+")) {
-        AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseMultiplicative());
-        lhs = ExprNode::Call("add", {lhs, rhs});
-      } else if (Accept("-")) {
-        AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseMultiplicative());
-        lhs = ExprNode::Call("sub", {lhs, rhs});
-      } else {
-        return lhs;
-      }
+      const char* fn = Accept("+")   ? "add"
+                       : Accept("-") ? "sub"
+                                     : nullptr;
+      if (fn == nullptr) return lhs;
+      AX_RETURN_NOT_OK(Chain());
+      AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseMultiplicative());
+      lhs = ExprNode::Call(fn, {lhs, rhs});
     }
   }
 
   Result<ExprNodePtr> ParseMultiplicative() {
     AX_ASSIGN_OR_RETURN(ExprNodePtr lhs, ParseUnary());
     while (true) {
-      if (Accept("*")) {
-        AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseUnary());
-        lhs = ExprNode::Call("mul", {lhs, rhs});
-      } else if (Accept("/")) {
-        AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseUnary());
-        lhs = ExprNode::Call("div", {lhs, rhs});
-      } else if (Accept("%")) {
-        AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseUnary());
-        lhs = ExprNode::Call("mod", {lhs, rhs});
-      } else {
-        return lhs;
-      }
+      const char* fn = Accept("*")   ? "mul"
+                       : Accept("/") ? "div"
+                       : Accept("%") ? "mod"
+                                     : nullptr;
+      if (fn == nullptr) return lhs;
+      AX_RETURN_NOT_OK(Chain());
+      AX_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseUnary());
+      lhs = ExprNode::Call(fn, {lhs, rhs});
     }
   }
 
@@ -914,7 +925,8 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
-  size_t depth_ = 0;  // Nested levels entered and not yet left
+  size_t depth_ = 0;    // Nested levels entered and not yet left
+  size_t chained_ = 0;  // chained binary operators in this statement
 };
 
 }  // namespace

@@ -18,6 +18,15 @@ namespace asterix::sqlpp {
 /// ParseError instead of recursing further.
 constexpr size_t kMaxNestingDepth = 128;
 
+/// Most binary operators (OR, AND, ||, +, -, *, /, %) one statement may
+/// chain. A chain of them builds a left-deep tree one level per operator,
+/// which every later stage (translation, optimization, evaluation, and
+/// freeing the tree) walks recursively; a statement with more is refused
+/// with ParseError. At the bound, under the deepest nesting, an ASan build
+/// translates the tree in about 6 MiB of an 8 MiB stack; twice the bound
+/// overflows it.
+constexpr size_t kMaxChainedOperators = 1024;
+
 /// Parse one statement (optionally ';'-terminated).
 Result<ast::Statement> ParseStatement(const std::string& input);
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <limits>
 
 #include "asterix/gleambook.h"
 #include "asterix/instance.h"
@@ -133,6 +135,164 @@ TEST_P(PartitionInvariance, DeletesMatchSinglePartition) {
 
 INSTANTIATE_TEST_SUITE_P(Partitions, PartitionInvariance,
                          ::testing::Values(2, 3, 5, 8));
+
+// ORDER BY ... LIMIT L OFFSET O lowers to bounded (top-k) sorts; its answer
+// must be the [O, O+L) slice of the same statement without LIMIT, in both
+// languages, over row and columnar datasets, at any partition count.
+class TopKSlices : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "axtopk_" + std::to_string(GetParam()) +
+           "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    InstanceOptions opts;
+    opts.base_dir = dir_;
+    opts.num_partitions = GetParam();
+    opts.profile_queries = true;
+    instance_ = Instance::Open(opts).value();
+    ASSERT_TRUE(instance_
+                    ->ExecuteScript(
+                        "CREATE TYPE R AS OPEN { id: int };"
+                        "CREATE DATASET RowDs(R) PRIMARY KEY id;"
+                        "CREATE DATASET ColDs(R) PRIMARY KEY id "
+                        "WITH { \"storage-format\" : \"columnar\" }")
+                    .ok());
+    for (int64_t i = 0; i < kRows; i++) {
+      // age repeats (many ties); id is unique, so (age, id) orders totally.
+      Value rec = Value::Object({{"id", Value::Int(i)},
+                                 {"age", Value::Int((i * 37) % 23)},
+                                 {"name", Value::String("n" + std::to_string(i))}});
+      for (const char* ds : {"RowDs", "ColDs"}) {
+        ASSERT_TRUE(instance_->InsertValue(ds, rec).ok());
+      }
+    }
+  }
+  void TearDown() override {
+    instance_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  static std::string Render(std::string q, const std::string& ds,
+                            const std::string& limit) {
+    for (auto [key, with] : {std::pair<std::string, std::string>{"$DS", ds},
+                             {"$LIMIT", limit}}) {
+      for (size_t pos; (pos = q.find(key)) != std::string::npos;) {
+        q.replace(pos, key.size(), with);
+      }
+    }
+    return q;
+  }
+
+  Result<QueryResult> Run(bool aql, const std::string& q) {
+    return aql ? instance_->QueryAql(q) : instance_->Execute(q);
+  }
+
+  // `query` holds "$DS" and "$LIMIT" placeholders; `limit_clause` renders
+  // LIMIT L [OFFSET O] in the query's language.
+  void ExpectSlices(bool aql, const std::string& query,
+                    const std::function<std::string(int64_t, int64_t)>&
+                        limit_clause) {
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    const std::pair<int64_t, int64_t> slices[] = {
+        {0, 0},   {1, 0},         {10, 0},    {10, 5},    {25, kRows - 10},
+        {5, kRows}, {5, kRows + 9}, {kRows, 0}, {kRows + 1, 1}, {kMax, 3},
+        {kMax, kMax}, {3, kMax},
+    };
+    for (const char* ds : {"RowDs", "ColDs"}) {
+      auto full = Run(aql, Render(query, ds, ""));
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      ASSERT_EQ(full->rows.size(), static_cast<size_t>(kRows));
+      for (auto [limit, offset] : slices) {
+        const std::string q = Render(query, ds, limit_clause(limit, offset));
+        auto got = Run(aql, q);
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+        const size_t lo = static_cast<size_t>(std::min(offset, kRows));
+        const size_t hi = static_cast<size_t>(
+            std::min<uint64_t>(uint64_t{lo} + static_cast<uint64_t>(limit),
+                               static_cast<uint64_t>(kRows)));
+        ASSERT_EQ(got->rows.size(), hi - lo) << q;
+        for (size_t i = lo; i < hi; i++) {
+          EXPECT_EQ(got->rows[i - lo], full->rows[i]) << q << " row " << i;
+        }
+      }
+    }
+  }
+
+  static constexpr int64_t kRows = 300;
+  std::string dir_;
+  std::unique_ptr<Instance> instance_;
+};
+
+TEST_P(TopKSlices, SqlppLimitIsASliceOfTheFullOrder) {
+  auto sqlpp = [](int64_t l, int64_t o) {
+    return "LIMIT " + std::to_string(l) + " OFFSET " + std::to_string(o);
+  };
+  // A total order (whole records compare equal), and a tie-heavy order
+  // whose answer holds only the keys.
+  ExpectSlices(false,
+               "SELECT VALUE d FROM $DS d ORDER BY d.age DESC, d.id $LIMIT",
+               sqlpp);
+  ExpectSlices(false, "SELECT VALUE d.age FROM $DS d ORDER BY d.age $LIMIT",
+               sqlpp);
+  ExpectSlices(false,
+               "SELECT d.age AS a, d.name AS n FROM $DS d "
+               "ORDER BY a, n DESC $LIMIT",
+               sqlpp);
+}
+
+TEST_P(TopKSlices, AqlLimitIsASliceOfTheFullOrder) {
+  auto aql = [](int64_t l, int64_t o) {
+    return "limit " + std::to_string(l) + " offset " + std::to_string(o);
+  };
+  ExpectSlices(true,
+               "for $d in dataset $DS order by $d.age desc, $d.id $LIMIT "
+               "return $d",
+               aql);
+  ExpectSlices(true,
+               "for $d in dataset $DS order by $d.age $LIMIT return $d.age",
+               aql);
+}
+
+// limit+offset near 2^64 saturates instead of overflowing (UBSan checks
+// this in CI): the per-partition pre-limit of a partitioned scan, and the
+// bound of the sorts under an ORDER BY.
+TEST_P(TopKSlices, HugeLimitAndOffsetSaturate) {
+  const std::string kMax = std::to_string(std::numeric_limits<int64_t>::max());
+  for (const char* ds : {"RowDs", "ColDs"}) {
+    const std::string from = std::string(" FROM ") + ds + " d";
+    auto none = instance_->Execute("SELECT VALUE d.id" + from + " LIMIT " +
+                                   kMax + " OFFSET " + kMax);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->rows.empty());
+    auto most = instance_->Execute("SELECT VALUE d.id" + from + " LIMIT " +
+                                   kMax + " OFFSET 2");
+    ASSERT_TRUE(most.ok()) << most.status().ToString();
+    EXPECT_EQ(most->rows.size(), static_cast<size_t>(kRows - 2));
+    auto sorted = instance_->Execute("SELECT VALUE d.id" + from +
+                                     " ORDER BY d.id DESC LIMIT " + kMax +
+                                     " OFFSET " + kMax);
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    EXPECT_TRUE(sorted->rows.empty());
+  }
+}
+
+TEST_P(TopKSlices, ProfileReportsTheBound) {
+  auto r = instance_->Execute(
+      "SELECT VALUE d.id FROM RowDs d ORDER BY d.age DESC, d.id LIMIT 4 "
+      "OFFSET 3");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 4u);
+  const std::string& text = r->profiled_plan;
+  EXPECT_NE(text.find("sort_limit=7"), std::string::npos) << text;
+  EXPECT_NE(text.find("sort_kept="), std::string::npos) << text;
+  // A sort without a LIMIT above it is unbounded.
+  auto full = instance_->Execute("SELECT VALUE d.id FROM RowDs d ORDER BY d.id");
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->profiled_plan.find("sort_limit"), std::string::npos)
+      << full->profiled_plan;
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, TopKSlices, ::testing::Values(1, 4));
 
 // Index equality against a numerically equal constant of the other numeric
 // type, or a constant expression, must find what a full scan finds: the

@@ -301,6 +301,177 @@ TEST_F(HyracksTest, SortDescendingAndMultiKey) {
   EXPECT_EQ(out[2].at(1).AsString(), "b");
 }
 
+// Bounded (top-k) sort against the full sort followed by LimitOp over the
+// same input. Key columns must match exactly (ties at the cut may pick
+// different tuples); with unique keys the whole tuples must match.
+// Rows (key, key, unique id, padding); `varied` draws each padding length
+// from [0, pad] instead of using pad.
+std::vector<Tuple> RandomRows(uint64_t seed, size_t n, uint64_t key_range,
+                              size_t pad, bool varied = false) {
+  Rng rng(seed);
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; i++) {
+    const size_t len = varied ? rng.Uniform(pad + 1) : pad;
+    rows.push_back(
+        T({Value::Int(static_cast<int64_t>(rng.Uniform(key_range))),
+           Value::Int(static_cast<int64_t>(rng.Uniform(key_range))),
+           Value::Int(static_cast<int64_t>(i)),
+           Value::String(std::string(len, static_cast<char>('a' + i % 26)))}));
+  }
+  return rows;
+}
+
+std::vector<Tuple> SortThenLimit(const std::vector<Tuple>& in,
+                                 const std::vector<SortKey>& keys, uint64_t k,
+                                 TempFileManager* tmp) {
+  auto full = std::make_unique<ExternalSortOp>(
+      std::make_unique<VectorSource>(in), keys, MemoryGrant::Fixed(64 << 20),
+      tmp);
+  LimitOp limit(std::move(full), k);
+  return CollectAll(&limit).value();
+}
+
+void ExpectSameKeys(const std::vector<Tuple>& got,
+                    const std::vector<Tuple>& want,
+                    const std::vector<size_t>& key_cols, bool whole) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    for (size_t c : key_cols) {
+      ASSERT_EQ(got[i].at(c).Compare(want[i].at(c)), 0) << "row " << i;
+    }
+    if (whole) {
+      ASSERT_EQ(got[i].arity(), want[i].arity());
+      for (size_t c = 0; c < got[i].arity(); c++) {
+        ASSERT_EQ(got[i].at(c).Compare(want[i].at(c)), 0) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST_F(HyracksTest, BoundedSortMatchesFullSortThenLimit) {
+  const size_t n = 3000;
+  // Many ties (keys 0..4 twice over), and unique keys (column 2).
+  const std::vector<std::pair<std::vector<SortKey>, std::vector<size_t>>>
+      orders = {
+          {{{Field(0), true}, {Field(1), false}}, {0, 1}},   // ties, ASC/DESC
+          {{{Field(1), false}, {Field(0), true}}, {1, 0}},   // ties, DESC/ASC
+          {{{Field(0), false}, {Field(2), true}}, {0, 2}},   // unique, mixed
+          {{{Field(2), false}}, {2}},                        // unique, DESC
+      };
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    std::vector<Tuple> in = RandomRows(seed, n, 5, 8);
+    for (const auto& [keys, cols] : orders) {
+      const bool unique = std::find(cols.begin(), cols.end(), 2) != cols.end();
+      for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{n - 1},
+                         uint64_t{n}, uint64_t{n + 5}}) {
+        for (size_t chunk : {size_t{1}, size_t{7}, kFrameTuples}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                       std::to_string(k) + " chunk " + std::to_string(chunk));
+          ExternalSortOp top(
+              Rechunked(std::make_unique<VectorSource>(in), chunk), keys,
+              MemoryGrant::Fixed(64 << 20), tmp_.get(),
+              ExternalSortOp::kDefaultMergeFanin, k);
+          auto got = CollectAll(&top).value();
+          ExpectSameKeys(got, SortThenLimit(in, keys, k, tmp_.get()), cols,
+                         unique);
+          EXPECT_EQ(top.stats().tuples, n);
+          EXPECT_LE(top.stats().kept, n);
+          EXPECT_EQ(top.stats().runs_spilled, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(HyracksTest, BoundedSortDropsTuplesThatCannotMakeTheCut) {
+  // Ascending input under a descending order: every tuple beats the kept
+  // ones. Descending input: after the first k, none does.
+  std::vector<Tuple> up, down;
+  for (int i = 0; i < 1000; i++) {
+    up.push_back(T({Value::Int(i)}));
+    down.push_back(T({Value::Int(999 - i)}));
+  }
+  for (auto* in : {&up, &down}) {
+    ExternalSortOp op(std::make_unique<VectorSource>(*in), {{Field(0), false}},
+                      MemoryGrant::Fixed(1 << 20), tmp_.get(),
+                      ExternalSortOp::kDefaultMergeFanin, 10);
+    auto out = CollectAll(&op).value();
+    ASSERT_EQ(out.size(), 10u);
+    for (int i = 0; i < 10; i++) EXPECT_EQ(out[i].at(0).AsInt(), 999 - i);
+    EXPECT_EQ(op.stats().tuples, 1000u);
+    EXPECT_EQ(op.stats().kept, in == &up ? 1000u : 10u);
+  }
+}
+
+TEST_F(HyracksTest, BoundedSortSpillsWideTuplesUnderATinyGrant) {
+  // k wide tuples exceed the grant, so the top-k heap spills runs of at
+  // most k tuples and a multi-pass merge stops after k. At k = 12 the heap
+  // fills below the grant and wider replacements push it over, so runs
+  // spill full and their worst tuple then rejects later input.
+  const size_t n = 1000;
+  // Tie-heavy keys (compared as keys), and unique keys (whole tuples).
+  const std::vector<std::pair<std::vector<SortKey>, std::vector<size_t>>>
+      orders = {
+          {{{Field(0), false}, {Field(1), true}}, {0, 1}},
+          {{{Field(0), false}, {Field(2), true}}, {0, 2}},
+          {{{Field(1), true}, {Field(2), false}}, {1, 2}},
+      };
+  for (uint64_t seed : {21u, 22u}) {
+    std::vector<Tuple> in = RandomRows(seed, n, 50, 2000, /*varied=*/true);
+    for (const auto& [keys, cols] : orders) {
+      const bool unique = cols.back() == 2;
+      for (uint64_t k : {uint64_t{1}, uint64_t{12}, uint64_t{20}, uint64_t{200},
+                         uint64_t{n - 1}, uint64_t{n}, uint64_t{n + 5}}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                     std::to_string(k));
+        ExternalSortOp top(Rechunked(std::make_unique<VectorSource>(in), 7),
+                           keys, MemoryGrant::Fixed(16 * 1024), tmp_.get(),
+                           /*merge_fanin=*/4, k);
+        auto got = CollectAll(&top).value();
+        ExpectSameKeys(got, SortThenLimit(in, keys, k, tmp_.get()), cols,
+                       unique);
+        if (k > 1) {
+          EXPECT_GT(top.stats().runs_spilled, 0u);
+        }
+        EXPECT_EQ(top.stats().tuples, n);
+      }
+    }
+  }
+  size_t leftover = 0;
+  for (auto& e : std::filesystem::directory_iterator(dir_)) {
+    (void)e;
+    leftover++;
+  }
+  EXPECT_EQ(leftover, 0u);
+}
+
+TEST_F(HyracksTest, BoundedSortStillSurfacesInputAndKeyErrors) {
+  // The failing tuple comes last and could never make the cut; the error
+  // surfaces anyway, as it does without a limit.
+  std::vector<Tuple> in;
+  for (int i = 0; i < 500; i++) in.push_back(T({Value::Int(i)}));
+  in.push_back(T({Value::String("not a number")}));
+  TupleEval key = [](const Tuple& t) -> Result<Value> {
+    if (!t.at(0).is_int()) return Status::InvalidArgument("bad key");
+    return t.at(0);
+  };
+  for (uint64_t k : {0u, 1u, 10u}) {
+    ExternalSortOp op(std::make_unique<VectorSource>(in), {{key, true}},
+                      MemoryGrant::Fixed(1 << 20), tmp_.get(),
+                      ExternalSortOp::kDefaultMergeFanin, k);
+    EXPECT_EQ(op.Open().code(), StatusCode::kInvalidArgument) << "k " << k;
+    ASSERT_TRUE(op.Close().ok());
+  }
+  // k = 0 drains its whole input and emits nothing.
+  in.pop_back();
+  ExternalSortOp none(std::make_unique<VectorSource>(in), {{key, true}},
+                      MemoryGrant::Fixed(1 << 20), tmp_.get(),
+                      ExternalSortOp::kDefaultMergeFanin, 0);
+  EXPECT_TRUE(CollectAll(&none).value().empty());
+  EXPECT_EQ(none.stats().tuples, 500u);
+  EXPECT_EQ(none.stats().kept, 0u);
+}
+
 TEST_F(HyracksTest, StreamDistinctOnSorted) {
   std::vector<Tuple> in = {T({Value::Int(1)}), T({Value::Int(1)}),
                            T({Value::Int(2)}), T({Value::Int(3)}),
@@ -582,6 +753,12 @@ TEST_F(HyracksTest, AbandonedSpillingOperatorsLeakNothing) {
          return std::make_unique<ExternalSortOp>(
              CancelledAfter(5000), std::vector<SortKey>{{Field(0), false}},
              grant(), tmp_.get());
+       }},
+      {"top-k sort",
+       [&] {
+         return std::make_unique<ExternalSortOp>(
+             CancelledAfter(5000), std::vector<SortKey>{{Field(0), false}},
+             grant(), tmp_.get(), ExternalSortOp::kDefaultMergeFanin, 4000);
        }},
       {"join",
        [&] {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <thread>
 
 #include "algebricks/compiler.h"
 #include "algebricks/optimizer.h"
@@ -229,6 +232,83 @@ TEST(SqlppParser, RefusesStatementsPastTheNestingBound) {
   }
 }
 
+// `ops` binary operators `op` joining ops+1 copies of `term`.
+std::string Chain(size_t ops, const std::string& op, const std::string& term) {
+  std::string out = term;
+  out.reserve((ops + 1) * (term.size() + op.size() + 2));
+  for (size_t i = 0; i < ops; i++) out += " " + op + " " + term;
+  return out;
+}
+
+// Runs `body` on the calling thread and again on a fresh std::thread.
+void OnBothThreads(const std::function<void()>& body) {
+  body();
+  std::thread t(body);
+  t.join();
+}
+
+// A left-associative chain nests its tree one level per operator; the
+// parser counts a statement's chained operators and refuses more than
+// kMaxChainedOperators. A chain at the bound survives every later stage.
+TEST(SqlppParser, ChainsUpToTheOperatorBound) {
+  constexpr size_t kBound = sqlpp::kMaxChainedOperators;
+  OnBothThreads([] {
+    for (const auto& [op, term] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"+", "1"}, {"-", "1"}, {"*", "1"}, {"/", "1"}, {"%", "7"},
+             {"||", "\"a\""}, {"AND", "true"}, {"OR", "false"}}) {
+      EXPECT_TRUE(ParseExpression(Chain(kBound, op, term)).ok()) << op;
+    }
+    EXPECT_EQ(Eval(Chain(kBound, "+", "1")).AsInt(),
+              static_cast<int64_t>(kBound + 1));
+    EXPECT_EQ(Eval(Chain(kBound, "*", "1")).AsInt(), 1);
+    EXPECT_EQ(Eval(Chain(kBound, "||", "\"a\"")).AsString().size(), kBound + 1);
+    EXPECT_TRUE(Eval(Chain(kBound, "AND", "true")).AsBool());
+    // The deepest tree: a chain at the bound under the deepest nesting.
+    EXPECT_TRUE(Eval(Wrap(sqlpp::kMaxNestingDepth - 2, "NOT ",
+                          "(" + Chain(kBound, "AND", "true") + ")", ""))
+                    .AsBool());
+    // The bound counts every chain in the statement.
+    const std::string half = Chain(kBound / 2, "+", "1");
+    EXPECT_TRUE(ParseExpression("[" + half + ", " + half + "]").ok());
+    EXPECT_TRUE(IsParseError(
+        ParseExpression("[" + half + ", " + half + " + 1]").status()));
+  });
+}
+
+TEST(SqlppParser, RefusesChainsPastTheOperatorBound) {
+  OnBothThreads([] {
+    for (size_t ops : {sqlpp::kMaxChainedOperators + 1, size_t{199'999}}) {
+      for (const auto& [op, term] :
+           std::vector<std::pair<std::string, std::string>>{
+               {"+", "1"}, {"-", "1"}, {"*", "1"}, {"||", "\"a\""},
+               {"AND", "true"}, {"OR", "false"}}) {
+        EXPECT_TRUE(
+            IsParseError(ParseExpression(Chain(ops, op, term)).status()))
+            << op << " x" << ops;
+      }
+      EXPECT_TRUE(IsParseError(
+          ParseStatement("SELECT VALUE " + Chain(ops, "+", "1")).status()))
+          << ops;
+    }
+  });
+}
+
+// Out-of-range integer literals are refused instead of wrapping.
+TEST(SqlppParser, RefusesOutOfRangeIntegerLiterals) {
+  EXPECT_EQ(Eval("9223372036854775807").AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Eval("-9223372036854775807").AsInt(),
+            -std::numeric_limits<int64_t>::max());
+  for (const char* text : {"9223372036854775808", "18446744073709551616",
+                           "99999999999999999999999999"}) {
+    EXPECT_TRUE(IsParseError(ParseExpression(text).status())) << text;
+    EXPECT_TRUE(IsParseError(
+        ParseStatement(std::string("SELECT VALUE 1 LIMIT ") + text).status()))
+        << text;
+  }
+}
+
 TEST(SqlppParser, QuotedIdentifiersAndComments) {
   auto st = ParseStatement(
       "-- line comment\n"
@@ -272,6 +352,40 @@ class OptimizerTest : public ::testing::Test {
   std::string dir_;
   std::unique_ptr<Instance> instance_;
 };
+
+// Chains at the operator bound translate, optimize and evaluate per tuple
+// (no constant folding: the terms read a field) in both languages; one
+// operator more, or 200,000 terms, is a ParseError.
+TEST_F(OptimizerTest, ChainsAtTheOperatorBoundExecute) {
+  constexpr size_t kBound = sqlpp::kMaxChainedOperators;
+  OnBothThreads([this] {
+    auto sum = instance_->Execute("SELECT VALUE " + Chain(kBound, "+", "d.v") +
+                                  " FROM D d WHERE d.id = 13");
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    ASSERT_EQ(sum->rows.size(), 1u);
+    EXPECT_EQ(sum->rows[0].AsInt(), static_cast<int64_t>(3 * (kBound + 1)));
+    auto any = instance_->Execute("SELECT VALUE COUNT(*) FROM D d WHERE " +
+                                  Chain(kBound, "OR", "d.v = 4"));
+    ASSERT_TRUE(any.ok()) << any.status().ToString();
+    EXPECT_EQ(any->rows[0].AsInt(), 10);
+    auto aql = instance_->QueryAql("for $d in dataset D where $d.id = 13 "
+                                   "return " + Chain(kBound, "+", "$d.v"));
+    ASSERT_TRUE(aql.ok()) << aql.status().ToString();
+    EXPECT_EQ(aql->rows[0].AsInt(), static_cast<int64_t>(3 * (kBound + 1)));
+    for (size_t ops : {kBound + 1, size_t{199'999}}) {
+      EXPECT_TRUE(IsParseError(
+          instance_
+              ->Execute("SELECT VALUE " + Chain(ops, "+", "d.v") + " FROM D d")
+              .status()))
+          << ops;
+      EXPECT_TRUE(IsParseError(
+          instance_
+              ->QueryAql("for $d in dataset D return " + Chain(ops, "+", "$d.v"))
+              .status()))
+          << ops;
+    }
+  });
+}
 
 TEST_F(OptimizerTest, IndexSelectionTogglable) {
   algebricks::OptimizerOptions on;
@@ -375,6 +489,18 @@ TEST_F(AqlTest, LetAndOrderBy) {
   ASSERT_EQ(r.rows.size(), 20u);  // v in {8, 9} -> 20 records
   EXPECT_EQ(r.rows[0].GetField("w").AsInt(),
             r.rows[0].GetField("id").AsInt() % 10 * 2);
+}
+
+TEST_F(AqlTest, RefusesNegativeLimitAndOffset) {
+  EXPECT_EQ(instance_->QueryAql("for $d in dataset D limit 3 offset 2 "
+                                "return $d.id")
+                .value()
+                .rows.size(),
+            3u);
+  for (const char* q : {"for $d in dataset D limit -1 return $d.id",
+                        "for $d in dataset D limit 3 offset -2 return $d.id"}) {
+    EXPECT_TRUE(IsParseError(instance_->QueryAql(q).status())) << q;
+  }
 }
 
 TEST_F(AqlTest, GroupByCollectsAndCounts) {

@@ -374,6 +374,8 @@ class WorkloadTest : public ::testing::Test {
   static constexpr const char* kHeavyJoin =
       "SELECT a.id AS x, b.id AS y FROM D a JOIN D b ON a.v = b.v "
       "WHERE a.id < b.id ORDER BY x, y LIMIT 10";
+  static constexpr const char* kHeavyTopK =
+      "SELECT VALUE d FROM D d ORDER BY d.v DESC, d.pad LIMIT 15000";
   static constexpr const char* kHeavyGroupBy =
       "SELECT k, p, COUNT(*) AS n FROM D d GROUP BY d.id AS k, d.pad AS p";
 
@@ -462,6 +464,41 @@ TEST_F(WorkloadTest, CancelMidGroupByLeaksNothing) {
   auto again = instance_->Execute("SELECT VALUE COUNT(*) FROM D d");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().rows[0].AsInt(), 20'000);
+}
+
+TEST_F(WorkloadTest, CancelMidTopKLeaksNothing) {
+  // A LIMIT too large for the per-partition heaps to fit the 128 KiB
+  // grants: the bounded sorts spill runs, then the query is cancelled.
+  InstanceOptions opts;
+  opts.query_memory_bytes = 8u << 20;
+  OpenAndSeed(opts);
+
+  Result<QueryResult> result = QueryResult{};
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    QueryRunOptions run;
+    run.client_context_id = "topk";
+    result = instance_->Query(kHeavyTopK, run);
+    done = true;
+  });
+  while (!done && SpillFilesNow() == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  const bool finished_first = done.load();
+  const Status cancel = instance_->CancelQuery("topk");
+  runner.join();
+  ASSERT_FALSE(finished_first) << "the top-k sort finished before it spilled";
+  ASSERT_TRUE(cancel.ok());
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled());
+  EXPECT_EQ(TempFileCount(), 0u);
+  EXPECT_EQ(instance_->governor()->used_bytes(), 0u);
+  auto again = instance_->Execute(
+      "SELECT VALUE d.v FROM D d ORDER BY d.v DESC LIMIT 3");
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again.value().rows.size(), 3u);
+  EXPECT_EQ(again.value().rows[0].AsInt(), 19'999);
 }
 
 TEST_F(WorkloadTest, DeadlineAbortsSpillingQuery) {

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs the tracked benches, merges their axbench-v1 JSON reports into one
-# BENCH_BASELINE.json, and gates six regressions: the batch-at-a-time
+# BENCH_BASELINE.json, and gates seven regressions: the batch-at-a-time
 # scan→select→project pipeline must not be slower than tuple-at-a-time,
+# the bounded (top-k) sort for ORDER BY ... LIMIT must not be slower than
+# a full sort followed by the limit (fresh runs only until the committed
+# baseline is regenerated with its rows),
 # the Basic-policy feed must retain >= 80% of direct-upsert ingest
 # throughput, the columnar scan must not be slower than the row scan
 # on the projection-heavy query, async LSM maintenance must not have
@@ -60,6 +63,24 @@ ms_of() {  # <file> <result name>
 # Same, but the "tuples" field (the admission bench reports query counts).
 tuples_of() {  # <file> <result name>
   sed -n 's/.*"name":"'"$2"'","tuples":\([0-9]*\),"ms":.*/\1/p' "$1"
+}
+
+gate_topk_vs_sort() {  # <file with bench_batch_pipeline results>
+  local topk_ms sort_ms
+  topk_ms=$(ms_of "$1" order_limit_topk)
+  sort_ms=$(ms_of "$1" order_full_sort)
+  if [[ -z "$topk_ms" || -z "$sort_ms" ]]; then
+    echo "FAIL: $1 is missing the order_limit_topk/order_full_sort entries" >&2
+    return 1
+  fi
+  # ORDER BY ... LIMIT lowers to a bounded sort that keeps limit+offset
+  # tuples; it must not be slower than sorting everything and then limiting.
+  if ! awk -v k="$topk_ms" -v s="$sort_ms" 'BEGIN{exit !(k <= s)}'; then
+    echo "FAIL: top-k sort (${topk_ms} ms) slower than full sort + limit (${sort_ms} ms)" >&2
+    return 1
+  fi
+  echo "OK: top-k ${topk_ms} ms <= full sort ${sort_ms} ms" \
+       "($(awk -v k="$topk_ms" -v s="$sort_ms" 'BEGIN{printf "%.2f", s/k}')x)"
 }
 
 gate_feed_vs_direct() {  # <file with bench_feed_ingestion results>
@@ -268,6 +289,7 @@ settle
 "$BUILD_DIR"/bench/bench_point_lookup $SMOKE --json "$tmp/point.json"
 
 gate_batch_vs_tuple "$tmp/batch.json"
+gate_topk_vs_sort "$tmp/batch.json"
 gate_feed_vs_direct "$tmp/feeds.json"
 gate_columnar_vs_row "$tmp/colscan.json" 1.0
 gate_async_vs_sync "$tmp/lsm.json"
