@@ -30,6 +30,22 @@ const char* TypeTagName(TypeTag tag) {
   return "unknown";
 }
 
+namespace {
+// Indexed by CmpOp: the one table of comparison function names.
+constexpr const char* kCmpOpNames[] = {"eq", "neq", "lt", "le", "gt", "ge"};
+}  // namespace
+
+const char* CmpOpName(CmpOp op) {
+  return kCmpOpNames[static_cast<size_t>(op)];
+}
+
+std::optional<CmpOp> CmpOpNamed(std::string_view name) {
+  for (size_t i = 0; i < std::size(kCmpOpNames); i++) {
+    if (name == kCmpOpNames[i]) return static_cast<CmpOp>(i);
+  }
+  return std::nullopt;
+}
+
 Value Value::Double(double v) {
   Value out;
   out.tag_ = TypeTag::kDouble;

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,6 +172,45 @@ class Value {
   std::shared_ptr<const std::vector<Value>> items_;
   std::shared_ptr<const FieldVec> fields_;
 };
+
+/// The six SQL++ comparisons, defined once for every evaluator: the scalar
+/// functions, the vectorized select masks and the pushed scan predicates.
+enum class CmpOp : uint8_t { kEq, kNeq, kLt, kLe, kGt, kGe };
+
+/// Whether a Compare result `cmp` (negative/zero/positive) satisfies `op`.
+constexpr bool Holds(CmpOp op, int cmp) {
+  switch (op) {
+    case CmpOp::kEq: return cmp == 0;
+    case CmpOp::kNeq: return cmp != 0;
+    case CmpOp::kLt: return cmp < 0;
+    case CmpOp::kLe: return cmp <= 0;
+    case CmpOp::kGt: return cmp > 0;
+    case CmpOp::kGe: return cmp >= 0;
+  }
+  return false;
+}
+
+/// The operator for swapped operands: `a op b` == `b Mirror(op) a`.
+constexpr CmpOp Mirror(CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt: return CmpOp::kGt;
+    case CmpOp::kLe: return CmpOp::kGe;
+    case CmpOp::kGt: return CmpOp::kLt;
+    case CmpOp::kGe: return CmpOp::kLe;
+    default: return op;  // eq/neq are symmetric
+  }
+}
+
+/// True iff `a op b` is true under SQL++ three-valued logic: an unknown
+/// (NULL/MISSING) operand makes every comparison unknown, never true.
+inline bool Satisfies(const Value& a, CmpOp op, const Value& b) {
+  return !a.is_unknown() && !b.is_unknown() && Holds(op, a.Compare(b));
+}
+
+/// The SQL++ function name of `op`, from the one name table.
+const char* CmpOpName(CmpOp op);
+/// The comparison a function name stands for, or nullopt.
+std::optional<CmpOp> CmpOpNamed(std::string_view name);
 
 /// Nesting bounds. A value's depth is the number of arrays, multisets and
 /// objects on its deepest path; a scalar's is 0. ParseAdm and every write

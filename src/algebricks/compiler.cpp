@@ -4,58 +4,21 @@ namespace asterix::algebricks {
 
 namespace {
 
-enum class CmpOp { kEq, kNeq, kLt, kLe, kGt, kGe };
-
-bool CmpOpFromName(const std::string& fn, CmpOp* op) {
-  if (fn == "eq") *op = CmpOp::kEq;
-  else if (fn == "neq") *op = CmpOp::kNeq;
-  else if (fn == "lt") *op = CmpOp::kLt;
-  else if (fn == "le") *op = CmpOp::kLe;
-  else if (fn == "gt") *op = CmpOp::kGt;
-  else if (fn == "ge") *op = CmpOp::kGe;
-  else return false;
-  return true;
-}
-
-/// Mirror of the argument swap: `const OP var` becomes `var FLIP(OP) const`.
-CmpOp FlipCmp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: return CmpOp::kGt;
-    case CmpOp::kLe: return CmpOp::kGe;
-    case CmpOp::kGt: return CmpOp::kLt;
-    case CmpOp::kGe: return CmpOp::kLe;
-    default: return op;  // eq/neq are symmetric
-  }
-}
-
-inline bool PassesCmp(int cmp, CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return cmp == 0;
-    case CmpOp::kNeq: return cmp != 0;
-    case CmpOp::kLt: return cmp < 0;
-    case CmpOp::kLe: return cmp <= 0;
-    case CmpOp::kGt: return cmp > 0;
-    case CmpOp::kGe: return cmp >= 0;
-  }
-  return false;
-}
+using adm::CmpOp;
 
 Status TupleTooNarrow() {
   return Status::Internal("tuple too narrow for variable");
 }
 
 /// var OP const — the dominant filter shape.
+/// An unknown (null/missing) constant zeroes the whole mask.
 hyracks::BatchPredicate VarConstCmp(size_t pos, adm::Value c, CmpOp op) {
-  // An unknown (null/missing) constant never compares true under SQL++
-  // semantics, so the whole mask is zero regardless of the tuples.
-  const bool never = c.is_unknown();
-  return [pos, c = std::move(c), op, never](const hyracks::Batch& b,
-                                            uint8_t* keep) -> Status {
+  return [pos, c = std::move(c), op](const hyracks::Batch& b,
+                                     uint8_t* keep) -> Status {
     for (size_t i = 0; i < b.size(); i++) {
       const hyracks::Tuple& t = b[i];
       if (pos >= t.arity()) return TupleTooNarrow();
-      const adm::Value& v = t.at(pos);
-      keep[i] = !never && !v.is_unknown() && PassesCmp(v.Compare(c), op);
+      keep[i] = adm::Satisfies(t.at(pos), op, c);
     }
     return Status::OK();
   };
@@ -67,10 +30,7 @@ hyracks::BatchPredicate VarVarCmp(size_t lpos, size_t rpos, CmpOp op) {
     for (size_t i = 0; i < b.size(); i++) {
       const hyracks::Tuple& t = b[i];
       if (lpos >= t.arity() || rpos >= t.arity()) return TupleTooNarrow();
-      const adm::Value& l = t.at(lpos);
-      const adm::Value& r = t.at(rpos);
-      keep[i] = !l.is_unknown() && !r.is_unknown() &&
-                PassesCmp(l.Compare(r), op);
+      keep[i] = adm::Satisfies(t.at(lpos), op, t.at(rpos));
     }
     return Status::OK();
   };
@@ -107,8 +67,8 @@ hyracks::BatchPredicate TryCompileBatchPredicate(const ExprPtr& expr,
     };
   }
 
-  CmpOp op;
-  if (!CmpOpFromName(expr->fn, &op) || expr->args.size() != 2) return nullptr;
+  const std::optional<CmpOp> op = adm::CmpOpNamed(expr->fn);
+  if (!op || expr->args.size() != 2) return nullptr;
   const ExprPtr& lhs = expr->args[0];
   const ExprPtr& rhs = expr->args[1];
   auto pos_of = [&positions](const ExprPtr& e, size_t* pos) {
@@ -120,13 +80,13 @@ hyracks::BatchPredicate TryCompileBatchPredicate(const ExprPtr& expr,
   };
   size_t lpos, rpos;
   if (pos_of(lhs, &lpos) && rhs->kind == ExprKind::kConstant) {
-    return VarConstCmp(lpos, rhs->constant, op);
+    return VarConstCmp(lpos, rhs->constant, *op);
   }
   if (lhs->kind == ExprKind::kConstant && pos_of(rhs, &rpos)) {
-    return VarConstCmp(rpos, lhs->constant, FlipCmp(op));
+    return VarConstCmp(rpos, lhs->constant, adm::Mirror(*op));
   }
   if (pos_of(lhs, &lpos) && pos_of(rhs, &rpos)) {
-    return VarVarCmp(lpos, rpos, op);
+    return VarVarCmp(lpos, rpos, *op);
   }
   return nullptr;
 }

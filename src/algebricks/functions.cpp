@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "adm/temporal.h"
+#include "hyracks/groupby.h"
 #include "storage/lsm_inverted.h"
 
 namespace asterix::algebricks {
@@ -37,26 +38,18 @@ Status ArityError(const std::string& fn, size_t want, size_t got) {
                                  std::to_string(got));
 }
 
-Value CompareResult(int cmp, const std::string& op) {
-  if (op == "eq") return Value::Boolean(cmp == 0);
-  if (op == "neq") return Value::Boolean(cmp != 0);
-  if (op == "lt") return Value::Boolean(cmp < 0);
-  if (op == "le") return Value::Boolean(cmp <= 0);
-  if (op == "gt") return Value::Boolean(cmp > 0);
-  return Value::Boolean(cmp >= 0);  // ge
-}
-
 }  // namespace
 
 FunctionRegistry::FunctionRegistry() {
   // ---- comparisons ---------------------------------------------------------
-  for (const char* op : {"eq", "neq", "lt", "le", "gt", "ge"}) {
-    std::string name = op;
-    Register(name, [name](const std::vector<Value>& a) -> Result<Value> {
+  for (adm::CmpOp op : {adm::CmpOp::kEq, adm::CmpOp::kNeq, adm::CmpOp::kLt,
+                        adm::CmpOp::kLe, adm::CmpOp::kGt, adm::CmpOp::kGe}) {
+    const char* name = adm::CmpOpName(op);
+    Register(name, [name, op](const std::vector<Value>& a) -> Result<Value> {
       if (a.size() != 2) return ArityError(name, 2, a.size());
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
-      return CompareResult(a[0].Compare(a[1]), name);
+      return Value::Boolean(adm::Holds(op, a[0].Compare(a[1])));
     });
   }
 
@@ -209,50 +202,26 @@ FunctionRegistry::FunctionRegistry() {
     if (!a[0].is_collection()) return Value::Null();
     return Value::Int(static_cast<int64_t>(a[0].items().size()));
   });
-  // Collection aggregates as scalar functions (AQL-style: the AQL group-by
-  // collects values into lists, then applies these; SQL++'s COLL_* forms
-  // also resolve here).
-  auto coll_agg = [this](const std::string& name, auto combine, bool count) {
-    Register(name, [name, combine, count](
-                       const std::vector<Value>& a) -> Result<Value> {
+  // Collection aggregates (AQL's aggregates over a group's `with` lists,
+  // SQL++'s COLL_* forms): a fold of the group-by's aggregate kernel over
+  // the items, so they answer what SUM/AVG/MIN/MAX answer.
+  for (auto [name, kind] : {std::pair{"coll-sum", hyracks::AggKind::kSum},
+                            {"coll-avg", hyracks::AggKind::kAvg},
+                            {"coll-min", hyracks::AggKind::kMin},
+                            {"coll-max", hyracks::AggKind::kMax}}) {
+    Register(name, [name, kind](const std::vector<Value>& a) -> Result<Value> {
+      if (a.size() != 1) return ArityError(name, 1, a.size());
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       if (!a[0].is_collection()) return Value::Null();
-      if (count) {
-        return Value::Int(static_cast<int64_t>(a[0].items().size()));
-      }
-      Value acc = Value::Null();
-      int64_t n = 0;
+      hyracks::AggState state(kind);
+      size_t retained = 0;
       for (const auto& item : a[0].items()) {
-        if (item.is_unknown()) continue;
-        acc = combine(acc, item);
-        n++;
+        AX_RETURN_NOT_OK(state.Step(item, &retained));
       }
-      if (name == "coll-avg") {
-        if (n == 0) return Value::Null();
-        return Value::Double(acc.AsNumber() / static_cast<double>(n));
-      }
-      return acc;
+      return state.Finish();
     });
-  };
-  auto sum2 = [](const Value& acc, const Value& v) {
-    if (acc.is_unknown()) return v;
-    if (!v.is_numeric() || !acc.is_numeric()) return acc;
-    if (acc.is_int() && v.is_int()) return Value::Int(acc.AsInt() + v.AsInt());
-    return Value::Double(acc.AsNumber() + v.AsNumber());
-  };
-  coll_agg("coll-sum", sum2, false);
-  coll_agg("coll-avg", sum2, false);
-  coll_agg("coll-min",
-           [](const Value& acc, const Value& v) {
-             return acc.is_unknown() || v.Compare(acc) < 0 ? v : acc;
-           },
-           false);
-  coll_agg("coll-max",
-           [](const Value& acc, const Value& v) {
-             return acc.is_unknown() || v.Compare(acc) > 0 ? v : acc;
-           },
-           false);
+  }
   Register("in", [](const std::vector<Value>& a) -> Result<Value> {
     if (a.size() != 2) return ArityError("in", 2, a.size());
     Value unknown;

@@ -66,7 +66,7 @@ std::string LogicalOp::ToString(int indent) const {
         out << "]";
       }
       for (const auto& p : scan_predicates) {
-        out << " where:" << p.field << " " << hyracks::ScanCmpName(p.cmp)
+        out << " where:" << p.field << " " << adm::CmpOpName(p.cmp)
             << " " << p.constant.ToString();
       }
       break;

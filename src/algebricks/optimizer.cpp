@@ -225,6 +225,42 @@ bool MatchFieldAccess(const ExprPtr& e, VarId var, std::string* field) {
   return true;
 }
 
+// A two-argument call of field-access($var, "f") and a constant, in either
+// operand order; `mirrored`, when given, is set for the constant first.
+bool MatchFieldAndConst(const ExprPtr& cj, VarId var, std::string* field,
+                        ExprPtr* cst, bool* mirrored = nullptr) {
+  if (cj->kind != ExprKind::kCall || cj->args.size() != 2) return false;
+  for (int first : {0, 1}) {
+    const ExprPtr& other = cj->args[1 - first];
+    if (MatchFieldAccess(cj->args[first], var, field) &&
+        other->kind == ExprKind::kConstant) {
+      *cst = other;
+      if (mirrored != nullptr) *mirrored = first == 1;
+      return true;
+    }
+  }
+  return false;
+}
+
+// A comparison conjunct field-access($var, "f") OP const, in either operand
+// order, read field-first: const OP field becomes field Mirror(OP) const.
+struct FieldCmp {
+  std::string field;
+  adm::CmpOp op = adm::CmpOp::kEq;
+  ExprPtr constant;
+};
+
+std::optional<FieldCmp> MatchFieldCmp(const ExprPtr& cj, VarId var) {
+  std::optional<adm::CmpOp> op = adm::CmpOpNamed(cj->fn);
+  FieldCmp m;
+  bool mirrored = false;
+  if (!op || !MatchFieldAndConst(cj, var, &m.field, &m.constant, &mirrored)) {
+    return std::nullopt;
+  }
+  m.op = mirrored ? adm::Mirror(*op) : *op;
+  return m;
+}
+
 struct PathChoice {
   AccessPathKind path;
   std::string index_name;
@@ -254,54 +290,28 @@ bool MatchConjunct(const ExprPtr& cj, VarId var, const Catalog& catalog,
     return false;
   };
 
-  if (fn == "eq" || fn == "lt" || fn == "le" || fn == "gt" || fn == "ge") {
-    if (cj->args.size() != 2) return false;
-    std::string field;
-    ExprPtr cmp_const;
-    std::string op = fn;
-    if (MatchFieldAccess(cj->args[0], var, &field) &&
-        cj->args[1]->kind == ExprKind::kConstant) {
-      cmp_const = cj->args[1];
-    } else if (MatchFieldAccess(cj->args[1], var, &field) &&
-               cj->args[0]->kind == ExprKind::kConstant) {
-      cmp_const = cj->args[0];
-      // Mirror the operator: const OP field  ==  field OP' const.
-      op = fn == "lt" ? "gt" : fn == "le" ? "ge" : fn == "gt" ? "lt"
-           : fn == "ge" ? "le" : fn;
-    } else {
+  if (std::optional<FieldCmp> m = MatchFieldCmp(cj, var)) {
+    if (m->op == adm::CmpOp::kNeq) return false;  // no index answers !=
+    std::string index_name;
+    if (!classify(m->field, Catalog::IndexInfo::kBTree, &index_name)) {
       return false;
     }
-    std::string index_name;
-    if (!classify(field, Catalog::IndexInfo::kBTree, &index_name)) return false;
-    bool primary = index_name.empty();
+    out->path = !index_name.empty()        ? AccessPathKind::kSecondaryBTree
+                : m->op == adm::CmpOp::kEq ? AccessPathKind::kPrimaryLookup
+                                           : AccessPathKind::kPrimaryRange;
     out->index_name = index_name;
-    if (op == "eq") {
-      out->path = primary ? AccessPathKind::kPrimaryLookup
-                          : AccessPathKind::kSecondaryBTree;
-      out->lo = out->hi = cmp_const;
-    } else {
-      out->path = primary ? AccessPathKind::kPrimaryRange
-                          : AccessPathKind::kSecondaryBTree;
-      if (op == "lt" || op == "le") {
-        out->hi = cmp_const;
-      } else {
-        out->lo = cmp_const;
-      }
+    if (m->op != adm::CmpOp::kGt && m->op != adm::CmpOp::kGe) {
+      out->hi = m->constant;
+    }
+    if (m->op != adm::CmpOp::kLt && m->op != adm::CmpOp::kLe) {
+      out->lo = m->constant;
     }
     return true;
   }
-  if (fn == "spatial-intersect" && cj->args.size() == 2) {
-    std::string field;
-    ExprPtr query;
-    if (MatchFieldAccess(cj->args[0], var, &field) &&
-        cj->args[1]->kind == ExprKind::kConstant) {
-      query = cj->args[1];
-    } else if (MatchFieldAccess(cj->args[1], var, &field) &&
-               cj->args[0]->kind == ExprKind::kConstant) {
-      query = cj->args[0];
-    } else {
-      return false;
-    }
+  std::string field;
+  ExprPtr query;
+  if (fn == "spatial-intersect" &&
+      MatchFieldAndConst(cj, var, &field, &query)) {
     std::string index_name;
     if (!classify(field, Catalog::IndexInfo::kRTree, &index_name)) return false;
     out->path = AccessPathKind::kRTree;
@@ -310,7 +320,6 @@ bool MatchConjunct(const ExprPtr& cj, VarId var, const Catalog& catalog,
     return true;
   }
   if (fn == "ftcontains" && cj->args.size() == 2) {
-    std::string field;
     if (!MatchFieldAccess(cj->args[0], var, &field)) return false;
     if (cj->args[1]->kind != ExprKind::kConstant ||
         !cj->args[1]->constant.is_string()) {
@@ -379,19 +388,6 @@ void IntroduceIndexSearches(LogicalOpPtr* op_ref, const Catalog& catalog,
 // Scan pushdown (paper §VII: columnar storage)
 // ---------------------------------------------------------------------------
 
-// The scan comparison of SQL++ function `fn` (field `fn` constant), mirrored
-// for the constant-first order (const OP field == field OP' const).
-std::optional<hyracks::ScanCmp> ScanCmpOf(const std::string& fn,
-                                          bool mirrored) {
-  using hyracks::ScanCmp;
-  if (fn == "eq") return ScanCmp::kEq;
-  if (fn == "lt") return mirrored ? ScanCmp::kGt : ScanCmp::kLt;
-  if (fn == "le") return mirrored ? ScanCmp::kGe : ScanCmp::kLe;
-  if (fn == "gt") return mirrored ? ScanCmp::kLt : ScanCmp::kGt;
-  if (fn == "ge") return mirrored ? ScanCmp::kLe : ScanCmp::kGe;
-  return std::nullopt;
-}
-
 // Absorb comparison conjuncts of a Select sitting directly over an internal
 // DataScan into the scan itself (field OP constant, either operand order).
 // The scan evaluates them before materializing tuples with identical SQL++
@@ -409,25 +405,12 @@ void PushScanPredicates(LogicalOpPtr* op_ref, const Catalog& catalog,
   SplitConjuncts(op->condition, &conjuncts);
   std::vector<ExprPtr> kept;
   for (const auto& cj : conjuncts) {
-    std::optional<hyracks::ScanCmp> cmp;
-    std::string field;
-    ExprPtr cst;
-    if (cj->kind == ExprKind::kCall && cj->args.size() == 2) {
-      if (MatchFieldAccess(cj->args[0], child->scan_var, &field) &&
-          cj->args[1]->kind == ExprKind::kConstant) {
-        cst = cj->args[1];
-        cmp = ScanCmpOf(cj->fn, /*mirrored=*/false);
-      } else if (MatchFieldAccess(cj->args[1], child->scan_var, &field) &&
-                 cj->args[0]->kind == ExprKind::kConstant) {
-        cst = cj->args[0];
-        cmp = ScanCmpOf(cj->fn, /*mirrored=*/true);
-      }
-    }
-    if (!cmp) {
+    std::optional<FieldCmp> m = MatchFieldCmp(cj, child->scan_var);
+    if (!m) {
       kept.push_back(cj);
       continue;
     }
-    child->scan_predicates.push_back({field, *cmp, cst->constant});
+    child->scan_predicates.push_back({m->field, m->op, m->constant->constant});
     *changed = true;
   }
   if (kept.empty()) {

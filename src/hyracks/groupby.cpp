@@ -19,18 +19,7 @@ metrics::Counter* GroupBySpillBytesCounter() {
   return c;
 }
 
-// Numeric addition preserving int64 when both sides are ints; durations
-// sum to durations (temporal aggregation, the §V-D study's need).
-adm::Value AddNumbers(const adm::Value& a, const adm::Value& b) {
-  if (a.is_unknown()) return b;
-  if (b.is_unknown()) return a;
-  if (a.tag() == adm::TypeTag::kDuration && b.tag() == adm::TypeTag::kDuration) {
-    return adm::Value::Duration(a.TemporalValue() + b.TemporalValue());
-  }
-  if (a.is_int() && b.is_int()) return adm::Value::Int(a.AsInt() + b.AsInt());
-  return adm::Value::Double(a.AsNumber() + b.AsNumber());
-}
-
+// What SUM and AVG add: numbers and durations.
 bool Summable(const adm::Value& v) {
   return v.is_numeric() || v.tag() == adm::TypeTag::kDuration;
 }
@@ -42,154 +31,156 @@ std::string GroupKeyId(const std::vector<adm::Value>& key) {
 }
 }  // namespace
 
+Status AggState::Add(const adm::Value& v) {
+  const bool duration = v.tag() == adm::TypeTag::kDuration;
+  if (sum_type_ != SumType::kNone &&
+      (sum_type_ == SumType::kDuration) != duration) {
+    return Status::InvalidArgument("sum/avg cannot add a duration and a number");
+  }
+  if (duration || (v.is_int() && sum_type_ != SumType::kDouble)) {
+    sum_type_ = duration ? SumType::kDuration : SumType::kInt;
+    isum_ += v.AsInt();
+    return Status::OK();
+  }
+  if (sum_type_ == SumType::kInt) dsum_ = static_cast<double>(isum_);
+  sum_type_ = SumType::kDouble;
+  dsum_ += v.AsNumber();
+  return Status::OK();
+}
+
+adm::Value AggState::SumValue() const {
+  switch (sum_type_) {
+    case SumType::kNone: return adm::Value::Null();
+    case SumType::kInt: return adm::Value::Int(isum_);
+    case SumType::kDouble: return adm::Value::Double(dsum_);
+    case SumType::kDuration: return adm::Value::Duration(isum_);
+  }
+  return adm::Value::Null();
+}
+
+Status AggState::Step(const adm::Value& v, size_t* bytes) {
+  switch (kind_) {
+    case AggKind::kCount:
+      if (!v.is_unknown()) count_++;
+      break;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      if (!Summable(v)) break;
+      if (kind_ == AggKind::kAvg) count_++;
+      return Add(v);
+    case AggKind::kMin:
+    case AggKind::kMax:
+      if (!v.is_unknown() &&
+          (best_.is_missing() ||
+           adm::Holds(kind_ == AggKind::kMin ? adm::CmpOp::kLt
+                                             : adm::CmpOp::kGt,
+                      v.Compare(best_)))) {
+        best_ = v;
+      }
+      break;
+    case AggKind::kCollect:
+      // The one aggregate whose state grows with its input: charge it so
+      // the group-by's spill trigger sees it.
+      if (!v.is_missing()) {
+        *bytes += v.ByteSize();
+        items_.push_back(v);
+      }
+      break;
+  }
+  return Status::OK();
+}
+
+Status AggState::Merge(const adm::Value* partial, size_t* bytes) {
+  switch (kind_) {
+    case AggKind::kCount:
+      count_ += partial[0].AsInt();
+      return Status::OK();
+    case AggKind::kAvg:
+      count_ += partial[1].AsInt();
+      return Summable(partial[0]) ? Add(partial[0]) : Status::OK();
+    case AggKind::kCollect:
+      if (!partial[0].is_collection()) return Status::OK();
+      for (const auto& v : partial[0].items()) {
+        *bytes += v.ByteSize();
+        items_.push_back(v);
+      }
+      return Status::OK();
+    default:  // SUM, MIN, MAX: a partial is a value of the same kind
+      return Step(partial[0], bytes);
+  }
+}
+
+void AggState::WritePartial(std::vector<adm::Value>* out) {
+  if (kind_ != AggKind::kAvg) {
+    out->push_back(Finish());
+    return;
+  }
+  out->push_back(SumValue());
+  out->push_back(adm::Value::Int(count_));
+}
+
+adm::Value AggState::Finish() {
+  switch (kind_) {
+    case AggKind::kCount: return adm::Value::Int(count_);
+    case AggKind::kSum: return SumValue();
+    case AggKind::kAvg:
+      if (count_ == 0) return adm::Value::Null();
+      if (sum_type_ == SumType::kDuration) {
+        return adm::Value::Duration(isum_ / count_);
+      }
+      return adm::Value::Double(
+          (sum_type_ == SumType::kInt ? static_cast<double>(isum_) : dsum_) /
+          static_cast<double>(count_));
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return best_.is_missing() ? adm::Value::Null() : std::move(best_);
+    case AggKind::kCollect: return adm::Value::Array(std::move(items_));
+  }
+  return adm::Value::Null();
+}
+
 HashGroupByOp::HashGroupByOp(StreamPtr child, std::vector<TupleEval> keys,
                              std::vector<AggSpec> aggs, AggPhase phase,
                              resource::MemoryGrant grant, TempFileManager* tmp)
     : child_(std::move(child)), keys_(std::move(keys)), aggs_(std::move(aggs)),
       phase_(phase), grant_(std::move(grant)), spills_(tmp) {}
 
-size_t HashGroupByOp::PartialArity(AggKind kind) {
-  return kind == AggKind::kAvg ? 2 : 1;
+HashGroupByOp::GroupState HashGroupByOp::NewGroup(
+    std::vector<adm::Value> key) const {
+  GroupState g;
+  g.key = std::move(key);
+  g.aggs.reserve(aggs_.size());
+  for (const auto& spec : aggs_) g.aggs.emplace_back(spec.kind);
+  return g;
 }
 
-std::vector<adm::Value> HashGroupByOp::InitPartial(const AggSpec& spec) const {
-  switch (spec.kind) {
-    case AggKind::kCount: return {adm::Value::Int(0)};
-    case AggKind::kSum: return {adm::Value::Null()};
-    case AggKind::kMin: return {adm::Value::Null()};
-    case AggKind::kMax: return {adm::Value::Null()};
-    case AggKind::kAvg: return {adm::Value::Null(), adm::Value::Int(0)};
-    case AggKind::kCollect: return {adm::Value::Array({})};
-  }
-  return {adm::Value::Null()};
-}
-
-Status HashGroupByOp::AccumulateRaw(GroupState* g, const Tuple& t) {
+Status HashGroupByOp::Fold(GroupState* g, const Tuple& t,
+                           bool input_is_partial) {
+  size_t pos = keys_.size();
   for (size_t i = 0; i < aggs_.size(); i++) {
     const AggSpec& spec = aggs_[i];
-    auto& p = g->partials[i];
-    adm::Value arg;
-    if (spec.arg) {
-      AX_ASSIGN_OR_RETURN(arg, spec.arg(t));
-    }
-    switch (spec.kind) {
-      case AggKind::kCount:
-        if (!spec.arg || !arg.is_unknown()) {
-          p[0] = adm::Value::Int(p[0].AsInt() + 1);
-        }
-        break;
-      case AggKind::kSum:
-        if (!arg.is_unknown() && Summable(arg)) p[0] = AddNumbers(p[0], arg);
-        break;
-      case AggKind::kMin:
-        if (!arg.is_unknown() &&
-            (p[0].is_unknown() || arg.Compare(p[0]) < 0)) {
-          p[0] = arg;
-        }
-        break;
-      case AggKind::kMax:
-        if (!arg.is_unknown() &&
-            (p[0].is_unknown() || arg.Compare(p[0]) > 0)) {
-          p[0] = arg;
-        }
-        break;
-      case AggKind::kAvg:
-        if (!arg.is_unknown() && Summable(arg)) {
-          p[0] = AddNumbers(p[0], arg);
-          p[1] = adm::Value::Int(p[1].AsInt() + 1);
-        }
-        break;
-      case AggKind::kCollect:
-        if (!arg.is_missing()) {
-          // Collected arrays are the one aggregate whose state grows with
-          // input; charge the growth so the spill trigger sees it.
-          g->bytes += arg.ByteSize();
-          std::vector<adm::Value> items = p[0].items();
-          items.push_back(arg);
-          p[0] = adm::Value::Array(std::move(items));
-        }
-        break;
+    AggState& state = g->aggs[i];
+    if (input_is_partial) {
+      AX_RETURN_NOT_OK(state.Merge(&t.fields[pos], &g->bytes));
+      pos += AggState::PartialArity(spec.kind);
+    } else if (!spec.arg) {
+      state.StepRow();
+    } else {
+      AX_ASSIGN_OR_RETURN(adm::Value arg, spec.arg(t));
+      AX_RETURN_NOT_OK(state.Step(arg, &g->bytes));
     }
   }
   return Status::OK();
 }
 
-Status HashGroupByOp::MergePartial(GroupState* g, const Tuple& t,
-                                   size_t key_arity) {
-  size_t pos = key_arity;
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    const AggSpec& spec = aggs_[i];
-    auto& p = g->partials[i];
-    switch (spec.kind) {
-      case AggKind::kCount:
-      case AggKind::kSum:
-        p[0] = AddNumbers(p[0], t.at(pos));
-        break;
-      case AggKind::kMin:
-        if (!t.at(pos).is_unknown() &&
-            (p[0].is_unknown() || t.at(pos).Compare(p[0]) < 0)) {
-          p[0] = t.at(pos);
-        }
-        break;
-      case AggKind::kMax:
-        if (!t.at(pos).is_unknown() &&
-            (p[0].is_unknown() || t.at(pos).Compare(p[0]) > 0)) {
-          p[0] = t.at(pos);
-        }
-        break;
-      case AggKind::kAvg:
-        p[0] = AddNumbers(p[0], t.at(pos));
-        p[1] = AddNumbers(p[1], t.at(pos + 1));
-        break;
-      case AggKind::kCollect: {
-        std::vector<adm::Value> items = p[0].items();
-        const auto& incoming = t.at(pos);
-        if (incoming.is_collection()) {
-          // Merged-in partial arrays grow the state; charge them like
-          // AccumulateRaw does.
-          for (const auto& v : incoming.items()) g->bytes += v.ByteSize();
-          items.insert(items.end(), incoming.items().begin(),
-                       incoming.items().end());
-        }
-        p[0] = adm::Value::Array(std::move(items));
-        break;
-      }
-    }
-    pos += PartialArity(spec.kind);
-  }
-  return Status::OK();
-}
-
-Result<Tuple> HashGroupByOp::Emit(GroupState&& g) const {
+Tuple HashGroupByOp::Emit(GroupState&& g, bool partial) {
   Tuple out;
   out.fields = std::move(g.key);
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    auto& p = g.partials[i];
-    if (phase_ == AggPhase::kPartial) {
-      out.fields.insert(out.fields.end(), std::make_move_iterator(p.begin()),
-                        std::make_move_iterator(p.end()));
-      continue;
-    }
-    switch (aggs_[i].kind) {
-      case AggKind::kCount:
-      case AggKind::kSum:
-      case AggKind::kMin:
-      case AggKind::kMax:
-      case AggKind::kCollect:
-        out.fields.push_back(std::move(p[0]));
-        break;
-      case AggKind::kAvg: {
-        if (p[0].is_unknown() || p[1].AsInt() == 0) {
-          out.fields.push_back(adm::Value::Null());
-        } else if (p[0].tag() == adm::TypeTag::kDuration) {
-          out.fields.push_back(
-              adm::Value::Duration(p[0].TemporalValue() / p[1].AsInt()));
-        } else {
-          out.fields.push_back(
-              adm::Value::Double(p[0].AsNumber() / p[1].AsNumber()));
-        }
-        break;
-      }
+  for (auto& state : g.aggs) {
+    if (partial) {
+      state.WritePartial(&out.fields);
+    } else {
+      out.fields.push_back(state.Finish());
     }
   }
   return out;
@@ -232,23 +223,9 @@ Status HashGroupByOp::ProcessTuple(
   if (it == table_.end()) {
     if (table_bytes_ > grant_.bytes()) {
       // Overflow: spill this tuple as a partial row to its partition.
-      GroupState tmp_state;
-      tmp_state.key = std::move(key);
-      for (const auto& spec : aggs_) {
-        tmp_state.partials.push_back(InitPartial(spec));
-      }
-      if (input_is_partial) {
-        AX_RETURN_NOT_OK(MergePartial(&tmp_state, t, key_arity));
-      } else {
-        AX_RETURN_NOT_OK(AccumulateRaw(&tmp_state, t));
-      }
-      Tuple row;
-      row.fields = std::move(tmp_state.key);
-      for (auto& p : tmp_state.partials) {
-        row.fields.insert(row.fields.end(),
-                          std::make_move_iterator(p.begin()),
-                          std::make_move_iterator(p.end()));
-      }
+      GroupState tmp_state = NewGroup(std::move(key));
+      AX_RETURN_NOT_OK(Fold(&tmp_state, t, input_is_partial));
+      Tuple row = Emit(std::move(tmp_state), /*partial=*/true);
       // Salt + fully remix (splitmix64) the partition hash with the
       // recursion level so an oversized partition splits differently at
       // the next level. XOR-only salting would preserve equivalence
@@ -269,9 +246,7 @@ Status HashGroupByOp::ProcessTuple(
       }
       return (*spills)[part]->Write(row);
     }
-    GroupState g;
-    g.key = std::move(key);
-    for (const auto& spec : aggs_) g.partials.push_back(InitPartial(spec));
+    GroupState g = NewGroup(std::move(key));
     // Uniform grant accounting: hash-entry bookkeeping + the encoded key
     // the table stores + the key values held in the state.
     g.bytes = kHashEntryOverheadBytes + id.size();
@@ -283,24 +258,18 @@ Status HashGroupByOp::ProcessTuple(
   // table-wide total the spill trigger tests.
   GroupState& g = it->second;
   size_t before = g.bytes;
-  if (input_is_partial) {
-    AX_RETURN_NOT_OK(MergePartial(&g, t, key_arity));
-  } else {
-    AX_RETURN_NOT_OK(AccumulateRaw(&g, t));
-  }
+  AX_RETURN_NOT_OK(Fold(&g, t, input_is_partial));
   table_bytes_ += g.bytes - before;
   return Status::OK();
 }
 
-Status HashGroupByOp::DrainTableToOutput() {
+void HashGroupByOp::DrainTableToOutput() {
   for (auto& [id, g] : table_) {
     (void)id;
-    AX_ASSIGN_OR_RETURN(Tuple out, Emit(std::move(g)));
-    output_.push_back(std::move(out));
+    output_.push_back(Emit(std::move(g), phase_ == AggPhase::kPartial));
   }
   table_.clear();
   table_bytes_ = 0;
-  return Status::OK();
 }
 
 Status HashGroupByOp::Open() {
@@ -309,7 +278,7 @@ Status HashGroupByOp::Open() {
   AX_RETURN_NOT_OK(ProcessStream(child_.get(), phase_ == AggPhase::kFinal,
                                  /*level=*/0, &spills));
   AX_RETURN_NOT_OK(child_->Close());
-  AX_RETURN_NOT_OK(DrainTableToOutput());
+  DrainTableToOutput();
   for (auto& w : spills) {
     if (w) {
       AX_RETURN_NOT_OK(w->Finish());
@@ -327,7 +296,7 @@ Status HashGroupByOp::Open() {
     std::vector<std::unique_ptr<RunWriter>> more_spills;
     AX_RETURN_NOT_OK(ProcessStream(reader.get(), /*input_is_partial=*/true,
                                    level, &more_spills));
-    AX_RETURN_NOT_OK(DrainTableToOutput());
+    DrainTableToOutput();
     for (auto& w : more_spills) {
       if (w) {
         AX_RETURN_NOT_OK(w->Finish());
@@ -342,10 +311,7 @@ Status HashGroupByOp::Open() {
   // Only the single complete/final instance seeds it — partial instances
   // stay silent so the final phase does not double-count empty partitions.
   if (keys_.empty() && output_.empty() && phase_ != AggPhase::kPartial) {
-    GroupState g;
-    for (const auto& spec : aggs_) g.partials.push_back(InitPartial(spec));
-    AX_ASSIGN_OR_RETURN(Tuple out, Emit(std::move(g)));
-    output_.push_back(std::move(out));
+    output_.push_back(Emit(NewGroup({}), /*partial=*/false));
   }
   out_pos_ = 0;
   return Status::OK();

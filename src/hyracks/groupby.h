@@ -25,6 +25,58 @@ struct AggSpec {
   TupleEval arg;  // may be nullptr for COUNT(*)
 };
 
+/// One aggregate's running state: the one definition of COUNT, SUM, MIN,
+/// MAX, AVG and COLLECT. Every phase of HashGroupByOp folds with it, and the
+/// coll-* scalar functions fold a collection's items with it, so a grouped
+/// aggregate, a keyless one and a collection aggregate agree:
+///  * COUNT counts values that are not unknown (COUNT(*) counts rows, see
+///    StepRow); coll-count, a plain item count, does not come here.
+///  * SUM and AVG skip unknown values and any that are neither numbers nor
+///    durations. Ints sum to an int until a double arrives; durations sum
+///    to a duration and average to one (the §V-D temporal study's need). A
+///    sum that meets both a number and a duration is an error.
+///  * MIN and MAX skip unknowns and order by adm::Value::Compare.
+///  * COLLECT keeps every value but MISSING, in arrival order, and builds
+///    its array once, when the state is written.
+/// Over no values SUM, AVG, MIN and MAX are NULL, COUNT is 0, COLLECT [].
+/// The dispatch is a switch on the kind: no indirect call per value.
+class AggState {
+ public:
+  explicit AggState(AggKind kind) : kind_(kind) {}
+
+  /// Number of partial fields a state of `kind` writes: AVG's {sum, count},
+  /// one value for the others.
+  static size_t PartialArity(AggKind kind) {
+    return kind == AggKind::kAvg ? 2 : 1;
+  }
+
+  /// Folds in one input value; adds what the state retains to *bytes.
+  Status Step(const adm::Value& v, size_t* bytes);
+  /// COUNT(*): counts a row whatever it holds.
+  void StepRow() { count_++; }
+  /// Folds in the PartialArity fields at `partial` that WritePartial wrote.
+  Status Merge(const adm::Value* partial, size_t* bytes);
+  /// Appends the partial fields. Consumes the state.
+  void WritePartial(std::vector<adm::Value>* out);
+  /// The aggregate's value. Consumes the state.
+  adm::Value Finish();
+
+ private:
+  enum class SumType : uint8_t { kNone, kInt, kDouble, kDuration };
+
+  /// SUM/AVG: adds a number or a duration.
+  Status Add(const adm::Value& v);
+  adm::Value SumValue() const;
+
+  AggKind kind_;
+  SumType sum_type_ = SumType::kNone;
+  int64_t count_ = 0;  // COUNT; the values an AVG summed
+  int64_t isum_ = 0;   // an int or duration sum (milliseconds)
+  double dsum_ = 0;
+  adm::Value best_;  // MIN/MAX so far; MISSING before the first
+  std::vector<adm::Value> items_;  // COLLECT
+};
+
 /// Which phase of a (possibly two-phase) aggregation this operator runs.
 enum class AggPhase {
   kComplete,  // raw input -> final values
@@ -34,7 +86,8 @@ enum class AggPhase {
 
 /// Hash group-by. Output tuple: group key fields ++ one field per aggregate
 /// (kComplete/kFinal) or ++ partial-state fields (kPartial; kAvg emits two:
-/// sum and count, kCollect emits an array).
+/// sum and count, kCollect emits an array). Spilled rows have the partial
+/// layout.
 class HashGroupByOp : public TupleStream {
  public:
   /// `grant` is the group-by's whole memory budget, released at Close.
@@ -53,28 +106,24 @@ class HashGroupByOp : public TupleStream {
  private:
   struct GroupState {
     std::vector<adm::Value> key;
-    // Per aggregate: running values. kAvg keeps {sum, count}; others one.
-    std::vector<std::vector<adm::Value>> partials;
+    std::vector<AggState> aggs;  // one per aggs_ entry
     size_t bytes = 0;
   };
 
-  /// Raw-input accumulation (kComplete/kPartial).
-  Status AccumulateRaw(GroupState* g, const Tuple& t);
-  /// Partial-state merge (kFinal): `t` is key fields ++ partial fields.
-  Status MergePartial(GroupState* g, const Tuple& t, size_t key_arity);
-  /// Number of state fields each aggregate contributes in partial form.
-  static size_t PartialArity(AggKind kind);
-  /// Consumes the group state: key and aggregate values move into the
-  /// output tuple (the table is cleared right after draining anyway).
-  Result<Tuple> Emit(GroupState&& g) const;
-  std::vector<adm::Value> InitPartial(const AggSpec& spec) const;
+  GroupState NewGroup(std::vector<adm::Value> key) const;
+  /// Folds one tuple into `g`: raw input, or (when `input_is_partial`) key
+  /// fields ++ the partial fields of every aggregate.
+  Status Fold(GroupState* g, const Tuple& t, bool input_is_partial);
+  /// Consumes the group state: key ++ partial fields when `partial`, else
+  /// key ++ final values.
+  static Tuple Emit(GroupState&& g, bool partial);
 
   Status ProcessStream(TupleStream* input, bool input_is_partial, int level,
                        std::vector<std::unique_ptr<RunWriter>>* spills);
   /// Fold one input tuple into the hash table (or spill it on overflow).
   Status ProcessTuple(const Tuple& t, bool input_is_partial, int level,
                       std::vector<std::unique_ptr<RunWriter>>* spills);
-  Status DrainTableToOutput();
+  void DrainTableToOutput();
 
   StreamPtr child_;
   std::vector<TupleEval> keys_;

@@ -18,29 +18,7 @@ metrics::Counter* PredicateEvalsCounter() {
       metrics::Registry::Global().GetCounter("hyracks.scan.predicate_evals");
   return c;
 }
-
-bool PassesCmp(int c, ScanCmp cmp) {
-  switch (cmp) {
-    case ScanCmp::kEq: return c == 0;
-    case ScanCmp::kLt: return c < 0;
-    case ScanCmp::kLe: return c <= 0;
-    case ScanCmp::kGt: return c > 0;
-    case ScanCmp::kGe: return c >= 0;
-  }
-  return false;
-}
 }  // namespace
-
-const char* ScanCmpName(ScanCmp cmp) {
-  switch (cmp) {
-    case ScanCmp::kEq: return "eq";
-    case ScanCmp::kLt: return "lt";
-    case ScanCmp::kLe: return "le";
-    case ScanCmp::kGt: return "gt";
-    case ScanCmp::kGe: return "ge";
-  }
-  return "?";
-}
 
 // The columns one columnar component supplies to this scan. When the
 // projection was not pushed this is every column (in reader order, so
@@ -173,26 +151,22 @@ Status ScanSource::Filter() {
     for (auto& c : cands_) {
       if (!c.keep) continue;
       evals++;
-      if (pred.constant.is_unknown()) {  // never true in SQL++ 3-valued logic
+      if (c.cols == nullptr) {
+        c.keep = adm::Satisfies(c.record.GetField(pred.field), pred.cmp,
+                                pred.constant);
+        continue;
+      }
+      const storage::ColumnData* col = c.cols->Find(pred.field);
+      if (col == nullptr || col->IsUnknown(c.row)) {
         c.keep = false;
-      } else if (c.cols == nullptr) {
-        const adm::Value& v = c.record.GetField(pred.field);
-        c.keep = !v.is_unknown() &&
-                 PassesCmp(v.Compare(pred.constant), pred.cmp);
+      } else if (col->kind == storage::ColumnKind::kFixed &&
+                 col->tag == adm::TypeTag::kInt64 && pred.constant.is_int()) {
+        // Vectorized fast path: compare raw packed payloads.
+        int64_t v = col->FixedPayload(c.row), w = pred.constant.AsInt();
+        c.keep = adm::Holds(pred.cmp, v < w ? -1 : (v > w ? 1 : 0));
       } else {
-        const storage::ColumnData* col = c.cols->Find(pred.field);
-        if (col == nullptr || col->IsUnknown(c.row)) {
-          c.keep = false;
-        } else if (col->kind == storage::ColumnKind::kFixed &&
-                   col->tag == adm::TypeTag::kInt64 &&
-                   pred.constant.is_int()) {
-          // Vectorized fast path: compare raw packed payloads.
-          int64_t v = col->FixedPayload(c.row), w = pred.constant.AsInt();
-          c.keep = PassesCmp(v < w ? -1 : (v > w ? 1 : 0), pred.cmp);
-        } else {
-          AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
-          c.keep = PassesCmp(v.Compare(pred.constant), pred.cmp);
-        }
+        AX_ASSIGN_OR_RETURN(adm::Value v, col->ValueAt(c.row));
+        c.keep = adm::Satisfies(v, pred.cmp, pred.constant);
       }
     }
     PredicateEvalsCounter()->Add(evals);

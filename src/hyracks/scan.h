@@ -35,17 +35,11 @@
 
 namespace asterix::hyracks {
 
-/// Comparison operators a scan can absorb from a Select.
-enum class ScanCmp { kEq, kLt, kLe, kGt, kGe };
-
-/// The SQL++ comparison function `cmp` stands for ("eq", "lt", ...).
-const char* ScanCmpName(ScanCmp cmp);
-
 /// One pushed conjunct: field <cmp> constant. SQL++ comparison semantics:
 /// a row whose field is NULL/MISSING (or an unknown constant) never passes.
 struct ScanPredicate {
   std::string field;
-  ScanCmp cmp = ScanCmp::kEq;
+  adm::CmpOp cmp = adm::CmpOp::kEq;
   adm::Value constant = adm::Value::Missing();
 };
 

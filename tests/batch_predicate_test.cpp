@@ -80,6 +80,38 @@ TEST(BatchPredicate, VarVarAgreesWithInterpreter) {
   }
 }
 
+TEST(BatchPredicate, ScalarFunctionsAgreeWithMaskOnMixedRows) {
+  // The scalar comparison functions over the same rows: MISSING when an
+  // operand is MISSING, else NULL when one is NULL, else a boolean that is
+  // true exactly where the mask keeps the row.
+  Batch b = MixedBatch();
+  for (const char* op : {"eq", "neq", "lt", "le", "gt", "ge"}) {
+    BatchPredicate mask_fn =
+        TryCompileBatchPredicate(Expr::Call(op, {V(0), V(1)}), TwoVars());
+    ASSERT_TRUE(mask_fn) << op;
+    std::vector<uint8_t> mask(b.size(), 0xAA);
+    ASSERT_TRUE(mask_fn(b, mask.data()).ok());
+    const ScalarFn* fn = FunctionRegistry::Instance().Lookup(op).value();
+    for (size_t i = 0; i < b.size(); i++) {
+      const Value& l = b[i].at(0);
+      const Value& r = b[i].at(1);
+      const Value got = (*fn)({l, r}).value();
+      if (l.is_missing() || r.is_missing()) {
+        EXPECT_TRUE(got.is_missing()) << op << " row " << i;
+      } else if (l.is_null() || r.is_null()) {
+        EXPECT_TRUE(got.is_null()) << op << " row " << i;
+      } else {
+        ASSERT_TRUE(got.is_boolean()) << op << " row " << i;
+        EXPECT_EQ(got.AsBool(), mask[i] != 0) << op << " row " << i;
+      }
+    }
+    if (std::string(op) == "neq") {
+      // Spelled out: unknown operands never pass, mixed types differ.
+      EXPECT_EQ(mask, (std::vector<uint8_t>{1, 0, 1, 1, 1, 0, 0, 0, 1}));
+    }
+  }
+}
+
 TEST(BatchPredicate, ConjunctionAgreesWithInterpreter) {
   ExpectMaskMatchesInterpreter(
       Expr::Call("and", {Expr::Call("gt", {V(0), C(Value::Int(0))}),

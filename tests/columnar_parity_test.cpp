@@ -177,6 +177,26 @@ TEST_F(ParityTest, PushedPredicates) {
   // Constant on the left (mirrored operator).
   ExpectParity("SELECT VALUE u.id FROM $DS u WHERE 85 < u.age "
                "ORDER BY u.id");
+  // All six operators in both operand orders, over an int column (the
+  // columnar raw-int64 path) and a string one, against an int, a double, a
+  // string and unknown constants.
+  for (const char* field : {"u.age", "u.city"}) {
+    for (const char* op : {"=", "!=", "<", "<=", ">", ">="}) {
+      for (const char* c : {"40", "40.5", "\"c3\"", "null", "missing"}) {
+        const std::string f = field, o = op, k = c;
+        ExpectParity("SELECT VALUE u.id FROM $DS u WHERE " + f + " " + o +
+                     " " + k + " ORDER BY u.id");
+        ExpectParity("SELECT VALUE u.id FROM $DS u WHERE " + k + " " + o +
+                     " " + f + " ORDER BY u.id");
+      }
+    }
+  }
+  // != is pushed into the scan like the other five.
+  const QueryResult neq =
+      Exec("SELECT VALUE u.id FROM RowDs u WHERE 40 != u.age");
+  EXPECT_NE(neq.plan.find(" where:age neq 40"), std::string::npos)
+      << neq.plan;
+  EXPECT_EQ(neq.rows.size(), 198u);  // ages 0..89 over 200 ids: two are 40
 }
 
 TEST_F(ParityTest, DeletesAndAntimatter) {

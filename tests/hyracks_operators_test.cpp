@@ -604,6 +604,69 @@ TEST_F(HyracksTest, GroupBySpillsUnderPressure) {
   EXPECT_EQ(total, n);
 }
 
+TEST_F(HyracksTest, GroupByCollectsOneHugeGroupThroughSpilledPhases) {
+  // 50,000 values into one group, interleaved with 2,000 one-value groups
+  // that arrive after the table has outgrown its grant and so spill; two
+  // partial instances over the halves, then a final one, all under 16 KiB.
+  constexpr int kValues = 50'000, kStride = 25;
+  std::vector<Tuple> in;
+  for (int i = 0; i < kValues; i++) {
+    in.push_back(T({Value::Int(0), Value::Int(i)}));
+    if (i % kStride == 0) in.push_back(T({Value::Int(1 + i), Value::Int(i)}));
+  }
+  const std::vector<AggSpec> aggs = {{AggKind::kCollect, Field(1)},
+                                     {AggKind::kCount, nullptr}};
+  const size_t half = in.size() / 2;
+  std::vector<StreamPtr> parts;
+  std::vector<HashGroupByOp*> partials;
+  for (auto [from, to] : {std::pair{size_t{0}, half}, {half, in.size()}}) {
+    auto op = std::make_unique<HashGroupByOp>(
+        std::make_unique<VectorSource>(
+            std::vector<Tuple>(in.begin() + from, in.begin() + to)),
+        std::vector<TupleEval>{Field(0)}, aggs, AggPhase::kPartial,
+        MemoryGrant::Fixed(16 * 1024), tmp_.get());
+    partials.push_back(op.get());
+    parts.push_back(std::move(op));
+  }
+  HashGroupByOp final_op(std::make_unique<UnionAllOp>(std::move(parts)),
+                         {Field(0)}, aggs, AggPhase::kFinal,
+                         MemoryGrant::Fixed(16 * 1024), tmp_.get());
+  auto out = CollectAll(&final_op).value();
+  for (const HashGroupByOp* p : partials) {
+    EXPECT_GT(p->spill_partitions_used(), 0u);
+  }
+  EXPECT_GT(final_op.spill_partitions_used(), 0u);
+
+  ASSERT_EQ(out.size(), 1u + kValues / kStride);
+  for (const Tuple& t : out) {
+    std::vector<int64_t> got;
+    for (const Value& v : t.at(1).items()) got.push_back(v.AsInt());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(t.at(2).AsInt(), static_cast<int64_t>(got.size()));
+    const int64_t key = t.at(0).AsInt();
+    if (key != 0) {
+      EXPECT_EQ(got, std::vector<int64_t>{key - 1});
+      continue;
+    }
+    ASSERT_EQ(got.size(), static_cast<size_t>(kValues));
+    for (int i = 0; i < kValues; i++) ASSERT_EQ(got[i], i);
+  }
+}
+
+TEST(AggState, SumRefusesToAddADurationAndANumber) {
+  size_t bytes = 0;
+  AggState sum(AggKind::kSum);
+  ASSERT_TRUE(sum.Step(Value::Duration(1000), &bytes).ok());
+  EXPECT_EQ(sum.Step(Value::Int(1), &bytes).code(),
+            StatusCode::kInvalidArgument);
+  // Found at merge time too: partitions that each summed one kind.
+  AggState avg(AggKind::kAvg);
+  ASSERT_TRUE(avg.Step(Value::Int(1), &bytes).ok());
+  const Value partial[] = {Value::Duration(5), Value::Int(1)};
+  EXPECT_EQ(avg.Merge(partial, &bytes).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bytes, 0u);  // only COLLECT retains its input
+}
+
 TEST_F(HyracksTest, HashJoinInner) {
   std::vector<Tuple> left = {T({Value::Int(1), Value::String("l1")}),
                              T({Value::Int(2), Value::String("l2")}),

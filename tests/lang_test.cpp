@@ -90,6 +90,30 @@ TEST(SqlppExpr, CollectionsAndObjects) {
   // MISSING-valued fields vanish from constructed objects.
   EXPECT_FALSE(Eval("{\"a\": missing}").HasField("a"));
   EXPECT_EQ(Eval("{{1, 2, 2}}").items().size(), 3u);
+  // coll_* answer what SUM/AVG/MIN/MAX answer: unknown and non-summable
+  // items are skipped, durations sum and average to durations.
+  const std::string mixed = "[\"a\", 1, 2.5, null, missing, 3]";
+  EXPECT_EQ(Eval("coll_sum(" + mixed + ")"), Value::Double(6.5));
+  EXPECT_EQ(Eval("coll_avg(" + mixed + ")"), Value::Double(6.5 / 3));
+  EXPECT_EQ(Eval("coll_min(" + mixed + ")"), Value::Int(1));
+  EXPECT_EQ(Eval("coll_max(" + mixed + ")"), Value::String("a"));
+  EXPECT_EQ(Eval("coll_sum([\"a\", 2])"), Value::Int(2));
+  EXPECT_EQ(Eval("coll_sum([1, 2])").tag(), adm::TypeTag::kInt64);
+  const std::string durations =
+      "[duration(\"PT1H\"), null, duration(\"PT3H\"), \"x\"]";
+  EXPECT_EQ(Eval("coll_sum(" + durations + ")"), Eval("duration(\"PT4H\")"));
+  EXPECT_EQ(Eval("coll_avg(" + durations + ")"), Eval("duration(\"PT2H\")"));
+  // Strings order before durations.
+  EXPECT_EQ(Eval("coll_min(" + durations + ")"), Value::String("x"));
+  EXPECT_EQ(Eval("coll_max(" + durations + ")"), Eval("duration(\"PT3H\")"));
+  for (const char* items : {"[]", "[null, missing]"}) {
+    for (const char* fn : {"coll_sum", "coll_avg", "coll_min", "coll_max"}) {
+      EXPECT_TRUE(Eval(std::string(fn) + "(" + items + ")").is_null())
+          << fn << items;
+    }
+  }
+  // coll_count counts items, unknown ones too (COUNT(expr) skips them).
+  EXPECT_EQ(Eval("coll_count([null, missing, 1])").AsInt(), 3);
 }
 
 TEST(SqlppExpr, CaseExpression) {
@@ -534,6 +558,72 @@ TEST_F(AqlTest, AqlAndSqlppAgreeOnResults) {
   EXPECT_NE(sql.plan.find("group-by"), std::string::npos);
   EXPECT_NE(aql.plan.find("group-by"), std::string::npos);
   EXPECT_NE(aql.plan.find("data-scan D"), std::string::npos);
+
+  // A mixed column (ints, doubles, a string, null, missing) and a duration
+  // column: SQL++ GROUP BY, SQL++ aggregates with no GROUP BY and AQL's
+  // `with` lists (aggregated by coll-*) give the same SUM/AVG/MIN/MAX.
+  ASSERT_TRUE(instance_->ExecuteScript(
+      "CREATE TYPE MT AS { id: int };"
+      "CREATE DATASET M(MT) PRIMARY KEY id").ok());
+  const char* rows[] = {
+      "{\"id\": 0, \"g\": 0, \"x\": 1, \"d\": duration(\"PT1H\")}",
+      "{\"id\": 1, \"g\": 0, \"x\": \"a\", \"d\": duration(\"PT3H\")}",
+      "{\"id\": 2, \"g\": 0, \"x\": 3, \"d\": null}",
+      "{\"id\": 3, \"g\": 0, \"x\": null}",
+      "{\"id\": 4, \"g\": 1, \"x\": 2.5, \"d\": duration(\"PT30M\")}",
+      "{\"id\": 5, \"g\": 1, \"d\": \"z\"}",
+      "{\"id\": 6, \"g\": 1, \"x\": 4, \"d\": duration(\"PT90M\")}",
+  };
+  for (const char* row : rows) {
+    ASSERT_TRUE(instance_->Execute(std::string("INSERT INTO M (") + row + ")")
+                    .ok())
+        << row;
+  }
+  const std::string aggs =
+      "SUM(m.x) AS sx, AVG(m.x) AS ax, MIN(m.x) AS nx, MAX(m.x) AS xx, "
+      "SUM(m.d) AS sd, AVG(m.d) AS ad, MIN(m.d) AS nd, MAX(m.d) AS xd";
+  auto grouped = instance_->Execute("SELECT g, " + aggs +
+                                    " FROM M m GROUP BY m.g AS g ORDER BY g")
+                     .value();
+  auto with = instance_->QueryAql(
+      "for $m in dataset M let $x := $m.x let $d := $m.d "
+      "group by $g := $m.g with $x, $d order by $g "
+      "return {\"g\": $g, \"sx\": sum($x), \"ax\": avg($x), "
+      "\"nx\": min($x), \"xx\": max($x), \"sd\": sum($d), "
+      "\"ad\": avg($d), \"nd\": min($d), \"xd\": max($d)}").value();
+  ASSERT_EQ(grouped.rows.size(), 2u);
+  ASSERT_EQ(with.rows.size(), 2u);
+  const Value want[2] = {
+      Value::Object({{"g", Value::Int(0)},
+                     {"sx", Value::Int(4)},
+                     {"ax", Value::Double(2.0)},
+                     {"nx", Value::Int(1)},
+                     {"xx", Value::String("a")},
+                     {"sd", Value::Duration(4 * 3600'000)},
+                     {"ad", Value::Duration(2 * 3600'000)},
+                     {"nd", Value::Duration(3600'000)},
+                     {"xd", Value::Duration(3 * 3600'000)}}),
+      Value::Object({{"g", Value::Int(1)},
+                     {"sx", Value::Double(6.5)},
+                     {"ax", Value::Double(3.25)},
+                     {"nx", Value::Double(2.5)},
+                     {"xx", Value::Int(4)},
+                     {"sd", Value::Duration(2 * 3600'000)},
+                     {"ad", Value::Duration(3600'000)},
+                     {"nd", Value::String("z")},  // strings sort first
+                     {"xd", Value::Duration(90 * 60'000)}})};
+  for (int g = 0; g < 2; g++) {
+    auto keyless = instance_->Execute("SELECT " + std::to_string(g) +
+                                      " AS g, " + aggs +
+                                      " FROM M m WHERE m.g = " +
+                                      std::to_string(g)).value();
+    ASSERT_EQ(keyless.rows.size(), 1u);
+    for (const auto& [path, got] : {std::pair{"GROUP BY", grouped.rows[g]},
+                                    {"AQL with", with.rows[g]},
+                                    {"no GROUP BY", keyless.rows[0]}}) {
+      EXPECT_EQ(got.ToString(), want[g].ToString()) << path;
+    }
+  }
 }
 
 TEST_F(AqlTest, AqlUsesSharedIndexRules) {

@@ -453,9 +453,11 @@ TEST_F(WorkloadTest, CancelMidGroupByLeaksNothing) {
   while (!done && SpillFilesNow() == 0) {
     std::this_thread::sleep_for(milliseconds(1));
   }
-  ASSERT_FALSE(done.load()) << "the group-by finished before it spilled";
-  ASSERT_TRUE(instance_->CancelQuery("gv").ok());
+  const bool finished_first = done.load();
+  const Status cancel = instance_->CancelQuery("gv");
   runner.join();
+  ASSERT_FALSE(finished_first) << "the group-by finished before it spilled";
+  ASSERT_TRUE(cancel.ok());
 
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled());

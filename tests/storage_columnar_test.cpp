@@ -394,11 +394,12 @@ bool Passes(const Value& v, const hyracks::ScanPredicate& p) {
   if (v.is_unknown() || p.constant.is_unknown()) return false;
   const int c = v.Compare(p.constant);
   switch (p.cmp) {
-    case hyracks::ScanCmp::kEq: return c == 0;
-    case hyracks::ScanCmp::kLt: return c < 0;
-    case hyracks::ScanCmp::kLe: return c <= 0;
-    case hyracks::ScanCmp::kGt: return c > 0;
-    case hyracks::ScanCmp::kGe: return c >= 0;
+    case adm::CmpOp::kEq: return c == 0;
+    case adm::CmpOp::kNeq: return c != 0;
+    case adm::CmpOp::kLt: return c < 0;
+    case adm::CmpOp::kLe: return c <= 0;
+    case adm::CmpOp::kGt: return c > 0;
+    case adm::CmpOp::kGe: return c >= 0;
   }
   return false;
 }
@@ -454,23 +455,24 @@ std::vector<Value> ExpectedScan(const Model& m, const ScanCase& sc) {
 }
 
 std::vector<ScanCase> ScanCases() {
-  using hyracks::ScanCmp;
+  using adm::CmpOp;
   return {
       {{}, false, {}},
       {{"id", "score", "absent"}, true, {}},
       {{}, true, {}},  // COUNT(*)
       {{"name", "tags"},
        true,
-       {{"score", ScanCmp::kGe, Value::Int(40)},
-        {"name", ScanCmp::kLt, Value::String("n6")}}},
+       {{"score", CmpOp::kGe, Value::Int(40)},
+        {"name", CmpOp::kLt, Value::String("n6")}}},
       {{},
        false,
-       {{"mixed", ScanCmp::kEq, Value::Int(1)},
-        {"score", ScanCmp::kLe, Value::Double(70.5)}}},
+       {{"mixed", CmpOp::kEq, Value::Int(1)},
+        {"score", CmpOp::kLe, Value::Double(70.5)}}},
+      {{"id"}, true, {{"score", CmpOp::kNeq, Value::Int(40)}}},
       // Key-bounded: lo only, hi only, both, with pushdown on top.
       {{}, false, {}, 57, std::nullopt},
       {{"id", "name"}, true, {}, std::nullopt, 133},
-      {{"score"}, true, {{"score", ScanCmp::kGt, Value::Int(30)}}, 40, 120},
+      {{"score"}, true, {{"score", CmpOp::kGt, Value::Int(30)}}, 40, 120},
       // Single-key ranges (the key may be live or not), an inverted range,
       // and ranges past either end of the key space.
       {{}, false, {}, 77, 77},
@@ -665,7 +667,7 @@ TEST_F(ColumnarTest, PushedRowScansReturnTheProjectedRecords) {
   // The predicate field is read but not returned.
   std::vector<Value> filtered = RunScan(
       tree.get(),
-      {{"name"}, true, {{"score", hyracks::ScanCmp::kGe, Value::Int(60)}}});
+      {{"name"}, true, {{"score", adm::CmpOp::kGe, Value::Int(60)}}});
   ASSERT_EQ(filtered.size(), 10u);  // ids 40..49
   EXPECT_EQ(filtered[0], adm::ObjectBuilder()
                              .Add("name", Value::String("user-40"))
@@ -703,12 +705,12 @@ TEST_F(ColumnarTest, ScansRejectCorruptRowRecords) {
   const std::vector<std::string> malformed = {
       RecordWithBadName(bad_tag), RecordWithBadName(short_string),
       adm::Serialize(UserRecord(3)) + '\x01'};  // trailing byte
-  using hyracks::ScanCmp;
+  using adm::CmpOp;
   const std::vector<ScanCase> cases = {
       {{}, false, {}},                                        // unpushed
       {{"id"}, true, {}},                                     // skips "name"
-      {{"id"}, true, {{"id", ScanCmp::kGe, Value::Int(0)}}},  // predicate
-      {{}, true, {{"id", ScanCmp::kGe, Value::Int(0)}}},
+      {{"id"}, true, {{"id", CmpOp::kGe, Value::Int(0)}}},  // predicate
+      {{}, true, {{"id", CmpOp::kGe, Value::Int(0)}}},
       {{}, true, {}},  // COUNT(*)
   };
   for (size_t bad = 0; bad < malformed.size(); bad++) {
