@@ -32,6 +32,16 @@
 // "order_limit_topk" is the bounded sort the executor lowers it to (keeps
 // 10 tuples), "order_full_sort" the unbounded sort under a LimitOp that it
 // replaced. tools/bench_to_json.sh gates top-k <= full sort.
+//
+// A third pair evaluates mod(field-access($0, "authorId"), 128) over
+// records, as the analytics GROUP BY and exchange routing do:
+// "expr_compiled" is one evaluator from algebricks::CompileExpr, shared
+// by two threads the way an exchange's producers share a routing key;
+// "expr_handwritten" is the same logic written with GetField and %.
+// Both run through the same TupleEval call on the same tuples, timed from
+// a common start to the later thread's end. tools/bench_to_json.sh gates
+// compiled <= 5x hand-written.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "algebricks/compiler.h"
 #include "bench_json.h"
 #include "hyracks/exchange.h"
 #include "hyracks/operators.h"
@@ -155,6 +166,41 @@ hx::StreamPtr BuildOrderLimit(std::vector<Tuple> input, bool bounded,
       kTopK);
 }
 
+/// Records {authorId, messageId, message}, one per tuple, for the
+/// expression rows.
+std::vector<Tuple> MakeRecords(size_t n) {
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; i++) {
+    const auto id = static_cast<int64_t>(i);
+    out.push_back(Tuple({Value::Object(
+        {{"authorId", Value::Int(id % 6000)},
+         {"messageId", Value::Int(id)},
+         {"message", Value::String("message text " + std::to_string(i))}})}));
+  }
+  return out;
+}
+
+/// mod(field-access($0, "authorId"), 128), compiled.
+hx::TupleEval CompiledAuthorMod() {
+  namespace alg = asterix::algebricks;
+  alg::ExprPtr expr = alg::Expr::Call(
+      "mod", {alg::Expr::Field(alg::Expr::Variable(0), "authorId"),
+              alg::Expr::Constant(Value::Int(128))});
+  return alg::CompileExpr(expr, alg::PositionsOf({0}),
+                          alg::FunctionRegistry::Instance())
+      .value();
+}
+
+/// The same logic written by hand.
+hx::TupleEval HandwrittenAuthorMod() {
+  return [](const Tuple& t) -> Result<Value> {
+    const Value& author = t.at(0).GetField("authorId");
+    if (!author.is_int()) return Value::Null();
+    return Value::Int(author.AsInt() % 128);
+  };
+}
+
 // ---- drivers ----------------------------------------------------------------
 
 Result<uint64_t> Drain(hx::TupleStream* s) {
@@ -212,6 +258,48 @@ Result<RunOut> RunExchange(std::vector<Tuple> input, bool batch_mode) {
   o.ms = MsSince(t0);
   AX_RETURN_NOT_OK(producer_status);
   AX_ASSIGN_OR_RETURN(o.rows_out, std::move(rows));
+  return o;
+}
+
+/// Two threads evaluate the one `eval` over the two halves of `tuples`.
+/// Timed from the common start to the later thread's end, so thread
+/// creation stays outside; rows_out counts the int results.
+Result<RunOut> RunSharedEval(const hx::TupleEval& eval,
+                             const std::vector<Tuple>& tuples) {
+  constexpr size_t kThreads = 2;
+  std::atomic<bool> go{false};
+  std::atomic<uint64_t> ints{0};
+  Status status[kThreads];
+  double ms[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; w++) {
+    threads.emplace_back([&, w] {
+      const size_t lo = tuples.size() * w / kThreads;
+      const size_t hi = tuples.size() * (w + 1) / kThreads;
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      uint64_t n = 0;
+      for (size_t i = lo; i < hi; i++) {
+        Result<Value> v = eval(tuples[i]);
+        if (!v.ok()) {
+          status[w] = v.status();
+          return;
+        }
+        n += v->is_int();
+      }
+      ms[w] = MsSince(t0);
+      ints += n;
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  RunOut o;
+  for (size_t w = 0; w < kThreads; w++) {
+    AX_RETURN_NOT_OK(status[w]);
+    o.ms = std::max(o.ms, ms[w]);
+  }
+  o.rows_out = ints.load();
   return o;
 }
 
@@ -295,6 +383,16 @@ int main(int argc, char** argv) {
                            return TimedDrain(p.get());
                          }});
   }
+  const std::vector<Tuple> records = MakeRecords(n);
+  const hx::TupleEval compiled = CompiledAuthorMod();
+  const hx::TupleEval handwritten = HandwrittenAuthorMod();
+  for (const auto& [name, eval] :
+       {std::pair{"expr_compiled", &compiled},
+        std::pair{"expr_handwritten", &handwritten}}) {
+    scenarios.push_back({name, n, [eval, &records](std::vector<Tuple>) {
+                           return RunSharedEval(*eval, records);
+                         }});
+  }
   RunAll(&scenarios, master, reps);
   std::filesystem::remove_all(tmp_dir);
 
@@ -312,6 +410,8 @@ int main(int argc, char** argv) {
   std::printf("exchange_1to1 batch speedup:       %.2fx\n", ex_speedup);
   std::printf("order_limit top-k speedup:         %.2fx\n",
               scenarios[5].best_ms / scenarios[4].best_ms);
+  std::printf("expr compiled / hand-written:      %.2fx\n",
+              scenarios[6].best_ms / scenarios[7].best_ms);
 
   if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
   return 0;

@@ -128,17 +128,17 @@ namespace {
 const Value kMissingValue;
 }
 
-const Value& Value::GetField(const std::string& name) const {
+const Value& Value::GetField(std::string_view name) const {
   if (tag_ != TypeTag::kObject) return kMissingValue;
   const FieldVec& fv = *fields_;
   auto it = std::lower_bound(
       fv.begin(), fv.end(), name,
-      [](const auto& f, const std::string& n) { return f.first < n; });
+      [](const auto& f, std::string_view n) { return f.first < n; });
   if (it != fv.end() && it->first == name) return it->second;
   return kMissingValue;
 }
 
-bool Value::HasField(const std::string& name) const {
+bool Value::HasField(std::string_view name) const {
   return !GetField(name).is_missing();
 }
 

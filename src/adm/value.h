@@ -128,9 +128,9 @@ class Value {
   const FieldVec& fields() const { return *fields_; }
 
   /// Field lookup by name; returns MISSING when absent (ADM semantics).
-  const Value& GetField(const std::string& name) const;
+  const Value& GetField(std::string_view name) const;
   /// True if the object has the named field.
-  bool HasField(const std::string& name) const;
+  bool HasField(std::string_view name) const;
 
   /// Minimal bounding rectangle of a point or rectangle value.
   Rectangle Mbr() const;

@@ -1,5 +1,7 @@
 #include "algebricks/compiler.h"
 
+#include <array>
+
 namespace asterix::algebricks {
 
 namespace {
@@ -8,6 +10,69 @@ using adm::CmpOp;
 
 Status TupleTooNarrow() {
   return Status::Internal("tuple too narrow for variable");
+}
+
+Result<size_t> PositionOf(VarId var, const VarPositions& positions) {
+  auto it = positions.find(var);
+  if (it == positions.end()) {
+    return Status::Internal("unbound variable $" + std::to_string(var) +
+                            " during compilation");
+  }
+  return it->second;
+}
+
+/// field-access(<base>, "name"), read in place. The closure owns its copy
+/// of the name: every partition runs its own copy of a compiled closure
+/// (and an exchange's producers share one), so a shared constant Value
+/// copied per row would bounce one refcount between their threads.
+Result<hyracks::TupleEval> CompileFieldAccess(
+    const ExprPtr& base, std::string name, const VarPositions& positions,
+    const FunctionRegistry& registry) {
+  if (base->kind == ExprKind::kVariable) {
+    // The record is read where it lies in the tuple, not copied out.
+    AX_ASSIGN_OR_RETURN(size_t pos, PositionOf(base->var, positions));
+    return hyracks::TupleEval(
+        [pos, name = std::move(name)](
+            const hyracks::Tuple& t) -> Result<adm::Value> {
+          if (pos >= t.arity()) return TupleTooNarrow();
+          return FieldAccess(t.at(pos), name);
+        });
+  }
+  AX_ASSIGN_OR_RETURN(auto base_eval, CompileExpr(base, positions, registry));
+  return hyracks::TupleEval(
+      [base_eval = std::move(base_eval),
+       name = std::move(name)](const hyracks::Tuple& t) -> Result<adm::Value> {
+        AX_ASSIGN_OR_RETURN(adm::Value record, base_eval(t));
+        return FieldAccess(record, name);
+      });
+}
+
+/// A call evaluates up to this many arguments into a buffer on the stack;
+/// only a wider call (open-record over many fields, say) uses the heap.
+constexpr size_t kInlineArgs = 4;
+
+hyracks::TupleEval CompileCall(const ScalarFn* fn,
+                               std::vector<hyracks::TupleEval> arg_evals) {
+  if (arg_evals.size() <= kInlineArgs) {
+    return [fn, arg_evals = std::move(arg_evals)](
+               const hyracks::Tuple& t) -> Result<adm::Value> {
+      std::array<adm::Value, kInlineArgs> args;
+      for (size_t i = 0; i < arg_evals.size(); i++) {
+        AX_ASSIGN_OR_RETURN(args[i], arg_evals[i](t));
+      }
+      return (*fn)(std::span<const adm::Value>(args.data(), arg_evals.size()));
+    };
+  }
+  return [fn, arg_evals = std::move(arg_evals)](
+             const hyracks::Tuple& t) -> Result<adm::Value> {
+    std::vector<adm::Value> args;
+    args.reserve(arg_evals.size());
+    for (const auto& e : arg_evals) {
+      AX_ASSIGN_OR_RETURN(adm::Value v, e(t));
+      args.push_back(std::move(v));
+    }
+    return (*fn)(args);
+  };
 }
 
 /// var OP const — the dominant filter shape.
@@ -101,18 +166,10 @@ Result<hyracks::TupleEval> CompileExpr(const ExprPtr& expr,
           [v](const hyracks::Tuple&) -> Result<adm::Value> { return v; });
     }
     case ExprKind::kVariable: {
-      auto it = positions.find(expr->var);
-      if (it == positions.end()) {
-        return Status::Internal("unbound variable $" +
-                                std::to_string(expr->var) +
-                                " during compilation");
-      }
-      size_t pos = it->second;
+      AX_ASSIGN_OR_RETURN(size_t pos, PositionOf(expr->var, positions));
       return hyracks::TupleEval(
           [pos](const hyracks::Tuple& t) -> Result<adm::Value> {
-            if (pos >= t.arity()) {
-              return Status::Internal("tuple too narrow for variable");
-            }
+            if (pos >= t.arity()) return TupleTooNarrow();
             return t.at(pos);
           });
     }
@@ -149,24 +206,18 @@ Result<hyracks::TupleEval> CompileExpr(const ExprPtr& expr,
           });
     }
     case ExprKind::kCall: {
-      AX_ASSIGN_OR_RETURN(const ScalarFn* fn, registry.Lookup(expr->fn));
+      if (const std::string* name = MatchFieldAccess(expr)) {
+        return CompileFieldAccess(expr->args[0], *name, positions, registry);
+      }
+      AX_ASSIGN_OR_RETURN(const ScalarFn* fn,
+                          registry.Lookup(expr->fn, expr->args.size()));
       std::vector<hyracks::TupleEval> arg_evals;
       arg_evals.reserve(expr->args.size());
       for (const auto& a : expr->args) {
         AX_ASSIGN_OR_RETURN(auto e, CompileExpr(a, positions, registry));
         arg_evals.push_back(std::move(e));
       }
-      return hyracks::TupleEval(
-          [fn, arg_evals = std::move(arg_evals)](
-              const hyracks::Tuple& t) -> Result<adm::Value> {
-            std::vector<adm::Value> args;
-            args.reserve(arg_evals.size());
-            for (const auto& e : arg_evals) {
-              AX_ASSIGN_OR_RETURN(adm::Value v, e(t));
-              args.push_back(std::move(v));
-            }
-            return (*fn)(args);
-          });
+      return CompileCall(fn, std::move(arg_evals));
     }
   }
   return Status::Internal("bad expression kind");

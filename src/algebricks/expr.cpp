@@ -64,6 +64,26 @@ std::string Expr::ToString() const {
   return "?";
 }
 
+const std::string* MatchFieldAccess(const ExprPtr& e) {
+  if (e->kind != ExprKind::kCall || e->fn != "field-access" ||
+      e->args.size() != 2) {
+    return nullptr;
+  }
+  const Expr& name = *e->args[1];
+  if (name.kind != ExprKind::kConstant || !name.constant.is_string()) {
+    return nullptr;
+  }
+  return &name.constant.AsString();
+}
+
+const std::string* MatchFieldAccess(const ExprPtr& e, VarId var) {
+  const std::string* field = MatchFieldAccess(e);
+  if (field == nullptr) return nullptr;
+  const Expr& base = *e->args[0];
+  if (base.kind != ExprKind::kVariable || base.var != var) return nullptr;
+  return field;
+}
+
 ExprPtr SubstituteVar(const ExprPtr& e, VarId from, const ExprPtr& to) {
   switch (e->kind) {
     case ExprKind::kConstant:

@@ -78,6 +78,13 @@ struct Expr {
   std::string ToString() const;
 };
 
+/// The field name of field-access(<base>, "<string constant>"), or nullptr
+/// for any other expression, a computed name included. The one matcher
+/// behind the optimizer's rules and the compiler's in-place field read.
+const std::string* MatchFieldAccess(const ExprPtr& e);
+/// The same, for a base that is the variable `var`.
+const std::string* MatchFieldAccess(const ExprPtr& e, VarId var);
+
 /// Deep-substitute variable `from` with expression `to` (returns new tree;
 /// shared subtrees are fine because expressions are immutable).
 ExprPtr SubstituteVar(const ExprPtr& e, VarId from, const ExprPtr& to);

@@ -13,9 +13,11 @@ namespace asterix::algebricks {
 namespace {
 
 using adm::Value;
+using Args = std::span<const Value>;
+constexpr size_t kVariadic = Arity::kVariadic;
 
 // SQL++ unknown propagation: MISSING beats NULL beats values.
-bool PropagateUnknown(const std::vector<Value>& args, Value* out) {
+bool PropagateUnknown(Args args, Value* out) {
   bool missing = false, null = false;
   for (const auto& a : args) {
     if (a.is_missing()) missing = true;
@@ -32,21 +34,13 @@ bool PropagateUnknown(const std::vector<Value>& args, Value* out) {
   return false;
 }
 
-Status ArityError(const std::string& fn, size_t want, size_t got) {
-  return Status::InvalidArgument("function " + fn + " expects " +
-                                 std::to_string(want) + " argument(s), got " +
-                                 std::to_string(got));
-}
-
 }  // namespace
 
 FunctionRegistry::FunctionRegistry() {
   // ---- comparisons ---------------------------------------------------------
   for (adm::CmpOp op : {adm::CmpOp::kEq, adm::CmpOp::kNeq, adm::CmpOp::kLt,
                         adm::CmpOp::kLe, adm::CmpOp::kGt, adm::CmpOp::kGe}) {
-    const char* name = adm::CmpOpName(op);
-    Register(name, [name, op](const std::vector<Value>& a) -> Result<Value> {
-      if (a.size() != 2) return ArityError(name, 2, a.size());
+    Register(adm::CmpOpName(op), {2, 2}, [op](Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       return Value::Boolean(adm::Holds(op, a[0].Compare(a[1])));
@@ -54,7 +48,7 @@ FunctionRegistry::FunctionRegistry() {
   }
 
   // ---- boolean logic (3-valued) -------------------------------------------
-  Register("and", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("and", {0, kVariadic}, [](Args a) -> Result<Value> {
     bool has_unknown = false;
     for (const auto& v : a) {
       if (v.is_unknown()) {
@@ -68,7 +62,7 @@ FunctionRegistry::FunctionRegistry() {
     if (has_unknown) return Value::Null();
     return Value::Boolean(true);
   });
-  Register("or", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("or", {0, kVariadic}, [](Args a) -> Result<Value> {
     bool has_unknown = false;
     for (const auto& v : a) {
       if (v.is_unknown()) {
@@ -82,8 +76,7 @@ FunctionRegistry::FunctionRegistry() {
     if (has_unknown) return Value::Null();
     return Value::Boolean(false);
   });
-  Register("not", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 1) return ArityError("not", 1, a.size());
+  Register("not", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_boolean()) return Value::Null();
@@ -91,17 +84,17 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- unknown tests (must NOT propagate) ----------------------------------
-  Register("is-null", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_null());
+  Register("is-null", {1, 1}, [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_null());
   });
-  Register("is-missing", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_missing());
+  Register("is-missing", {1, 1}, [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_missing());
   });
-  Register("is-unknown", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Boolean(a.at(0).is_unknown());
+  Register("is-unknown", {1, 1}, [](Args a) -> Result<Value> {
+    return Value::Boolean(a[0].is_unknown());
   });
-  Register("if-missing-or-null",
-           [](const std::vector<Value>& a) -> Result<Value> {
+  Register("if-missing-or-null", {0, kVariadic},
+           [](Args a) -> Result<Value> {
              for (const auto& v : a) {
                if (!v.is_unknown()) return v;
              }
@@ -111,9 +104,8 @@ FunctionRegistry::FunctionRegistry() {
   // ---- arithmetic ----------------------------------------------------------
   auto arith = [this](const std::string& name, auto op_int, auto op_dbl,
                       bool int_result_possible) {
-    Register(name, [name, op_int, op_dbl, int_result_possible](
-                       const std::vector<Value>& a) -> Result<Value> {
-      if (a.size() != 2) return ArityError(name, 2, a.size());
+    Register(name, {2, 2}, [name, op_int, op_dbl,
+                            int_result_possible](Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       if (!a[0].is_numeric() || !a[1].is_numeric()) {
@@ -144,16 +136,14 @@ FunctionRegistry::FunctionRegistry() {
         [](double x, double y) { return x - y; }, true);
   arith("mul", [](int64_t x, int64_t y) { return x * y; },
         [](double x, double y) { return x * y; }, true);
-  Register("div", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("div", 2, a.size());
+  Register("div", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
     if (a[1].AsNumber() == 0) return Value::Null();
     return Value::Double(a[0].AsNumber() / a[1].AsNumber());
   });
-  Register("mod", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("mod", 2, a.size());
+  Register("mod", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_int() || !a[1].is_int() || a[1].AsInt() == 0) {
@@ -161,14 +151,14 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Int(a[0].AsInt() % a[1].AsInt());
   });
-  Register("neg", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("neg", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_int()) return Value::Int(-a[0].AsInt());
     if (a[0].is_double()) return Value::Double(-a[0].AsDoubleExact());
     return Value::Null();
   });
-  Register("abs", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("abs", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_int()) return Value::Int(std::abs(a[0].AsInt()));
@@ -177,15 +167,13 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- record / collection access ------------------------------------------
-  Register("field-access", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("field-access", 2, a.size());
-    if (a[0].is_missing()) return Value::Missing();
-    if (a[0].is_null()) return Value::Null();
-    if (!a[0].is_object() || !a[1].is_string()) return Value::Missing();
-    return a[0].GetField(a[1].AsString());
+  Register("field-access", {2, 2}, [](Args a) -> Result<Value> {
+    if (!a[1].is_string()) {
+      return a[0].is_null() ? Value::Null() : Value::Missing();
+    }
+    return FieldAccess(a[0], a[1].AsString());
   });
-  Register("get-item", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("get-item", 2, a.size());
+  Register("get-item", {2, 2}, [](Args a) -> Result<Value> {
     if (a[0].is_unknown() || a[1].is_unknown()) return Value::Missing();
     if (!a[0].is_collection() || !a[1].is_int()) return Value::Missing();
     int64_t i = a[1].AsInt();
@@ -196,7 +184,7 @@ FunctionRegistry::FunctionRegistry() {
     }
     return items[static_cast<size_t>(i)];
   });
-  Register("coll-count", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("coll-count", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_collection()) return Value::Null();
@@ -209,8 +197,7 @@ FunctionRegistry::FunctionRegistry() {
                             {"coll-avg", hyracks::AggKind::kAvg},
                             {"coll-min", hyracks::AggKind::kMin},
                             {"coll-max", hyracks::AggKind::kMax}}) {
-    Register(name, [name, kind](const std::vector<Value>& a) -> Result<Value> {
-      if (a.size() != 1) return ArityError(name, 1, a.size());
+    Register(name, {1, 1}, [kind](Args a) -> Result<Value> {
       Value unknown;
       if (PropagateUnknown(a, &unknown)) return unknown;
       if (!a[0].is_collection()) return Value::Null();
@@ -222,8 +209,7 @@ FunctionRegistry::FunctionRegistry() {
       return state.Finish();
     });
   }
-  Register("in", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("in", 2, a.size());
+  Register("in", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[1].is_collection()) return Value::Null();
@@ -232,14 +218,14 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Boolean(false);
   });
-  Register("array-append", [](const std::vector<Value>& a) -> Result<Value> {
-    if (!a.at(0).is_collection()) return Value::Null();
+  Register("array-append", {1, kVariadic}, [](Args a) -> Result<Value> {
+    if (!a[0].is_collection()) return Value::Null();
     std::vector<Value> items = a[0].items();
     for (size_t i = 1; i < a.size(); i++) items.push_back(a[i]);
     return Value::Array(std::move(items));
   });
   // Record constructor: pairs of (name, value); missing values drop fields.
-  Register("open-record", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("open-record", {0, kVariadic}, [](Args a) -> Result<Value> {
     if (a.size() % 2 != 0) {
       return Status::InvalidArgument("open-record expects name/value pairs");
     }
@@ -253,21 +239,21 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::Object(std::move(fields));
   });
-  Register("ordered-list", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Array(a);
+  Register("ordered-list", {0, kVariadic}, [](Args a) -> Result<Value> {
+    return Value::Array({a.begin(), a.end()});
   });
-  Register("unordered-list", [](const std::vector<Value>& a) -> Result<Value> {
-    return Value::Multiset(a);
+  Register("unordered-list", {0, kVariadic}, [](Args a) -> Result<Value> {
+    return Value::Multiset({a.begin(), a.end()});
   });
 
   // ---- strings --------------------------------------------------------------
-  Register("string-length", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("string-length", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
     return Value::Int(static_cast<int64_t>(a[0].AsString().size()));
   });
-  Register("lower", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("lower", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
@@ -275,7 +261,7 @@ FunctionRegistry::FunctionRegistry() {
     for (auto& c : s) c = static_cast<char>(std::tolower(c));
     return Value::String(std::move(s));
   });
-  Register("upper", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("upper", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string()) return Value::Null();
@@ -283,7 +269,7 @@ FunctionRegistry::FunctionRegistry() {
     for (auto& c : s) c = static_cast<char>(std::toupper(c));
     return Value::String(std::move(s));
   });
-  Register("concat", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("concat", {0, kVariadic}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     std::string out;
@@ -293,21 +279,20 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::String(std::move(out));
   });
-  Register("contains", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("contains", 2, a.size());
+  Register("contains", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
     return Value::Boolean(a[0].AsString().find(a[1].AsString()) !=
                           std::string::npos);
   });
-  Register("starts-with", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("starts-with", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
     return Value::Boolean(a[0].AsString().rfind(a[1].AsString(), 0) == 0);
   });
-  Register("substring", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("substring", {2, 3}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_int()) return Value::Null();
@@ -323,8 +308,7 @@ FunctionRegistry::FunctionRegistry() {
     return Value::String(s.substr(static_cast<size_t>(start), len));
   });
   // like with SQL % and _ wildcards (simple backtracking matcher).
-  Register("like", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("like", 2, a.size());
+  Register("like", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
@@ -348,8 +332,7 @@ FunctionRegistry::FunctionRegistry() {
     return Value::Boolean(match(0, 0));
   });
   // Full-text keyword containment (backs the KEYWORD index).
-  Register("ftcontains", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("ftcontains", 2, a.size());
+  Register("ftcontains", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_string() || !a[1].is_string()) return Value::Null();
@@ -369,7 +352,7 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- temporal -------------------------------------------------------------
-  Register("datetime", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("datetime", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDatetime) return a[0];
@@ -377,7 +360,7 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t ms, adm::temporal::ParseDatetime(a[0].AsString()));
     return Value::Datetime(ms);
   });
-  Register("date", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("date", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDate) return a[0];
@@ -385,7 +368,7 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t d, adm::temporal::ParseDate(a[0].AsString()));
     return Value::Date(d);
   });
-  Register("duration", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("duration", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() == adm::TypeTag::kDuration) return a[0];
@@ -393,15 +376,14 @@ FunctionRegistry::FunctionRegistry() {
     AX_ASSIGN_OR_RETURN(int64_t ms, adm::temporal::ParseDuration(a[0].AsString()));
     return Value::Duration(ms);
   });
-  Register("current-datetime", [](const std::vector<Value>&) -> Result<Value> {
+  Register("current-datetime", {0, 0}, [](Args) -> Result<Value> {
     auto now = std::chrono::system_clock::now().time_since_epoch();
     return Value::Datetime(
         std::chrono::duration_cast<std::chrono::milliseconds>(now).count());
   });
   // interval-bin(ts, anchor, bin-duration) -> start datetime of the bin
   // (the §V-D temporal-study primitive).
-  Register("interval-bin", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 3) return ArityError("interval-bin", 3, a.size());
+  Register("interval-bin", {3, 3}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].tag() != adm::TypeTag::kDatetime ||
@@ -413,8 +395,7 @@ FunctionRegistry::FunctionRegistry() {
         a[0].TemporalValue(), a[1].TemporalValue(), a[2].TemporalValue()));
   });
   // overlap-ms(s1, e1, s2, e2): allocation of spanning activities to bins.
-  Register("overlap-ms", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 4) return ArityError("overlap-ms", 4, a.size());
+  Register("overlap-ms", {4, 4}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     for (const auto& v : a) {
@@ -428,7 +409,7 @@ FunctionRegistry::FunctionRegistry() {
   // ---- spatial ---------------------------------------------------------------
   // Typed constructors from strings, matching ADM literal syntax:
   // point("x,y") and rectangle("x1,y1 x2,y2").
-  Register("point", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("point", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_point()) return a[0];
@@ -439,7 +420,7 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::MakePoint(x, y);
   });
-  Register("rectangle", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("rectangle", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_rectangle()) return a[0];
@@ -452,22 +433,19 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Value::MakeRectangle({x1, y1}, {x2, y2});
   });
-  Register("create-point", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("create-point", 2, a.size());
+  Register("create-point", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_numeric() || !a[1].is_numeric()) return Value::Null();
     return Value::MakePoint(a[0].AsNumber(), a[1].AsNumber());
   });
-  Register("create-rectangle", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("create-rectangle", 2, a.size());
+  Register("create-rectangle", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!a[0].is_point() || !a[1].is_point()) return Value::Null();
     return Value::MakeRectangle(a[0].AsPoint(), a[1].AsPoint());
   });
-  Register("spatial-intersect", [](const std::vector<Value>& a) -> Result<Value> {
-    if (a.size() != 2) return ArityError("spatial-intersect", 2, a.size());
+  Register("spatial-intersect", {2, 2}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (!(a[0].is_point() || a[0].is_rectangle()) ||
@@ -478,20 +456,20 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // ---- conversions / misc ----------------------------------------------------
-  Register("to-string", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("to-string", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_string()) return a[0];
     return Value::String(a[0].ToString());
   });
-  Register("to-double", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("to-double", {1, 1}, [](Args a) -> Result<Value> {
     Value unknown;
     if (PropagateUnknown(a, &unknown)) return unknown;
     if (a[0].is_numeric()) return Value::Double(a[0].AsNumber());
     if (a[0].is_string()) return Value::Double(std::atof(a[0].AsString().c_str()));
     return Value::Null();
   });
-  Register("switch-case", [](const std::vector<Value>& a) -> Result<Value> {
+  Register("switch-case", {0, kVariadic}, [](Args a) -> Result<Value> {
     // switch-case(cond1, val1, cond2, val2, ..., default)
     size_t i = 0;
     for (; i + 1 < a.size(); i += 2) {
@@ -502,17 +480,38 @@ FunctionRegistry::FunctionRegistry() {
   });
 }
 
-Result<const ScalarFn*> FunctionRegistry::Lookup(
-    const std::string& name) const {
+Result<const ScalarFn*> FunctionRegistry::Lookup(const std::string& name,
+                                                 size_t argc) const {
   auto it = fns_.find(name);
   if (it == fns_.end()) {
     return Status::NotFound("unknown function '" + name + "'");
   }
-  return &it->second;
+  const Arity& arity = it->second.arity;
+  if (!arity.Accepts(argc)) {
+    std::string want = std::to_string(arity.min);
+    if (arity.max == Arity::kVariadic) {
+      want = "at least " + want;
+    } else if (arity.max != arity.min) {
+      want += " to " + std::to_string(arity.max);
+    }
+    return Status::InvalidArgument("function " + name + " expects " + want +
+                                   " argument(s), got " +
+                                   std::to_string(argc));
+  }
+  return &it->second.fn;
 }
 
-void FunctionRegistry::Register(const std::string& name, ScalarFn fn) {
-  fns_[name] = std::move(fn);
+void FunctionRegistry::Register(const std::string& name, Arity arity,
+                                ScalarFn fn) {
+  fns_[name] = Entry{arity, std::move(fn)};
+}
+
+std::vector<std::pair<std::string, Arity>> FunctionRegistry::Signatures()
+    const {
+  std::vector<std::pair<std::string, Arity>> out;
+  out.reserve(fns_.size());
+  for (const auto& [name, entry] : fns_) out.emplace_back(name, entry.arity);
+  return out;
 }
 
 const FunctionRegistry& FunctionRegistry::Instance() {

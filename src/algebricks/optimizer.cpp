@@ -210,21 +210,6 @@ void InlineSingletonCrossJoins(LogicalOpPtr* op_ref, bool* changed) {
 // Index access-path selection
 // ---------------------------------------------------------------------------
 
-// Matches field-access($var, "f") and returns f.
-bool MatchFieldAccess(const ExprPtr& e, VarId var, std::string* field) {
-  if (e->kind != ExprKind::kCall || e->fn != "field-access") return false;
-  if (e->args.size() != 2) return false;
-  if (e->args[0]->kind != ExprKind::kVariable || e->args[0]->var != var) {
-    return false;
-  }
-  if (e->args[1]->kind != ExprKind::kConstant ||
-      !e->args[1]->constant.is_string()) {
-    return false;
-  }
-  *field = e->args[1]->constant.AsString();
-  return true;
-}
-
 // A two-argument call of field-access($var, "f") and a constant, in either
 // operand order; `mirrored`, when given, is set for the constant first.
 bool MatchFieldAndConst(const ExprPtr& cj, VarId var, std::string* field,
@@ -232,8 +217,9 @@ bool MatchFieldAndConst(const ExprPtr& cj, VarId var, std::string* field,
   if (cj->kind != ExprKind::kCall || cj->args.size() != 2) return false;
   for (int first : {0, 1}) {
     const ExprPtr& other = cj->args[1 - first];
-    if (MatchFieldAccess(cj->args[first], var, field) &&
-        other->kind == ExprKind::kConstant) {
+    const std::string* f = MatchFieldAccess(cj->args[first], var);
+    if (f != nullptr && other->kind == ExprKind::kConstant) {
+      *field = *f;
       *cst = other;
       if (mirrored != nullptr) *mirrored = first == 1;
       return true;
@@ -320,13 +306,14 @@ bool MatchConjunct(const ExprPtr& cj, VarId var, const Catalog& catalog,
     return true;
   }
   if (fn == "ftcontains" && cj->args.size() == 2) {
-    if (!MatchFieldAccess(cj->args[0], var, &field)) return false;
+    const std::string* text_field = MatchFieldAccess(cj->args[0], var);
+    if (text_field == nullptr) return false;
     if (cj->args[1]->kind != ExprKind::kConstant ||
         !cj->args[1]->constant.is_string()) {
       return false;
     }
     std::string index_name;
-    if (!classify(field, Catalog::IndexInfo::kKeyword, &index_name)) {
+    if (!classify(*text_field, Catalog::IndexInfo::kKeyword, &index_name)) {
       return false;
     }
     out->path = AccessPathKind::kKeyword;
@@ -430,11 +417,8 @@ void CollectFieldUses(const ExprPtr& e, VarId var,
     if (e->var == var) *whole = true;
     return;
   }
-  if (e->kind == ExprKind::kCall && e->fn == "field-access" &&
-      e->args.size() == 2 && e->args[0]->kind == ExprKind::kVariable &&
-      e->args[0]->var == var && e->args[1]->kind == ExprKind::kConstant &&
-      e->args[1]->constant.is_string()) {
-    fields->insert(e->args[1]->constant.AsString());
+  if (const std::string* field = MatchFieldAccess(e, var)) {
+    fields->insert(*field);
     return;
   }
   for (const auto& a : e->args) CollectFieldUses(a, var, fields, whole);

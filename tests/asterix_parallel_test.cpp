@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <thread>
 
+#include "algebricks/compiler.h"
 #include "asterix/gleambook.h"
 #include "asterix/instance.h"
 
@@ -86,6 +88,15 @@ class PartitionInvariance : public ::testing::TestWithParam<size_t> {
         "SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0",
         "SELECT VALUE m.messageId FROM GleambookMessages m "
         "WHERE m.authorId = 7",
+        // The four analytics benchmark shapes: compiled field reads in a
+        // group key, join keys and a filter, sort keys, and a bare count.
+        "SELECT g AS grp, COUNT(*) AS n FROM GleambookMessages m "
+        "GROUP BY m.authorId % 128 AS g",
+        "SELECT COUNT(*) AS n FROM GleambookMessages m JOIN GleambookUsers u "
+        "ON m.authorId = u.id WHERE COLL_COUNT(u.friendIds) >= 3",
+        "SELECT VALUE m.messageId FROM GleambookMessages m "
+        "ORDER BY m.authorId DESC, m.messageId LIMIT 10",
+        "SELECT COUNT(*) AS n FROM GleambookMessages m",
     };
     for (const char* q : queries) {
       auto got = instance_->Execute(q);
@@ -134,7 +145,7 @@ TEST_P(PartitionInvariance, DeletesMatchSinglePartition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, PartitionInvariance,
-                         ::testing::Values(2, 3, 5, 8));
+                         ::testing::Values(2, 3, 5, 8, 4));
 
 // ORDER BY ... LIMIT L OFFSET O lowers to bounded (top-k) sorts; its answer
 // must be the [O, O+L) slice of the same statement without LIMIT, in both
@@ -490,6 +501,70 @@ TEST_F(ErrorPathTest, IndexMaintainedThroughUpdateAndDelete) {
   ASSERT_TRUE(instance_->Execute("DELETE FROM D d WHERE d.id = 1").ok());
   r = instance_->Execute("SELECT VALUE d.id FROM D d WHERE d.v = 20");
   EXPECT_TRUE(r->rows.empty());
+}
+
+// One compiled evaluator shared by four threads, the way an exchange's
+// producers share one routing key and every partition's copy of a closure
+// shares what the closure captured: each thread must compute, for every
+// tuple, what a single thread computes. Run under TSan, this also checks
+// that the evaluator keeps no per-row state of its own.
+TEST(SharedEvaluator, FourThreadsComputeWhatOneComputes) {
+  using algebricks::Expr;
+  using algebricks::ExprPtr;
+  gleambook::GeneratorOptions gen_opts;
+  gen_opts.num_users = 200;
+  gen_opts.num_messages = 2000;
+  gleambook::Generator gen(gen_opts);
+  std::vector<hyracks::Tuple> tuples;
+  for (const Value& m : gen.Messages()) {
+    tuples.push_back(hyracks::Tuple({m, Value::Int(128)}));
+  }
+  const ExprPtr msg = Expr::Variable(0);
+  const ExprPtr exprs[] = {
+      // The analytics group key; the modulus comes from the tuple too.
+      Expr::Call("mod", {Expr::Field(msg, "authorId"),
+                         Expr::Constant(Value::Int(128))}),
+      Expr::Call("mod", {Expr::Field(msg, "authorId"), Expr::Variable(1)}),
+      // A string result, and a string constant copied per row.
+      Expr::Call("concat", {Expr::Field(msg, "message"),
+                            Expr::Constant(Value::String("!"))}),
+      // Absent in two thirds of the records: MISSING.
+      Expr::Field(msg, "inResponseTo"),
+      // A read over a function result.
+      Expr::Field(Expr::Call("open-record",
+                             {Expr::Constant(Value::String("loc")),
+                              Expr::Field(msg, "senderLocation")}),
+                  "loc"),
+  };
+  const algebricks::VarPositions positions = algebricks::PositionsOf({0, 1});
+  for (const ExprPtr& e : exprs) {
+    const hyracks::TupleEval eval =
+        algebricks::CompileExpr(e, positions,
+                                algebricks::FunctionRegistry::Instance())
+            .value();
+    std::vector<Value> want;
+    for (const auto& t : tuples) want.push_back(eval(t).value());
+
+    constexpr size_t kThreads = 4;
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < kThreads; w++) {
+      threads.emplace_back([&, w] {
+        // Every thread reads every tuple, each from a different start.
+        for (size_t k = 0; k < tuples.size(); k++) {
+          const size_t i = (k + w * tuples.size() / kThreads) % tuples.size();
+          Result<Value> got = eval(tuples[i]);
+          if (!got.ok() || got->tag() != want[i].tag() || *got != want[i]) {
+            mismatches[w]++;
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (size_t w = 0; w < kThreads; w++) {
+      EXPECT_EQ(mismatches[w], 0u) << e->ToString() << " thread " << w;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // would otherwise run — including null/missing and mixed-type inputs,
 // since both sides defer to adm::Value::Compare — (b) compile exactly the
 // documented shapes and decline everything else, and (c) surface runtime
-// errors through SelectOp's batch path.
+// errors through SelectOp's batch path. The compiler's in-place read of
+// field-access(<e>, "name") must answer what the registry's field-access
+// answers on every kind of input.
 #include <gtest/gtest.h>
 
 #include "algebricks/compiler.h"
@@ -91,11 +93,12 @@ TEST(BatchPredicate, ScalarFunctionsAgreeWithMaskOnMixedRows) {
     ASSERT_TRUE(mask_fn) << op;
     std::vector<uint8_t> mask(b.size(), 0xAA);
     ASSERT_TRUE(mask_fn(b, mask.data()).ok());
-    const ScalarFn* fn = FunctionRegistry::Instance().Lookup(op).value();
+    const ScalarFn* fn = FunctionRegistry::Instance().Lookup(op, 2).value();
     for (size_t i = 0; i < b.size(); i++) {
       const Value& l = b[i].at(0);
       const Value& r = b[i].at(1);
-      const Value got = (*fn)({l, r}).value();
+      const Value args[] = {l, r};
+      const Value got = (*fn)(args).value();
       if (l.is_missing() || r.is_missing()) {
         EXPECT_TRUE(got.is_missing()) << op << " row " << i;
       } else if (l.is_null() || r.is_null()) {
@@ -189,6 +192,155 @@ TEST(BatchPredicate, NarrowTupleErrorSurfacesThroughSelectBatch) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   ASSERT_TRUE(op.Close().ok());
+}
+
+// ---- compiled field-access --------------------------------------------------
+
+/// The registry's field-access over already-evaluated arguments.
+Value RegistryFieldAccess(const Value& record, const Value& name) {
+  const ScalarFn* fn =
+      FunctionRegistry::Instance().Lookup("field-access", 2).value();
+  const Value args[] = {record, name};
+  return (*fn)(args).value();
+}
+
+Value EvalOn(const ExprPtr& expr, const Tuple& t) {
+  auto eval = CompileExpr(expr, TwoVars(), FunctionRegistry::Instance());
+  EXPECT_TRUE(eval.ok()) << expr->ToString() << ": " << eval.status().ToString();
+  if (!eval.ok()) return Value::Missing();
+  Result<Value> v = (*eval)(t);
+  EXPECT_TRUE(v.ok()) << expr->ToString() << ": " << v.status().ToString();
+  return v.ok() ? std::move(v).value() : Value::Missing();
+}
+
+/// The same tag and value: Value::Compare alone takes an int for the
+/// equal double.
+void ExpectSame(const Value& got, const Value& want, const std::string& what) {
+  EXPECT_EQ(got.tag(), want.tag()) << what << ": " << got.ToString() << " vs "
+                                   << want.ToString();
+  EXPECT_EQ(got, want) << what;
+}
+
+TEST(CompiledFieldAccess, AgreesWithTheRegistryOnEveryInputKind) {
+  const Value record = Value::Object({{"a", Value::Int(1)},
+                                      {"b", Value::String("x")},
+                                      {"n", Value::Null()}});
+  const std::pair<const char*, Value> inputs[] = {
+      {"record", record},
+      {"null", Value::Null()},
+      {"missing", Value::Missing()},
+      {"int", Value::Int(7)},
+      {"string", Value::String("a")},
+      {"array", Value::Array({Value::Int(1), Value::Int(2)})},
+  };
+  for (const auto& [kind, input] : inputs) {
+    for (const char* field : {"a", "b", "n", "absent"}) {
+      const ExprPtr expr = Expr::Field(V(0), field);
+      ASSERT_NE(MatchFieldAccess(expr), nullptr);
+      ExpectSame(EvalOn(expr, Tuple({input, Value::Int(0)})),
+                 RegistryFieldAccess(input, Value::String(field)),
+                 std::string(kind) + "." + field);
+    }
+  }
+  // Spelled out: present, absent, NULL in and MISSING in.
+  EXPECT_EQ(EvalOn(Expr::Field(V(0), "a"), Tuple({record, record})).AsInt(), 1);
+  EXPECT_TRUE(
+      EvalOn(Expr::Field(V(0), "absent"), Tuple({record, record})).is_missing());
+  EXPECT_TRUE(EvalOn(Expr::Field(V(0), "a"), Tuple({Value::Null(), record}))
+                  .is_null());
+  EXPECT_TRUE(EvalOn(Expr::Field(V(0), "a"), Tuple({Value::Missing(), record}))
+                  .is_missing());
+}
+
+TEST(CompiledFieldAccess, NestedChainsAndFunctionResults) {
+  const Value inner = Value::Object({{"b", Value::Int(42)}});
+  const Value m = Value::Object({{"a", inner}, {"c", Value::Int(3)}});
+  const Tuple t({m, Value::Null()});
+  // m.a.b, m.a.absent, m.c.b (a non-object in the middle), m.absent.b.
+  ExpectSame(EvalOn(Expr::Field(Expr::Field(V(0), "a"), "b"), t),
+             RegistryFieldAccess(RegistryFieldAccess(m, Value::String("a")),
+                                 Value::String("b")),
+             "m.a.b");
+  EXPECT_EQ(EvalOn(Expr::Field(Expr::Field(V(0), "a"), "b"), t).AsInt(), 42);
+  for (const auto& [mid, leaf] : {std::pair{"a", "absent"}, {"c", "b"},
+                                  {"absent", "b"}}) {
+    ExpectSame(EvalOn(Expr::Field(Expr::Field(V(0), mid), leaf), t),
+               RegistryFieldAccess(RegistryFieldAccess(m, Value::String(mid)),
+                                   Value::String(leaf)),
+               std::string("m.") + mid + "." + leaf);
+  }
+  // A read over a function result: the base is evaluated once, then read.
+  const ExprPtr built = Expr::Call(
+      "open-record", {C(Value::String("k")), Expr::Field(V(0), "c")});
+  EXPECT_EQ(EvalOn(Expr::Field(built, "k"), t).AsInt(), 3);
+  const ExprPtr either = Expr::Call("if-missing-or-null", {V(1), V(0)});
+  ExpectSame(EvalOn(Expr::Field(either, "c"), t),
+             RegistryFieldAccess(m, Value::String("c")), "(null ?? m).c");
+  ExpectSame(EvalOn(Expr::Field(V(1), "c"), t), Value::Null(), "null.c");
+}
+
+TEST(CompiledFieldAccess, ComputedNamesStillGoThroughTheRegistry) {
+  const Value record = Value::Object({{"a", Value::Int(1)}});
+  // field-access($0, $1): the name is only known per row.
+  const ExprPtr computed = Expr::Call("field-access", {V(0), V(1)});
+  EXPECT_EQ(MatchFieldAccess(computed), nullptr);
+  for (const Value& name : {Value::String("a"), Value::String("z"),
+                            Value::Int(1), Value::Null(), Value::Missing()}) {
+    for (const Value& input : {record, Value::Null(), Value::Missing()}) {
+      ExpectSame(EvalOn(computed, Tuple({input, name})),
+                 RegistryFieldAccess(input, name),
+                 input.ToString() + "." + name.ToString());
+    }
+  }
+  // A registry that overrides field-access sees the computed name but not
+  // the constant one, which the compiler reads in place.
+  FunctionRegistry private_registry;
+  private_registry.Register("field-access", {2, 2},
+                            [](std::span<const Value>) -> Result<Value> {
+                              return Value::String("from the registry");
+                            });
+  const Tuple t({record, Value::String("a")});
+  auto via_registry =
+      CompileExpr(computed, TwoVars(), private_registry).value();
+  EXPECT_EQ(via_registry(t).value().AsString(), "from the registry");
+  auto in_place =
+      CompileExpr(Expr::Field(V(0), "a"), TwoVars(), private_registry).value();
+  EXPECT_EQ(in_place(t).value().AsInt(), 1);
+}
+
+TEST(CompiledFieldAccess, NarrowTupleAndUnboundVariableAreErrors) {
+  VarPositions pos = TwoVars();
+  pos[9] = 9;
+  auto eval = CompileExpr(Expr::Field(V(9), "a"), pos,
+                          FunctionRegistry::Instance())
+                  .value();
+  Result<Value> v = eval(Tuple({Value::Null(), Value::Null()}));
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(CompileExpr(Expr::Field(V(7), "a"), TwoVars(),
+                           FunctionRegistry::Instance())
+                   .ok());
+}
+
+TEST(CompiledCall, WideCallsAgreeWithNarrowOnes) {
+  // Past the inline argument buffer a call evaluates into a heap vector;
+  // the answer must not depend on which.
+  std::vector<ExprPtr> args;
+  std::vector<std::pair<std::string, Value>> want;
+  for (int i = 0; i < 9; i++) {
+    const std::string name = "f" + std::to_string(i);
+    args.push_back(C(Value::String(name)));
+    args.push_back(Expr::Call("add", {V(0), C(Value::Int(i))}));
+    want.emplace_back(name, Value::Int(10 + i));
+  }
+  const Value got =
+      EvalOn(Expr::Call("open-record", args), Tuple({Value::Int(10), Value()}));
+  ExpectSame(got, Value::Object(want), "open-record of 18 arguments");
+  EXPECT_EQ(EvalOn(Expr::Call("concat", {C(Value::String("a")),
+                                         C(Value::String("b"))}),
+                   Tuple({Value(), Value()}))
+                .AsString(),
+            "ab");
 }
 
 }  // namespace

@@ -151,6 +151,40 @@ TEST(SqlppExpr, QuantifiedOverLiteralCollections) {
   EXPECT_FALSE(Eval("EXISTS []").AsBool());
 }
 
+// Every registered function refuses one argument too few and one too
+// many at compile time, and compiles at its minimum.
+TEST(FunctionArity, EveryFunctionRefusesCallsOutsideItsArity) {
+  const FunctionRegistry& registry = FunctionRegistry::Instance();
+  auto compile = [&](const std::string& name, size_t argc) {
+    std::vector<algebricks::ExprPtr> args(
+        argc, algebricks::Expr::Constant(Value::Int(1)));
+    return algebricks::CompileExpr(
+               algebricks::Expr::Call(name, std::move(args)), {}, registry)
+        .status();
+  };
+  const auto signatures = registry.Signatures();
+  ASSERT_GT(signatures.size(), 40u);
+  size_t refused = 0;
+  for (const auto& [name, arity] : signatures) {
+    ASSERT_LE(arity.min, arity.max) << name;
+    EXPECT_TRUE(compile(name, arity.min).ok()) << name;
+    if (arity.min > 0) {
+      Status too_few = compile(name, arity.min - 1);
+      EXPECT_EQ(too_few.code(), StatusCode::kInvalidArgument)
+          << name << ": " << too_few.ToString();
+      refused++;
+    }
+    if (arity.max != algebricks::Arity::kVariadic) {
+      Status too_many = compile(name, arity.max + 1);
+      EXPECT_EQ(too_many.code(), StatusCode::kInvalidArgument)
+          << name << ": " << too_many.ToString();
+      refused++;
+    }
+  }
+  EXPECT_GT(refused, signatures.size());
+  EXPECT_TRUE(compile("no-such-function", 1).IsNotFound());
+}
+
 TEST(SqlppParser, StatementKinds) {
   EXPECT_EQ(ParseStatement("SELECT VALUE 1")->kind,
             sqlpp::ast::Statement::kQuery);
@@ -409,6 +443,26 @@ TEST_F(OptimizerTest, ChainsAtTheOperatorBoundExecute) {
           << ops;
     }
   });
+}
+
+// A call outside its function's arity is refused when the expression is
+// compiled, before any row is read: these statements once read past an
+// empty argument list.
+TEST_F(OptimizerTest, CallsOutsideTheArityAreRefused) {
+  for (const char* q :
+       {"SELECT VALUE abs()", "SELECT VALUE neg()", "SELECT VALUE coll_count()",
+        "SELECT VALUE lower()", "SELECT VALUE string_length()",
+        "SELECT VALUE is_null()", "SELECT VALUE abs(d.v, 1) FROM D d",
+        "SELECT VALUE d.id FROM D d WHERE starts_with(d.s)"}) {
+    auto r = instance_->Execute(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << q << ": " << r.status().ToString();
+  }
+  auto ok = instance_->Execute("SELECT VALUE abs(d.v - 20) FROM D d "
+                               "WHERE d.id = 3");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->rows, std::vector<Value>{Value::Int(17)});
 }
 
 TEST_F(OptimizerTest, IndexSelectionTogglable) {

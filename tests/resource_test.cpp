@@ -510,7 +510,9 @@ TEST_F(WorkloadTest, DeadlineAbortsSpillingQuery) {
   uint64_t aborts_before = Ctr("resource.deadline_aborts");
 
   QueryRunOptions run;
-  run.deadline_ms = 30;  // far below what the spilling sort needs
+  // Far below what the spilling sort needs (about 28 ms warm on a 4-core
+  // VM), so the deadline lands after its first spill and before its end.
+  run.deadline_ms = 10;
   auto result = instance_->Query(kHeavySort, run);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
